@@ -23,7 +23,7 @@ from .radio import (ConcurrentSet, DirectionalLink, antenna_gain,
                     v2v_rate, v2v_received_power, v2v_sinr)
 from .ratemodel import PhysicalRateModel, TableRateModel, fd_relays
 from .v2i import (ChainEstimate, Grant, UtilityEval, V2ISelection,
-                  select_v2i_paths, slots_to_download, two_hop_estimate)
+                  select_v2i_paths, two_hop_estimate)
 from .v2v import (LinkSchedule, Pairing, V2VSchedule, best_first_hop,
                   build_pairing, conflict, run_pairing, schedule_v2v)
 from .vehicles import VehicleState, spawn_vehicles

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .v2i import (ChainEstimate, Grant, V2ISelection, next_service_slot,
+from .ratemodel import accumulate, min_rate
+from .v2i import (Grant, UtilityEval, V2ISelection, next_service_slot,
                   select_v2i_paths, two_hop_estimate)
 from .v2v import V2VSchedule, conflict, schedule_v2v
 
@@ -41,8 +42,7 @@ def _assemble(scheme, seed, model, selection, v2vsched, strict) -> SchemeResult:
     return SchemeResult(
         scheme=scheme, seed=seed, selection=selection, v2v=v2vsched,
         served=frozenset(served), unserved=frozenset(unserved),
-        rate_mode=getattr(model, "rate_mode", "midpoint"),
-        strict_causality=strict)
+        rate_mode=model.rate_mode, strict_causality=strict)
 
 
 def schedule_proposed(model, seed: int, strict_causality: bool = False,
@@ -54,29 +54,39 @@ def schedule_proposed(model, seed: int, strict_causality: bool = False,
                      strict_causality)
 
 
+def _entry_order_grants(model, partial: bool) -> V2ISelection:
+    """RSU grants in entry order, each starting once the previous one ends.
+    A vehicle that cannot finish inside its window at its turn is skipped,
+    or with `partial` transmitted to until its window closes; either way it
+    ends up in v_b. Only partial service, which ends the run, reports such
+    leftovers as incomplete."""
+    clock = 0
+    grants, served, unserved = [], [], []
+    for vid in model.ids:
+        win = model.service_window(vid)
+        if win is None or max(clock, win[0]) > win[1]:
+            unserved.append(vid)
+            continue
+        start = max(clock, win[0])
+        m = model.slots_to_download(vid, start)
+        if m is not None:
+            served.append(vid)
+        else:
+            unserved.append(vid)
+            if not partial:
+                continue
+            m = win[1] - start + 1  # transmit to the window edge, then give up
+        grants.append(Grant(vid, start, m))
+        clock = start + m
+    return V2ISelection(tuple(grants), sum(g.n_slots for g in grants),
+                        tuple(served), tuple(sorted(unserved)), (),
+                        incomplete=partial and bool(unserved))
+
+
 def schedule_fcfs(model, seed: int, strict_causality: bool = False) -> SchemeResult:
     """Entry-order grants; whoever cannot finish inside coverage at their turn
     is left to the sharing phase."""
-    clock = 0
-    grants, v_a, v_b = [], [], []
-    for vid in model.ids:
-        win = model.service_window(vid)
-        if win is None:
-            v_b.append(vid)
-            continue
-        start = max(clock, win[0])
-        if start > win[1]:
-            v_b.append(vid)
-            continue
-        m = model.slots_to_download(vid, start)
-        if m is None:
-            v_b.append(vid)
-            continue
-        grants.append(Grant(vid, start, m))
-        v_a.append(vid)
-        clock = start + m
-    selection = V2ISelection(tuple(grants), sum(g.n_slots for g in grants),
-                             tuple(v_a), tuple(sorted(v_b)), (), False)
+    selection = _entry_order_grants(model, partial=False)
     v2vsched = schedule_v2v(model, selection.v_a, selection.v_b,
                             selection.t_v2i, strict_causality)
     return _assemble("fcfs", seed, model, selection, v2vsched, strict_causality)
@@ -86,46 +96,20 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
     """Random grants with the same coverage-based termination as the proposed
     scheme, then random pairing partners under identical conflict rules."""
     rng = np.random.default_rng([seed, 1])
-    all_ids = list(model.ids)
-    v_b: set[int] = set(all_ids)
-    grants, v_a, chains = [], [], []
-    covered: set[int] = set()
-    clock, t_v2i = 0, 0
-    incomplete = False
-    while not covered >= set(all_ids):
-        if not v_b:
-            break
-        pool = v_b - covered  # claimed vehicles await the sharing phase
-        cands = []
-        for vid in sorted(pool):
-            if model.entered(vid, clock) and model.in_service(vid, clock):
-                if model.slots_to_download(vid, clock) is not None:
-                    cands.append(vid)
+
+    def random_pick(model, v_b, clock, pool):
+        slots = {vid: model.slots_to_download(vid, clock) for vid in sorted(pool)
+                 if model.entered(vid, clock) and model.in_service(vid, clock)}
+        cands = [vid for vid, m in slots.items() if m is not None]
         if not cands:
-            nxt = next_service_slot(model, pool, clock)
-            if nxt is None:
-                incomplete = True
-                break
-            clock = nxt
-            continue
+            return None
         winner = int(rng.choice(cands))
-        m = model.slots_to_download(winner, clock)
         others = [j for j in sorted(v_b) if j != winner and model.entered(j, clock)]
         est = two_hop_estimate(model, winner, others)
-        grants.append(Grant(winner, clock, m))
-        chains.append(ChainEstimate(winner, est.first_hop, est.second_hop))
-        v_a.append(winner)
-        v_b.discard(winner)
-        covered.add(winner)
-        covered.update(x for x in (est.first_hop, est.second_hop) if x is not None)
-        t_v2i += m
-        clock += m
-        if clock > model.horizon:
-            incomplete = True
-            break
+        return UtilityEval(winner, slots[winner], est.first_hop, est.second_hop,
+                           est.chain_slots)
 
-    selection = V2ISelection(tuple(grants), t_v2i, tuple(v_a),
-                             tuple(sorted(v_b)), tuple(chains), incomplete)
+    selection = select_v2i_paths(model, pick=random_pick)
 
     def random_pairing(model, va, vb):
         committed, flags = [], []
@@ -179,9 +163,7 @@ def schedule_noncoop(model, seed: int) -> SchemeResult:
     Implementation is event-driven: between rank changes the target is
     constant, so whole spans are accumulated at once.
     """
-    dt = model.slot_duration
-    content = model.content_size
-    remaining = {vid: content for vid in model.ids}
+    remaining = {vid: model.content_size for vid in model.ids}
     v_b = set(model.ids)
     grants: list[Grant] = []
     served: list[int] = []
@@ -216,32 +198,26 @@ def schedule_noncoop(model, seed: int) -> SchemeResult:
             clock += span  # channel held by an already-served vehicle
             continue
         rem = remaining[target]
-        r_edge = min(model.v2i_rates(target, clock, 1)[0],
-                     model.v2i_rates(target, t_win[1], 1)[0])
-        cap = min(span, int(math.ceil(rem / (r_edge * dt))) + 2) if r_edge > 0 else span
-        rates = model.v2i_rates(target, clock, cap)
-        cum = np.cumsum(rates) * dt
-        idx = int(np.searchsorted(cum, rem, side="left"))
-        if idx < cap:
-            grants.append(Grant(target, clock, idx + 1))
+        # With a zero edge rate there is no safe cap: the whole span is
+        # scanned, where slots_to_download would give up.
+        n, bits = accumulate(model, target, clock, rem, span,
+                             min_rate(model, target, clock, t_win[1]))
+        grants.append(Grant(target, clock, n))
+        clock += n
+        if bits >= rem:
             remaining[target] = 0.0
             v_b.discard(target)
             served.append(target)
-            clock += idx + 1
         else:
             # The channel moves on before the download finishes; the spent
             # slots stay in the trace and the vehicle keeps its partial tally
             # in case a tie geometry ever hands the channel back.
-            grants.append(Grant(target, clock, cap))
-            remaining[target] = rem - float(cum[-1])
-            clock += cap
+            remaining[target] = rem - bits
     selection = V2ISelection(tuple(grants), sum(g.n_slots for g in grants),
                              tuple(served), tuple(sorted(v_b)), (),
                              incomplete=bool(v_b))
-    v2vsched = V2VSchedule((), 0, tuple(sorted(v_b)))
-    return SchemeResult("noncoop", seed, selection, v2vsched,
-                        frozenset(served), frozenset(v_b),
-                        getattr(model, "rate_mode", "midpoint"), False)
+    return _assemble("noncoop", seed, model, selection,
+                     V2VSchedule((), 0, selection.v_b), False)
 
 
 def _overtake_slot(model, winner: int, rival: int, clock: int) -> int | None:
@@ -287,34 +263,9 @@ def _overtake_slot(model, winner: int, rival: int, clock: int) -> int | None:
 def schedule_serial_tdma(model, seed: int) -> SchemeResult:
     """Everyone served one-by-one in entry order, no sharing. A vehicle whose
     window closes mid-download keeps its partial slots and ends unserved."""
-    clock = 0
-    grants, served, unserved = [], [], []
-    for vid in model.ids:
-        win = model.service_window(vid)
-        if win is None:
-            unserved.append(vid)
-            continue
-        start = max(clock, win[0])
-        if start > win[1]:
-            unserved.append(vid)
-            continue
-        m = model.slots_to_download(vid, start)
-        if m is None:
-            n = win[1] - start + 1  # transmit to the window edge, then give up
-            grants.append(Grant(vid, start, n))
-            unserved.append(vid)
-            clock = start + n
-        else:
-            grants.append(Grant(vid, start, m))
-            served.append(vid)
-            clock = start + m
-    selection = V2ISelection(tuple(grants), sum(g.n_slots for g in grants),
-                             tuple(served), tuple(sorted(unserved)), (),
-                             incomplete=bool(unserved))
-    v2vsched = V2VSchedule((), 0, tuple(sorted(unserved)))
-    return SchemeResult("serial-tdma", seed, selection, v2vsched,
-                        frozenset(served), frozenset(unserved),
-                        getattr(model, "rate_mode", "midpoint"), False)
+    selection = _entry_order_grants(model, partial=True)
+    return _assemble("serial-tdma", seed, model, selection,
+                     V2VSchedule((), 0, selection.v_b), False)
 
 
 def run_scheme(scheme: str, model, seed: int, strict_causality: bool = False,

@@ -74,7 +74,7 @@ def main(argv=None) -> int:
                 return 2
             return 0
         # sweep
-        int_axes = {"lane_count", "vehicle_count", "horizon_slots", "seed"}
+        int_axes = {"lane_count", "vehicle_count", "horizon_slots"}
         cast = int if args.axis in int_axes else float
         values = [cast(v) for v in args.values.split(",") if v.strip() != ""]
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]

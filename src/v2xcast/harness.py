@@ -60,6 +60,9 @@ def sweep(raw_config: dict, axis: str, values: list, schemes: list[str],
     if axis not in CONFIG_KEYS:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; valid keys: {', '.join(CONFIG_KEYS)}")
+    if axis == "seed":
+        raise ConfigError("cannot sweep over seed: replica r runs with seed "
+                          "base_seed + r; vary --base-seed and --replicas instead")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")

@@ -69,15 +69,6 @@ def v2i_slot_rate(vehicle: VehicleState, t: int, config: ScenarioConfig,
     step = road.slot_duration * road.speed
     x0 = (t - vehicle.entry_slot) * step - road.rsu_longitudinal
     x1 = x0 + step
-    if d_lr == 0.0:  # degenerate geometry: integrate over time instead of angle
-        n = 8
-        h = road.slot_duration / n
-        total = 0.0
-        for i in range(n + 1):
-            x = x0 + (x1 - x0) * i / n
-            w = 1 if i in (0, n) else (4 if i % 2 else 2)
-            total += w * shannon_rate(v2i_snr(abs(x), radio), radio)
-        return total * h / 3.0 / road.slot_duration
     phi0 = math.atan(x0 / d_lr)
     phi1 = math.atan(x1 / d_lr)
     n = 8

@@ -30,7 +30,59 @@ def fd_relays(links: list[Link]) -> set[int]:
     return txs & rxs
 
 
-class PhysicalRateModel:
+def min_rate(model, vid: int, start: int, end: int) -> float:
+    """Lower bound on the vehicle's V2I rate over slots [start, end]: rates
+    are unimodal over the pass, so the lower end rate bounds the rest."""
+    return min(model.v2i_rates(vid, start, 1)[0], model.v2i_rates(vid, end, 1)[0])
+
+
+def accumulate(model, vid: int, start: int, need: float, span: int,
+               r_min: float) -> tuple[int, float]:
+    """Slots from `start` until `need` bits have arrived, and the bits those
+    slots carry; when the scanned slots fall short, all of them and their
+    bits. At most `span` slots are scanned, and with a positive rate bound
+    r_min no more than a download at that rate would take."""
+    dt = model.slot_duration
+    cap = min(span, int(math.ceil(need / (r_min * dt))) + 2) if r_min > 0 else span
+    cum = np.cumsum(model.v2i_rates(vid, start, cap)) * dt
+    n = min(int(np.searchsorted(cum, need, side="left")) + 1, cap)
+    return n, float(cum[n - 1])
+
+
+class _ServiceWindows:
+    """Serving windows, coverage and entry tests shared by both rate models.
+
+    Subclasses set config, vehicles, horizon, _entry (indexed by id),
+    _serve_radius (None means the RSU range) and an empty _windows cache.
+    """
+
+    def service_window(self, vid: int) -> tuple[int, int] | None:
+        """Slot range where the vehicle is in coverage with adequate SNR,
+        clipped to the horizon. None if the vehicle can never be served."""
+        try:
+            return self._windows[vid]
+        except KeyError:
+            pass
+        from .geometry import coverage_window
+        v = self.vehicles[vid - 1]
+        assert v.id == vid
+        win = coverage_window(v, self.config, radius=self._serve_radius)
+        if win is not None:
+            t_in, t_out = win
+            t_out = min(t_out, self.horizon - 1)
+            win = (t_in, t_out) if t_in <= t_out else None
+        self._windows[vid] = win
+        return win
+
+    def in_service(self, vid: int, t: int) -> bool:
+        win = self.service_window(vid)
+        return win is not None and win[0] <= t <= win[1]
+
+    def entered(self, vid: int, t: int) -> bool:
+        return self._entry[vid] <= t
+
+
+class PhysicalRateModel(_ServiceWindows):
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
                  rate_mode: str = "midpoint"):
         if rate_mode not in ("midpoint", "quadrature"):
@@ -90,31 +142,6 @@ class PhysicalRateModel:
 
     # ---- V2I ----
 
-    def service_window(self, vid: int) -> tuple[int, int] | None:
-        """Slot range where the vehicle is in coverage with adequate SNR,
-        clipped to the horizon. None if the vehicle can never be served."""
-        try:
-            return self._windows[vid]
-        except KeyError:
-            pass
-        from .geometry import coverage_window
-        v = self.vehicles[vid - 1]
-        assert v.id == vid
-        win = coverage_window(v, self.config, radius=self._serve_radius)
-        if win is not None:
-            t_in, t_out = win
-            t_out = min(t_out, self.horizon - 1)
-            win = (t_in, t_out) if t_in <= t_out else None
-        self._windows[vid] = win
-        return win
-
-    def in_service(self, vid: int, t: int) -> bool:
-        win = self.service_window(vid)
-        return win is not None and win[0] <= t <= win[1]
-
-    def entered(self, vid: int, t: int) -> bool:
-        return self._entry[vid] <= t
-
     def _rsu_distances(self, vid: int, start: int, count: int) -> np.ndarray:
         t = np.arange(start, start + count, dtype=float)
         x = (t - self._entry[vid] + 0.5) * self._step - self.config.road.rsu_longitudinal
@@ -158,20 +185,12 @@ class PhysicalRateModel:
         win = self.service_window(vid)
         if win is None or not (win[0] <= start <= win[1]):
             return None
-        avail = win[1] - start + 1
-        # Rates are unimodal over the pass, so the window endpoints bound the
-        # minimum rate and give a safe cap on how many slots to evaluate.
-        dt = self.slot_duration
-        r_edge = min(self.v2i_rates(vid, start, 1)[0],
-                     self.v2i_rates(vid, win[1], 1)[0])
-        if r_edge <= 0:
+        r_min = min_rate(self, vid, start, win[1])
+        if r_min <= 0:
             return None
-        cap = min(avail, int(math.ceil(self.content_size / (r_edge * dt))) + 2)
-        cum = np.cumsum(self.v2i_rates(vid, start, cap)) * dt
-        idx = int(np.searchsorted(cum, self.content_size, side="left"))
-        if idx >= cap:
-            return None
-        return idx + 1
+        n, bits = accumulate(self, vid, start, self.content_size,
+                             win[1] - start + 1, r_min)
+        return n if bits >= self.content_size else None
 
     # ---- V2V ----
 
@@ -237,7 +256,7 @@ class PhysicalRateModel:
         return all(s >= self.sinr_threshold for s in self.link_sinrs(links))
 
 
-class TableRateModel:
+class TableRateModel(_ServiceWindows):
     """Fixed slot-count tables in place of the physics.
 
     v2i_slots maps vehicle id -> slots to download from the RSU (any start
@@ -246,6 +265,9 @@ class TableRateModel:
     backed out of the slot counts with a half-slot margin so that integer
     accumulation lands exactly on the intended count.
     """
+
+    rate_mode = "midpoint"
+    _serve_radius = None
 
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
                  v2i_slots: dict[int, int], pair_slots: dict[frozenset, int],
@@ -269,26 +291,7 @@ class TableRateModel:
     def service_window(self, vid: int) -> tuple[int, int] | None:
         if not self._geometric:
             return (self._entry[vid], self.horizon - 1)
-        try:
-            return self._windows[vid]
-        except KeyError:
-            pass
-        from .geometry import coverage_window
-        v = self.vehicles[vid - 1]
-        win = coverage_window(v, self.config)
-        if win is not None:
-            t_in, t_out = win
-            t_out = min(t_out, self.horizon - 1)
-            win = (t_in, t_out) if t_in <= t_out else None
-        self._windows[vid] = win
-        return win
-
-    def in_service(self, vid: int, t: int) -> bool:
-        win = self.service_window(vid)
-        return win is not None and win[0] <= t <= win[1]
-
-    def entered(self, vid: int, t: int) -> bool:
-        return self._entry[vid] <= t
+        return super().service_window(vid)
 
     def rsu_distance(self, vid: int, t: int) -> float:
         if not self._geometric:
@@ -332,8 +335,3 @@ class TableRateModel:
 
     def set_feasible(self, links: list[Link]) -> bool:
         return all(self.in_range(tx, rx) for tx, rx in links)
-
-
-def build_model(config: ScenarioConfig, vehicles: list[VehicleState],
-                rate_mode: str = "midpoint") -> PhysicalRateModel:
-    return PhysicalRateModel(config, vehicles, rate_mode=rate_mode)

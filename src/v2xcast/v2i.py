@@ -4,7 +4,8 @@ download the full content directly from the RSU.
 At each grant boundary the scheduler scores every not-yet-served vehicle that
 is inside the serving window and able to finish before leaving it. The score
 is the number of RSU slots it needs plus the worst-hop slot count of its best
-two-hop forwarding chain; the minimum-score vehicle wins the grant. The phase
+two-hop forwarding chain; the minimum-score vehicle wins the grant. Who wins
+is a pluggable policy, so the random baseline runs this same loop. The phase
 ends once every vehicle is either granted or claimed by some recorded chain
 (default), or, under the literal termination rule, once the last-entering
 vehicle has itself been granted.
@@ -52,12 +53,6 @@ class V2ISelection:
     v_b: tuple[int, ...]                # vehicles still lacking the content
     chains: tuple[ChainEstimate, ...]
     incomplete: bool                    # ran out of coverage or horizon
-
-
-def slots_to_download(model, vid: int, start: int) -> int | None:
-    """Slots for a full download starting at `start`; None when the vehicle
-    cannot finish inside its serving window."""
-    return model.slots_to_download(vid, start)
 
 
 def two_hop_estimate(model, vid: int, candidates: list[int]) -> UtilityEval:
@@ -120,7 +115,7 @@ def evaluate_candidates(model, v_b: set[int], clock: int,
             continue
         if not model.in_service(vid, clock):
             continue
-        m = slots_to_download(model, vid, clock)
+        m = model.slots_to_download(vid, clock)
         if m is None:
             continue
         others = [j for j in entered if j != vid]
@@ -144,7 +139,16 @@ def next_service_slot(model, v_b, clock: int) -> int | None:
     return nxt if nxt < model.horizon else None
 
 
-def select_v2i_paths(model, termination: str = "coverage") -> V2ISelection:
+def min_utility(model, v_b: set[int], clock: int,
+                pool: set[int]) -> UtilityEval | None:
+    """The proposed scheme's grant policy: the minimum-utility candidate,
+    ties to the lower id; None when nobody in the pool is servable."""
+    evals = evaluate_candidates(model, v_b, clock, pool=pool)
+    return min(evals, key=lambda e: (e.utility, e.vehicle), default=None)
+
+
+def select_v2i_paths(model, termination: str = "coverage",
+                     pick=min_utility) -> V2ISelection:
     """Run the grant-selection loop over the whole vehicle population.
 
     termination="coverage" stops once granted vehicles plus their recorded
@@ -152,6 +156,10 @@ def select_v2i_paths(model, termination: str = "coverage") -> V2ISelection:
     the sharing phase and are not grant candidates. "literal" instead keeps
     every ungranted vehicle eligible and stops only once the last-entering
     vehicle has been granted itself.
+
+    pick(model, v_b, clock, pool) chooses the next grant among the pool,
+    with its download slots and tentative chain, or returns None when
+    nobody in the pool is servable at that clock.
     """
     if termination not in ("coverage", "literal"):
         raise ValueError(f"unknown termination rule {termination!r}")
@@ -175,8 +183,8 @@ def select_v2i_paths(model, termination: str = "coverage") -> V2ISelection:
         if not v_b:
             break
         pool = v_b - covered if termination == "coverage" else set(v_b)
-        evals = evaluate_candidates(model, v_b, clock, pool=pool)
-        if not evals:
+        winner = pick(model, v_b, clock, pool)
+        if winner is None:
             # Idle: jump to the next slot at which any grantable vehicle
             # becomes servable. Idle slots are not charged to the phase.
             nxt = next_service_slot(model, pool, clock)
@@ -185,7 +193,6 @@ def select_v2i_paths(model, termination: str = "coverage") -> V2ISelection:
                 break
             clock = nxt
             continue
-        winner = min(evals, key=lambda e: (e.utility, e.vehicle))
         grants.append(Grant(winner.vehicle, clock, winner.v2i_slots))
         chains.append(ChainEstimate(winner.vehicle, winner.first_hop,
                                     winner.second_hop))

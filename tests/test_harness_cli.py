@@ -59,6 +59,9 @@ def test_sweep_rejects_unknown_axis_listing_keys():
         sweep(small_raw(), "warp_factor", [1], ["proposed"], 1, 0)
     with pytest.raises(ConfigError, match="unknown scheme"):
         sweep(small_raw(), "vehicle_count", [5], ["greedy"], 1, 0)
+    # Replica seeds would override the swept value and make it a no-op.
+    with pytest.raises(ConfigError, match="cannot sweep over seed"):
+        sweep(small_raw(), "seed", [1, 2], ["proposed"], 1, 0)
 
 
 def test_sweep_csv_deterministic():
@@ -118,6 +121,18 @@ def test_cli_sweep_writes_file(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 5
     assert lines[1].startswith("content_gbit,1,proposed,0,4,")
+
+
+def test_cli_sweep_rejects_seed_axis(tmp_path):
+    cfg = _write_small_config(tmp_path)
+    out = tmp_path / "out.csv"
+    proc = _cli("sweep", "--config", str(cfg), "--axis", "seed",
+                "--values", "1,2", "--schemes", "proposed",
+                "--replicas", "1", "--base-seed", "4", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot sweep over seed")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_cli_rate_mode_and_termination_flags(tmp_path):

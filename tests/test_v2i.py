@@ -2,7 +2,7 @@ import pytest
 
 from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.v2i import (evaluate_candidates, select_v2i_paths,
-                         slots_to_download, two_hop_estimate)
+                         two_hop_estimate)
 from v2xcast.vehicles import VehicleState
 from instances import default_config, six_vehicle_instance
 
@@ -93,7 +93,7 @@ def test_select_single_vehicle():
     assert len(sel.grants) == 1
     assert sel.v_b == ()
     assert sel.t_v2i == sel.grants[0].n_slots
-    assert sel.t_v2i == slots_to_download(model, 1, sel.grants[0].start_slot)
+    assert sel.t_v2i == model.slots_to_download(1, sel.grants[0].start_slot)
 
 
 def test_select_three_clustered_vehicles_need_one_grant():
