@@ -9,14 +9,13 @@ serial-tdma  RSU serves everyone in entry order, no sharing (reference)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ratemodel import accumulate, min_rate
-from .v2i import (Grant, UtilityEval, V2ISelection, next_service_slot,
-                  select_v2i_paths, two_hop_estimate)
+from .v2i import (Grant, UtilityEval, V2ISelection, select_v2i_paths,
+                  two_hop_estimate)
 from .v2v import V2VSchedule, conflict, schedule_v2v
 
 SCHEMES = ("proposed", "fcfs", "random", "noncoop", "serial-tdma")
@@ -155,109 +154,72 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
 def schedule_noncoop(model, seed: int) -> SchemeResult:
     """RSU-only, distance-greedy service: in every slot the channel belongs
     to the nearest in-coverage vehicle, wanting or not, and the RSU transmits
-    only when that vehicle still wants the content. With one shared speed the
-    distance ranks cross once per pair, so each vehicle holds the channel for
-    a single contiguous stretch around its closest approach; vehicles whose
-    stretch is too short never finish and end unserved.
-
-    Implementation is event-driven: between rank changes the target is
-    constant, so whole spans are accumulated at once.
+    only when that vehicle still wants the content. Each vehicle holds the
+    channel for at most one contiguous stretch (see _nearest_stretches), so it
+    gets at most one grant; vehicles whose stretch is too short never finish
+    and end unserved.
     """
-    remaining = {vid: model.content_size for vid in model.ids}
-    v_b = set(model.ids)
+    stretches = _nearest_stretches(model)
+    ends = [first - 1 for _, first in stretches[1:]] + [model.horizon - 1]
     grants: list[Grant] = []
     served: list[int] = []
-    clock = 0
-    while v_b:
-        if not any(model.in_service(i, clock) for i in v_b):
-            nxt = next_service_slot(model, v_b, clock)
-            if nxt is None:
-                break
-            clock = nxt
+    # The nearest entered vehicle is out of coverage only when every entered
+    # vehicle is, so clipping each stretch to its holder's window is exact.
+    for (vid, first), last in zip(stretches, ends):
+        win = model.service_window(vid)
+        if win is None:
             continue
-        in_cov = [i for i in model.ids if model.in_service(i, clock)]
-        target = min(in_cov, key=lambda i: (model.rsu_distance(i, clock), i))
-        t_win = model.service_window(target)
-        events = [t_win[1] + 1]
-        for j in model.ids:
-            if j == target:
-                continue
-            win = model.service_window(j)
-            if win is None:
-                continue
-            if clock < win[0] <= t_win[1]:
-                events.append(win[0])  # a new arrival may take the channel
-        for j in in_cov:
-            if j == target:
-                continue
-            t_cross = _overtake_slot(model, target, j, clock)
-            if t_cross is not None:
-                events.append(t_cross)
-        span = max(1, min(events) - clock)
-        if target not in v_b:
-            clock += span  # channel held by an already-served vehicle
+        start, end = max(first, win[0]), min(last, win[1])
+        if start > end:
             continue
-        rem = remaining[target]
-        # With a zero edge rate there is no safe cap: the whole span is
-        # scanned, where slots_to_download would give up.
-        n, bits = accumulate(model, target, clock, rem, span,
-                             min_rate(model, target, clock, t_win[1]))
-        grants.append(Grant(target, clock, n))
-        clock += n
-        if bits >= rem:
-            remaining[target] = 0.0
-            v_b.discard(target)
-            served.append(target)
-        else:
-            # The channel moves on before the download finishes; the spent
-            # slots stay in the trace and the vehicle keeps its partial tally
-            # in case a tie geometry ever hands the channel back.
-            remaining[target] = rem - bits
+        n, bits = accumulate(model, vid, start, model.content_size,
+                             end - start + 1, min_rate(model, vid, start, win[1]))
+        grants.append(Grant(vid, start, n))
+        if bits >= model.content_size:
+            served.append(vid)
+    unserved = tuple(sorted(set(model.ids) - set(served)))
     selection = V2ISelection(tuple(grants), sum(g.n_slots for g in grants),
-                             tuple(served), tuple(sorted(v_b)), (),
-                             incomplete=bool(v_b))
+                             tuple(served), unserved, (),
+                             incomplete=bool(unserved))
     return _assemble("noncoop", seed, model, selection,
                      V2VSchedule((), 0, selection.v_b), False)
 
 
-def _overtake_slot(model, winner: int, rival: int, clock: int) -> int | None:
-    """First slot after `clock` where the rival outranks the winner, or None.
+def _nearest_stretches(model) -> list[tuple[int, int]]:
+    """(vehicle, first slot) of each stretch of slots in [0, horizon) in
+    which that vehicle is the nearest entered one, by (mid-slot RSU distance,
+    id); each stretch runs up to the next one's first slot, the last one to
+    the horizon.
 
-    Squared RSU distances differ by an affine function of the slot index, so
-    the crossing is solved in closed form and then pinned by evaluation.
+    All vehicles share one speed, so for k entered no later than j the gap
+    d_k(t)^2 - d_j(t)^2 is affine in t with a non-negative slope: once j
+    outranks k it keeps doing so. The nearest vehicle therefore changes in id
+    (entry) order and the stretches form a lower envelope, built with the
+    Felzenszwalb-Huttenlocher stack; each takeover slot is found by bisection
+    on the exact comparison, so ties and sampling match a per-slot scan.
     """
-    win_r = model.service_window(rival)
-    d0w = model.rsu_distance(winner, clock)
-    d0r = model.rsu_distance(rival, clock)
-    d1w = model.rsu_distance(winner, clock + 1)
-    d1r = model.rsu_distance(rival, clock + 1)
-    f0 = d0r * d0r - d0w * d0w
-    f1 = d1r * d1r - d1w * d1w
-    slope = f1 - f0
-    if slope >= 0 and f0 >= 0:
-        return None  # gap never shrinks
+    def beats(j, k, t):
+        return (model.rsu_distance(j, t), j) < (model.rsu_distance(k, t), k)
 
-    def beats(t):
-        dr = model.rsu_distance(rival, t)
-        dw = model.rsu_distance(winner, t)
-        return (dr, rival) < (dw, winner)
-
-    if slope == 0:
-        t_guess = clock + 1
-    else:
-        t_guess = clock + max(1.0, -f0 / slope)
-    t = int(math.floor(t_guess))
-    t = max(clock + 1, t - 2)
-    limit = win_r[1] if win_r is not None else clock
-    # The crossing is affine, so the prediction is exact up to float noise;
-    # a short scan pins the first integer slot.
-    for _ in range(16):
-        if t > limit:
-            return None
-        if beats(t):
-            return t
-        t += 1
-    return None
+    stack: list[tuple[int, int]] = []
+    for j in model.ids:
+        takeover = max(0, model.vehicles[j - 1].entry_slot)
+        while stack:
+            k, k_first = stack[-1]
+            lo, hi = max(takeover, k_first), model.horizon
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if beats(j, k, mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            if lo > k_first:
+                takeover = lo
+                break
+            stack.pop()
+        if takeover < model.horizon:
+            stack.append((j, takeover))
+    return stack
 
 
 def schedule_serial_tdma(model, seed: int) -> SchemeResult:

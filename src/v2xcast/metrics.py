@@ -26,13 +26,11 @@ class MetricsReport:
 def system_throughput(result: SchemeResult, config: ScenarioConfig) -> float:
     """Delivered bits per second of transmit time. With unserved vehicles the
     numerator counts served vehicles only and the report flags partial
-    service; zero transmit slots is undefined."""
-    total = result.selection.t_v2i + result.v2v.t_v2v
-    if total <= 0:
-        raise ValueError("throughput undefined for a zero-slot schedule")
+    service; with nobody served it is 0, also over zero transmit slots."""
     served = len(result.served)
     if served == 0:
         return 0.0
+    total = result.selection.t_v2i + result.v2v.t_v2v
     return served * config.road.content_size / (total * config.road.slot_duration)
 
 

@@ -108,6 +108,11 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     def fail(msg):
         raise ConfigError(msg)
 
+    for part in (rp, rd):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            if not math.isfinite(value):
+                fail(f"{f.name} must be finite, got {value}")
     if not rp.carrier_frequency > 0:
         fail(f"carrier_frequency must be > 0, got {rp.carrier_frequency}")
     if not rp.tx_power_rsu > 0:
@@ -118,6 +123,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         fail(f"bandwidth must be > 0, got {rp.bandwidth}")
     if not rp.noise_density > 0:
         fail(f"noise_density must be > 0, got {rp.noise_density}")
+    if not rp.pathloss_exponent > 0:
+        fail(f"pathloss_exponent must be > 0, got {rp.pathloss_exponent}")
     if not 0.0 <= rp.mui_factor <= 1.0:
         fail(f"mui_factor must be in [0, 1], got {rp.mui_factor}")
     if rp.si_cancel < 0:

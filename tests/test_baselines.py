@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v2xcast.baselines import (run_scheme, schedule_fcfs, schedule_noncoop,
                                schedule_proposed, schedule_random,
@@ -89,22 +90,14 @@ def test_noncoop_distance_tie_takes_lower_id():
     assert res.selection.grants[0].vehicle == 1
 
 
-@pytest.mark.parametrize("seed", [23, 57, 91])
-def test_noncoop_matches_naive_per_slot_reference(seed):
-    config = default_config(vehicle_count=12, road_length=800.0,
-                            rsu_longitudinal=400.0, slot_duration=1e-3,
-                            content_size=1e8, horizon=60_000,
-                            arrival_rate=3.0)
-    vehicles = spawn_vehicles(config, seed=seed)
-    model = PhysicalRateModel(config, vehicles)
-    res = schedule_noncoop(model, seed=0)
-
-    # Naive reference: one slot at a time, channel to the nearest in-coverage
-    # vehicle, transmit only while it still wants content.
-    remaining = {v.id: config.road.content_size for v in vehicles}
+def _naive_noncoop(model):
+    """One slot at a time, channel to the nearest in-coverage vehicle,
+    transmit only while it still wants content: (served, merged grants)."""
+    dt = model.slot_duration
+    remaining = {vid: model.content_size for vid in model.ids}
     v_b = set(model.ids)
     served, grants = set(), []
-    for t in range(config.road.horizon):
+    for t in range(model.horizon):
         in_cov = [i for i in model.ids if model.in_service(i, t)]
         if not in_cov:
             continue
@@ -115,15 +108,49 @@ def test_noncoop_matches_naive_per_slot_reference(seed):
             grants[-1] = (target, grants[-1][1], grants[-1][2] + 1)
         else:
             grants.append((target, t, 1))
-        remaining[target] -= model.v2i_rates(target, t, 1)[0] * config.road.slot_duration
+        remaining[target] -= model.v2i_rates(target, t, 1)[0] * dt
         if remaining[target] <= 0:
             v_b.discard(target)
             served.add(target)
         if not v_b:
             break
+    return frozenset(served), grants
 
-    assert res.served == frozenset(served)
+
+def _assert_noncoop_matches_naive(config, seed):
+    model = PhysicalRateModel(config, spawn_vehicles(config, seed=seed))
+    res = schedule_noncoop(model, seed=0)
+    served, grants = _naive_noncoop(model)
+    assert res.served == served
     assert [(g.vehicle, g.start_slot, g.n_slots) for g in res.selection.grants] == grants
+
+
+@pytest.mark.parametrize("seed", [23, 57, 91])
+def test_noncoop_matches_naive_per_slot_reference(seed):
+    config = default_config(vehicle_count=12, road_length=800.0,
+                            rsu_longitudinal=400.0, slot_duration=1e-3,
+                            content_size=1e8, horizon=60_000,
+                            arrival_rate=3.0)
+    _assert_noncoop_matches_naive(config, seed)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rsu_x=st.one_of(st.just(0.0), st.floats(0.0, 800.0)),
+       lanes=st.integers(1, 5),
+       arrival_rate=st.floats(0.5, 50.0),
+       content_size=st.floats(1e8, 3e10),
+       horizon=st.integers(1, 60_000),
+       vehicle_count=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_noncoop_matches_naive_reference_on_random_configs(
+        rsu_x, lanes, arrival_rate, content_size, horizon, vehicle_count, seed):
+    # Large downloads outlast the next arrival, so a stretch must stay one
+    # grant however many vehicles enter coverage during it.
+    config = default_config(vehicle_count=vehicle_count, road_length=800.0,
+                            rsu_longitudinal=rsu_x, lane_count=lanes,
+                            slot_duration=1e-3, content_size=content_size,
+                            horizon=horizon, arrival_rate=arrival_rate)
+    _assert_noncoop_matches_naive(config, seed)
 
 
 def test_fcfs_grants_more_than_proposed_at_scale():

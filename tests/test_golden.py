@@ -37,10 +37,10 @@ RUNS = {  # group -> (seed, scheme, run_scenario keywords) per run
 }
 
 DIGESTS = {
-    "midpoint": "d834b1dadc28fbe400caa3ba1a5d67d86c4563a7f7a8e135ec5b0f15492fe45f",
+    "midpoint": "0e4d65fc1e8fa48dea18d173d0e84584c7fec5baf3d076aea272f3c5143bef19",
     "strict": "16b6ac61ed59b1cd756d2a5e4fdfa1e46bb4aab6e34d3201f38cdbce8b8d0ddd",
     "literal": "820bba8989ab9a7dfe3e09d24066553d8266b19be9d6c93ee2e901663a3ec727",
-    "quadrature": "6cae18346b511f32501abee301b844e5aebf73a3afdd7f5321eec414eef8efde",
+    "quadrature": "9d969ec1b8ea64e573815bcb0bbb450d6d62cabd8d10c3f74449a73273ad543c",
 }
 
 

@@ -135,6 +135,24 @@ def test_cli_sweep_rejects_seed_axis(tmp_path):
     assert not out.exists()
 
 
+def test_cli_rejects_zero_pathloss_exponent_in_one_line(tmp_path):
+    cfg = _write_small_config(tmp_path, pathloss_exp=0.0)
+    proc = _cli("simulate", "--config", str(cfg), "--scheme", "proposed",
+                "--seed", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: pathloss_exponent must be > 0")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_nobody_served_exits_zero(tmp_path):
+    cfg = _write_small_config(tmp_path, vehicle_count=100, horizon_slots=1)
+    proc = _cli("simulate", "--config", str(cfg), "--scheme", "proposed",
+                "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["unserved"] == "100"
+
+
 def test_cli_rate_mode_and_termination_flags(tmp_path):
     cfg = _write_small_config(tmp_path, vehicle_count=10)
     a = _cli("simulate", "--config", str(cfg), "--scheme", "proposed",

@@ -35,9 +35,8 @@ def test_throughput_partial_and_degenerate():
     none_served = _fabricated(config, 1000, 0, (), 100)
     assert system_throughput(none_served, config) == 0.0
     assert build_report(none_served, config).partial_service
-    empty = _fabricated(config, 0, 0, range(1, 101), 100)
-    with pytest.raises(ValueError, match="zero-slot"):
-        system_throughput(empty, config)
+    zero_slot = _fabricated(config, 0, 0, (), 100)
+    assert system_throughput(zero_slot, config) == 0.0
 
 
 def test_energy_v2i_only_and_flow_term():

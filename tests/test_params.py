@@ -75,6 +75,10 @@ def test_lane_beyond_rsu_range_rejected():
     ("speed_mps", 0.0, "speed"),
     ("content_gbit", 0.0, "content_size"),
     ("horizon_slots", 0, "horizon"),
+    ("pathloss_exp", 0.0, "pathloss_exponent must be > 0"),
+    ("pathloss_exp", math.nan, "pathloss_exponent must be finite"),
+    ("content_gbit", math.inf, "content_size must be finite"),
+    ("carrier_frequency_hz", math.inf, "carrier_frequency must be finite"),
 ])
 def test_invariant_violations_name_the_field(key, value, msg):
     raw = dict(RAW_DEFAULT)
