@@ -230,76 +230,49 @@ def _check_v2v_delivery_and_qos(result, model) -> CheckResult:
     """Replay each pairing from its traced slot counts: links stay active for
     their recorded spans, the concurrent set shrinks as links finish, and at
     every phase each active link must clear the SINR threshold while the
-    accumulated bits must reach the content size."""
+    accumulated bits must reach the content size. Under strict causality the
+    replay advances slot by slot in trace order and caps each relay hop at
+    what its feeder has delivered so far."""
     target = model.content_size * (1.0 - REL_GUARD)
     floor = model.sinr_threshold * (1.0 - REL_GUARD)
     dt = model.slot_duration
+    strict = result.strict_causality
     for pairing in result.v2v.pairings:
         links = [(l.tx, l.rx) for l in pairing.links]
         spans = {(l.tx, l.rx): l.slots for l in pairing.links}
-        if result.strict_causality:
-            delivered = _replay_strict(model, pairing, floor)
-            if delivered is None:
-                return CheckResult("v2v_delivery", False,
-                                   f"pairing {pairing.index}: link below "
-                                   f"threshold during replay")
-        else:
-            delivered = {l: 0.0 for l in links}
-            elapsed = 0
-            active = list(links)
-            while active:
-                sinrs = model.link_sinrs(active)
-                rates = model.link_rates(active)
-                for l, s in zip(active, sinrs):
-                    if s < floor:
-                        return CheckResult(
-                            "v2v_delivery", False,
-                            f"pairing {pairing.index}: link {l} SINR {s:.2f} "
-                            f"below threshold after slot {elapsed}")
-                nxt = min(spans[l] for l in active)
-                step = nxt - elapsed
-                for l, r in zip(active, rates):
-                    delivered[l] += r * dt * step
-                elapsed = nxt
-                active = [l for l in active if spans[l] > elapsed]
+        feeder_of = {}
+        for l in pairing.links:
+            if strict and l.relay_hop:
+                feeds = [(f.tx, f.rx) for f in pairing.links if f.rx == l.tx]
+                if feeds:
+                    feeder_of[(l.tx, l.rx)] = feeds[0]
+        delivered = {l: 0.0 for l in links}
+        elapsed = 0
+        active = [l for l in links if spans[l] > elapsed]
+        while active:
+            for l, s in zip(active, model.link_sinrs(active)):
+                if s < floor:
+                    return CheckResult(
+                        "v2v_delivery", False,
+                        f"pairing {pairing.index}: link {l} SINR {s:.2f} "
+                        f"below threshold after slot {elapsed}")
+            nxt = min(spans[l] for l in active)
+            step = 1 if strict else nxt - elapsed
+            grains = [(l, r * dt * step, feeder_of.get(l))
+                      for l, r in zip(active, model.link_rates(active))]
+            for _ in range(elapsed, nxt, step):
+                for l, grain, feeder in grains:
+                    if feeder is not None:
+                        grain = min(grain, max(0.0, delivered[feeder] - delivered[l]))
+                    delivered[l] += grain
+            elapsed = nxt
+            active = [l for l in active if spans[l] > elapsed]
         for l in links:
             if delivered[l] < target:
                 return CheckResult("v2v_delivery", False,
                                    f"pairing {pairing.index}: link {l} delivered "
                                    f"{delivered[l]:.3e} of {model.content_size:.3e}")
     return CheckResult("v2v_delivery", True)
-
-
-def _replay_strict(model, pairing, floor):
-    """Slot-by-slot replay with the relay backlog cap."""
-    dt = model.slot_duration
-    links = [(l.tx, l.rx) for l in pairing.links]
-    spans = {(l.tx, l.rx): l.slots for l in pairing.links}
-    feeder_of = {}
-    for l in pairing.links:
-        if l.relay_hop:
-            feeds = [(f.tx, f.rx) for f in pairing.links if f.rx == l.tx]
-            if feeds:
-                feeder_of[(l.tx, l.rx)] = feeds[0]
-    delivered = {l: 0.0 for l in links}
-    rates: dict = {}
-    prev_active: list = []
-    for t in range(pairing.duration):
-        active = [l for l in links if spans[l] > t]
-        if not active:
-            break
-        if active != prev_active:
-            sinrs = model.link_sinrs(active)
-            if any(s < floor for s in sinrs):
-                return None
-            rates = dict(zip(active, model.link_rates(active)))
-            prev_active = active
-        for l in active:
-            grain = rates[l] * dt
-            if l in feeder_of:
-                grain = min(grain, max(0.0, delivered[feeder_of[l]] - delivered[l]))
-            delivered[l] += grain
-    return delivered
 
 
 def _check_totals(result, config) -> CheckResult:

@@ -16,7 +16,7 @@ import numpy as np
 from .ratemodel import accumulate, min_rate
 from .v2i import (Grant, UtilityEval, V2ISelection, select_v2i_paths,
                   two_hop_estimate)
-from .v2v import V2VSchedule, conflict, schedule_v2v
+from .v2v import V2VSchedule, build_pairing, conflict, schedule_v2v
 
 SCHEMES = ("proposed", "fcfs", "random", "noncoop", "serial-tdma")
 
@@ -110,39 +110,26 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
 
     selection = select_v2i_paths(model, pick=random_pick)
 
+    def random_hop(model, tx, vb):
+        cands = [r for r in sorted(vb) if model.in_range(tx, r)]
+        return (tx, int(rng.choice(cands))) if cands else None
+
+    def random_first_hops(model, va, live_vb):
+        for s in rng.permutation(sorted(va)):
+            link = random_hop(model, int(s), live_vb)
+            if link is not None:
+                yield link
+
     def random_pairing(model, va, vb):
-        committed, flags = [], []
-        va2, vb2 = set(va), set(vb)
-
-        def commit(link, relay):
-            committed.append(link)
-            flags.append(relay)
-            va2.discard(link[0])
-            va2.add(link[1])
-            vb2.discard(link[1])
-
         for _ in range(100):
-            for s in rng.permutation(sorted(va)):
-                s = int(s)
-                cands = [r for r in sorted(vb2) if model.in_range(s, r)]
-                if not cands:
-                    continue
-                r = int(rng.choice(cands))
-                if conflict(model, (s, r), committed):
-                    continue
-                commit((s, r), False)
-                g_cands = [g for g in sorted(vb2) if model.in_range(r, g)]
-                if g_cands:
-                    g = int(rng.choice(g_cands))
-                    if not conflict(model, (r, g), committed):
-                        commit((r, g), True)
-            if committed:
-                return committed, flags, va2, vb2
+            links, flags, va2, vb2 = build_pairing(model, va, vb,
+                                                   random_first_hops, random_hop)
             # Unlucky draw; only retry while a lone feasible link exists.
-            if not any(model.in_range(s, r) and model.set_feasible([(s, r)])
-                       for s in va for r in vb):
+            if links or not any(model.in_range(s, r)
+                                and not conflict(model, (s, r), [])
+                                for s in va for r in vb):
                 break
-        return committed, flags, va2, vb2
+        return links, flags, va2, vb2
 
     v2vsched = schedule_v2v(model, selection.v_a, selection.v_b,
                             selection.t_v2i, strict_causality,

@@ -219,23 +219,31 @@ def config_from_raw(raw: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from raw file values.
 
     dBm -> watts and dB -> linear conversions happen here and nowhere else.
+    A value that overflows its conversion is a ConfigError naming its key.
     """
-    radio = RadioParams(
-        carrier_frequency=raw["carrier_frequency_hz"],
-        tx_power_rsu=dbm_to_watts(raw["pt_dbm"]),
-        tx_power_vehicle=dbm_to_watts(raw["pv_dbm"]),
+    def conv(key, convert):
+        try:
+            return convert(raw[key])
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigError(
+                f"{key} out of range for its unit conversion, got {raw[key]}") from None
+
+    radio = conv("carrier_frequency_hz", lambda hz: RadioParams(
+        carrier_frequency=hz,  # the derived path constant divides by it
+        tx_power_rsu=conv("pt_dbm", dbm_to_watts),
+        tx_power_vehicle=conv("pv_dbm", dbm_to_watts),
         bandwidth=raw["bandwidth_hz"],
         # N0 arrives as dBm per MHz; store W/Hz so noise_floor = N0 * W.
-        noise_density=dbm_to_watts(raw["n0_dbm_per_mhz"]) / 1e6,
+        noise_density=conv("n0_dbm_per_mhz", dbm_to_watts) / 1e6,
         pathloss_exponent=raw["pathloss_exp"],
         mui_factor=raw["mui_factor"],
-        si_cancel=10.0 ** (-raw["si_cancel_exp"]),
-        sinr_threshold=from_db(raw["sinr_threshold_db"]),
+        si_cancel=conv("si_cancel_exp", lambda e: 10.0 ** (-e)),
+        sinr_threshold=conv("sinr_threshold_db", from_db),
         beamwidth=math.radians(raw["beamwidth_deg"]),
         sidelobe_gain=raw["sidelobe_gain"],
         rsu_range=raw["rsu_range_m"],
         v2v_range=raw["v2v_range_m"],
-    )
+    ))
     road = RoadConfig(
         lane_count=raw["lane_count"],
         lane_width=raw["lane_width_m"],

@@ -86,22 +86,27 @@ def _slots_free(model, link: Link) -> int:
     return m if m is not None else model.horizon
 
 
-def build_pairing(model, v_a: set[int], v_b: set[int]):
+def best_first_hops(model, v_a: set[int], v_b: set[int]) -> list[Link]:
+    """Every source's best first hop, in ascending order of interference-free
+    slot demand, ties to the lower source id."""
+    proposals = [link for link in (best_first_hop(model, src, v_b)
+                                   for src in sorted(v_a)) if link is not None]
+    proposals.sort(key=lambda l: (_slots_free(model, l), l[0]))
+    return proposals
+
+
+def build_pairing(model, v_a: set[int], v_b: set[int],
+                  first_hops=best_first_hops, next_hop=best_first_hop):
     """Assemble one pairing. Returns (links, relay_flags, new_v_a, new_v_b);
     links is empty when no source can reach anyone.
 
-    Sources are consumed when they transmit; receivers become sources for
-    later pairings unless they already relayed here.
+    first_hops(model, v_a, live_v_b) proposes first hops in commit order; a
+    lazy generator sees every commit in live_v_b. Each proposal whose
+    receiver is still waiting and that does not conflict is committed, and
+    next_hop(model, receiver, live_v_b) then offers its relay hop. Sources
+    are consumed when they transmit; receivers become sources for later
+    pairings unless they already relayed here.
     """
-    proposals = []
-    for src in sorted(v_a):
-        link = best_first_hop(model, src, v_b)
-        if link is not None:
-            proposals.append(link)
-    if not proposals:
-        return [], [], set(v_a), set(v_b)
-    proposals.sort(key=lambda l: (_slots_free(model, l), l[0]))
-
     committed: list[Link] = []
     relay_flags: list[bool] = []
     va, vb = set(v_a), set(v_b)
@@ -114,18 +119,13 @@ def build_pairing(model, v_a: set[int], v_b: set[int]):
         va.add(rx)
         vb.discard(rx)
 
-    def try_second_hop(relay: int):
-        nxt = best_first_hop(model, relay, vb)
-        if nxt is not None and not conflict(model, nxt, committed):
-            commit(nxt, True)
-
-    for link in proposals:
-        if link[1] not in vb:  # receiver taken by an earlier commit
-            continue
-        if conflict(model, link, committed):
-            continue
+    for link in first_hops(model, v_a, vb):
+        if link[1] not in vb or conflict(model, link, committed):
+            continue  # receiver taken by an earlier commit, or conflicting
         commit(link, False)
-        try_second_hop(link[1])
+        relay = next_hop(model, link[1], vb)
+        if relay is not None and not conflict(model, relay, committed):
+            commit(relay, True)
     return committed, relay_flags, va, vb
 
 
@@ -137,7 +137,10 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
     Rates are recomputed whenever the active set changes; between changes the
     geometry is static, so whole spans of identical slots are advanced at
     once. strict_causality additionally caps what a relay forwards at what it
-    has received so far, which serializes unequal-rate chains honestly.
+    has received so far, which serializes unequal-rate chains honestly: it
+    advances one slot at a time, in commit order, so a relay sees its
+    feeder's same-slot arrivals before forwarding (pass-through within a
+    slot).
     """
     d_target = model.content_size
     dt = model.slot_duration
@@ -146,59 +149,34 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
     m = {l: 0 for l in links}
     feeder_of = {}
     for l, flag in zip(links, relay_flags):
-        if flag:
+        if flag and strict_causality:
             feeds = [f for f in links if f[1] == l[0]]
             if feeds:
                 feeder_of[l] = feeds[0]
 
-    if strict_causality:
-        # Links are processed in commit order, so a relay sees its feeder's
-        # same-slot arrivals before forwarding (pass-through within a slot).
-        # Rates only change when the active set does; the per-slot loop is
-        # pure backlog bookkeeping.
-        rates: dict = {}
-        while active:
-            if set(rates) != set(active):
-                rates = dict(zip(active, model.link_rates(active)))
-            for l in list(active):
-                r = rates[l]
-                if r <= 0.0:
+    rates: dict = {}
+    while active:
+        if len(rates) != len(active):  # active only ever shrinks
+            rates = dict(zip(active, model.link_rates(active)))
+            for l in active:
+                if rates[l] <= 0.0:
                     raise RuntimeError(
                         f"active link {l} starved (zero rate); pairing "
                         f"feasibility gate is inconsistent")
-                grain = r * dt
-                if l in feeder_of:
-                    backlog = delivered[feeder_of[l]] - delivered[l]
-                    grain = min(grain, max(0.0, backlog))
-                delivered[l] += grain
-                m[l] += 1
-                if delivered[l] >= d_target:
-                    active.remove(l)
-        duration = max(m.values())
-        return Pairing(index, start_slot,
-                       tuple(LinkSchedule(l[0], l[1], flag, m[l], delivered[l])
-                             for l, flag in zip(links, relay_flags)),
-                       duration)
-
-    while active:
-        rates = model.link_rates(active)
-        spans = []
-        for l, r in zip(active, rates):
-            if r <= 0.0:
-                raise RuntimeError(
-                    f"active link {l} starved (zero rate); pairing "
-                    f"feasibility gate is inconsistent")
-            spans.append(max(1, math.ceil((d_target - delivered[l]) / (r * dt))))
-        step = min(spans)
-        for l, r in zip(active, rates):
-            delivered[l] += r * dt * step
+        step = 1 if strict_causality else min(
+            max(1, math.ceil((d_target - delivered[l]) / (rates[l] * dt)))
+            for l in active)
+        for l in active:
+            grain = rates[l] * dt * step
+            if l in feeder_of:
+                grain = min(grain, max(0.0, delivered[feeder_of[l]] - delivered[l]))
+            delivered[l] += grain
             m[l] += step
         active = [l for l in active if delivered[l] < d_target]
-    duration = max(m.values())
     return Pairing(index, start_slot,
                    tuple(LinkSchedule(l[0], l[1], flag, m[l], delivered[l])
                          for l, flag in zip(links, relay_flags)),
-                   duration)
+                   max(m.values()))
 
 
 def schedule_v2v(model, v_a, v_b, t_v2i: int,

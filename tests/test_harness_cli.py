@@ -1,9 +1,15 @@
+import io
+import math
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from v2xcast import cli
 from v2xcast.harness import (SIMULATE_COLUMNS, fmt, run_scenario, sweep,
                              sweep_to_csv)
 from v2xcast.params import ConfigError, load_config
@@ -161,3 +167,26 @@ def test_cli_rate_mode_and_termination_flags(tmp_path):
              "--seed", "2", "--v2i-termination", "literal")
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout != "" and b.stdout != ""
+
+
+FLOAT_KEYS = [k for k, v in small_raw().items() if isinstance(v, float)]
+EXTREMES = [1e10, -1e10, 1e308, -1e308, 0.0, -1.0, math.inf, math.nan]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(key=st.sampled_from(FLOAT_KEYS), value=st.sampled_from(EXTREMES))
+def test_cli_extreme_float_value_runs_or_fails_in_one_line(key, value):
+    # Integer keys stay stock: a huge vehicle_count or horizon_slots is
+    # valid and would allocate without bound.
+    raw = small_raw(vehicle_count=10, **{key: value})
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "extreme.cfg"
+        path.write_text("\n".join(f"{k}={v}" for k, v in raw.items()),
+                        encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["simulate", "--config", str(path),
+                             "--scheme", "serial-tdma", "--seed", "1"])
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 1 and len(lines) == 1
+                         and lines[0].startswith("error:")), (code, lines)

@@ -5,9 +5,9 @@ import pytest
 from v2xcast.audit import audit
 from v2xcast.baselines import SchemeResult, run_scheme
 from v2xcast.metrics import build_report, energy, system_throughput
-from v2xcast.ratemodel import PhysicalRateModel
+from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
 from v2xcast.v2i import Grant, V2ISelection
-from v2xcast.v2v import LinkSchedule, Pairing, V2VSchedule
+from v2xcast.v2v import LinkSchedule, Pairing, V2VSchedule, run_pairing
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import default_config, six_vehicle_instance
 
@@ -172,10 +172,51 @@ def test_audit_flags_sinr_violation():
     ), 2000)
     res = SchemeResult("proposed", 0, sel, V2VSchedule((pairing,), 2000, ()),
                        frozenset({1, 2, 3, 4}), frozenset(), "midpoint", False)
-    report = audit(res, config, vehicles)
-    fails = {c.name: c.detail for c in report.failures()}
-    assert "v2v_delivery" in fails
-    assert "below threshold" in fails["v2v_delivery"]
+    for strict in (False, True):
+        report = audit(dataclasses.replace(res, strict_causality=strict),
+                       config, vehicles)
+        fails = {c.name: c.detail for c in report.failures()}
+        assert "v2v_delivery" in fails
+        assert "link (3, 1) SINR" in fails["v2v_delivery"]
+        assert "below threshold" in fails["v2v_delivery"]
+
+
+def _relay_chain_result(strict_causality, relay_slots=None):
+    """Links 1->2 (4 slots) and relay 2->3 (2 slots at its own rate), run
+    under strict causality; relay_slots overrides the traced relay span."""
+    config = default_config(vehicle_count=3)
+    step = config.road.slot_duration * config.road.speed
+    vehicles = [VehicleState(i, 1, round(-x / step))
+                for i, x in enumerate((510.0, 505.0, 500.0), start=1)]
+    model = TableRateModel(config, vehicles, {1: 2, 2: 2, 3: 2},
+                           {frozenset((1, 2)): 4, frozenset((2, 3)): 2},
+                           geometric_coverage=False)
+    pairing = run_pairing(model, [(1, 2), (2, 3)], [False, True], 0, 1,
+                          strict_causality=True)
+    assert [l.slots for l in pairing.links] == [4, 4]
+    if relay_slots is not None:
+        relay = dataclasses.replace(pairing.links[1], slots=relay_slots)
+        pairing = dataclasses.replace(pairing, links=(pairing.links[0], relay))
+    sel = V2ISelection((), 0, (1,), (2, 3), (), False)
+    res = SchemeResult("proposed", 0, sel,
+                       V2VSchedule((pairing,), pairing.duration, ()),
+                       frozenset({1, 2, 3}), frozenset(), "midpoint",
+                       strict_causality)
+    return audit(res, config, vehicles, model=model)
+
+
+def _v2v_delivery(report):
+    return next(c for c in report.checks if c.name == "v2v_delivery")
+
+
+def test_strict_replay_caps_a_relay_hop_at_its_feeder():
+    assert _v2v_delivery(_relay_chain_result(True)).ok
+    # Two slots at the relay's own rate deliver the content, but only 2 of
+    # the feeder's 3.5 slot-shares have arrived by then.
+    strict = _v2v_delivery(_relay_chain_result(True, relay_slots=2))
+    assert not strict.ok
+    assert "link (2, 3) delivered 1.714e+09 of 3.000e+09" in strict.detail
+    assert _v2v_delivery(_relay_chain_result(False, relay_slots=2)).ok
 
 
 def test_audit_report_formatting():

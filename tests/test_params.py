@@ -79,6 +79,12 @@ def test_lane_beyond_rsu_range_rejected():
     ("pathloss_exp", math.nan, "pathloss_exponent must be finite"),
     ("content_gbit", math.inf, "content_size must be finite"),
     ("carrier_frequency_hz", math.inf, "carrier_frequency must be finite"),
+    ("pt_dbm", 1e10, "pt_dbm out of range"),
+    ("pv_dbm", 1e10, "pv_dbm out of range"),
+    ("n0_dbm_per_mhz", 1e10, "n0_dbm_per_mhz out of range"),
+    ("si_cancel_exp", -400.0, "si_cancel_exp out of range"),
+    ("sinr_threshold_db", 1e5, "sinr_threshold_db out of range"),
+    ("carrier_frequency_hz", 0.0, "carrier_frequency_hz out of range"),
 ])
 def test_invariant_violations_name_the_field(key, value, msg):
     raw = dict(RAW_DEFAULT)
