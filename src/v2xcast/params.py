@@ -131,6 +131,9 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         fail(f"si_cancel must be >= 0, got {rp.si_cancel}")
     if not rp.sinr_threshold > 0:
         fail(f"sinr_threshold must be > 0, got {rp.sinr_threshold}")
+    if rp.bandwidth * math.log2(1.0 + rp.sinr_threshold) == 0:
+        fail(f"sinr_threshold {rp.sinr_threshold} gives a zero link rate: "
+             f"bandwidth * log2(1 + sinr_threshold) rounds to 0")
     if not 0.0 < rp.beamwidth < 2.0 * math.pi:
         fail(f"beamwidth must be in (0, 2*pi) rad, got {rp.beamwidth}")
     if not 0.0 < rp.sidelobe_gain < 1.0:

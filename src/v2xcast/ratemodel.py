@@ -1,5 +1,8 @@
 """Rate models: the slot-rate and feasibility surface the schedulers consume.
 
+RateModel is the written protocol: each model supplies five primitives, and
+every query the schedulers derive from them is written once, on RateModel.
+
 PhysicalRateModel evaluates the full link-budget math over the vehicle
 population, with caching that exploits two facts of the scenario: all
 vehicles share one speed, so pairwise distances and angles never change, and
@@ -49,12 +52,40 @@ def accumulate(model, vid: int, start: int, need: float, span: int,
     return n, float(cum[n - 1])
 
 
-class _ServiceWindows:
-    """Serving windows, coverage and entry tests shared by both rate models.
+class RateModel:
+    """The rate-model protocol, read by both schedulers and the audit. A
+    model supplies five primitives:
 
-    Subclasses set config, vehicles, horizon, _entry (indexed by id),
-    _serve_radius (None means the RSU range) and an empty _windows cache.
+    v2i_rates(vid, start, count)  per-slot RSU downlink rates for slots
+                                  [start, start+count), bits/s
+    rsu_distance(vid, t)          mid-slot RSU distance, meters
+    rate_free(i, j)               interference-free V2V rate, bits/s; 0 when
+                                  the pair cannot talk
+    link_sinrs(links)             receiver SINR per link when all of them
+                                  transmit concurrently
+    link_rates(links)             rate per link under that concurrency, bits/s
+
+    and sets _entry (entry slot, indexed by id) and, to serve inside less
+    than the RSU range, _serve_radius. The attributes the schedulers read,
+    config, vehicles, ids, content_size, slot_duration, horizon,
+    sinr_threshold and rate_mode, are set here. Every other query is derived
+    below from the primitives, once for every model.
     """
+
+    rate_mode = "midpoint"
+    _serve_radius: float | None = None  # None means the RSU range
+
+    def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState]):
+        self.config = config
+        self.vehicles = vehicles
+        self.ids = [v.id for v in vehicles]
+        self.content_size = config.road.content_size
+        self.slot_duration = config.road.slot_duration
+        self.horizon = config.road.horizon
+        self.sinr_threshold = config.radio.sinr_threshold
+        self._windows: dict[int, tuple[int, int] | None] = {}
+
+    # ---- V2I ----
 
     def service_window(self, vid: int) -> tuple[int, int] | None:
         """Slot range where the vehicle is in coverage with adequate SNR,
@@ -81,22 +112,49 @@ class _ServiceWindows:
     def entered(self, vid: int, t: int) -> bool:
         return self._entry[vid] <= t
 
+    def slots_to_download(self, vid: int, start: int) -> int | None:
+        """Smallest slot count to accumulate the content from `start`, with
+        every slot inside the serving window; None when impossible."""
+        if self.content_size <= 0:
+            return 0
+        win = self.service_window(vid)
+        if win is None or not (win[0] <= start <= win[1]):
+            return None
+        r_min = min_rate(self, vid, start, win[1])
+        if r_min <= 0:
+            return None
+        n, bits = accumulate(self, vid, start, self.content_size,
+                             win[1] - start + 1, r_min)
+        return n if bits >= self.content_size else None
 
-class PhysicalRateModel(_ServiceWindows):
+    # ---- V2V ----
+
+    def slots_at_rate(self, rate: float) -> int:
+        """Slots to carry the whole content at a constant positive rate."""
+        return max(1, int(math.ceil(self.content_size / (rate * self.slot_duration))))
+
+    def in_range(self, i: int, j: int) -> bool:
+        return self.rate_free(i, j) > 0.0
+
+    def link_slots_free(self, i: int, j: int) -> int | None:
+        """Interference-free transfer slots; None when out of range."""
+        r = self.rate_free(i, j)
+        return self.slots_at_rate(r) if r > 0.0 else None
+
+    def set_feasible(self, links: list[Link]) -> bool:
+        return all(s >= self.sinr_threshold for s in self.link_sinrs(links))
+
+
+class PhysicalRateModel(RateModel):
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
                  rate_mode: str = "midpoint"):
         if rate_mode not in ("midpoint", "quadrature"):
             raise ValueError(f"unknown rate mode {rate_mode!r}")
-        self.config = config
-        self.vehicles = vehicles
+        super().__init__(config, vehicles)
         self.rate_mode = rate_mode
         radio, road = config.radio, config.road
-        self.content_size = road.content_size
-        self.slot_duration = road.slot_duration
-        self.horizon = road.horizon
 
         n = len(vehicles)
-        self.ids = [v.id for v in vehicles]
         # 1-based arrays; index 0 unused.
         self._entry = np.zeros(n + 1, dtype=np.int64)
         self._dlr = np.zeros(n + 1)
@@ -114,7 +172,6 @@ class PhysicalRateModel(_ServiceWindows):
         self._c_veh = radio.path_constant * radio.tx_power_vehicle * g * g
         self._c_itf = radio.mui_factor * radio.path_constant * radio.tx_power_vehicle
         self._rsi = radio.si_cancel * radio.tx_power_vehicle
-        self.sinr_threshold = radio.sinr_threshold
 
         # QoS-feasible radius: SNR(d) >= threshold; serving needs both range and QoS.
         r_qos = (self._c_rsu / (self._noise * radio.sinr_threshold)) ** (1.0 / self._tau)
@@ -134,11 +191,7 @@ class PhysicalRateModel(_ServiceWindows):
         np.fill_diagonal(in_range, False)
         pr = np.where(in_range, pr, 0.0)
         self._pr = pr
-        self._in_range = in_range
-        self._rate_free = np.where(
-            in_range, radio.bandwidth * np.log2(1.0 + pr / self._noise), 0.0)
-
-        self._windows: dict[int, tuple[int, int] | None] = {}
+        self._rate_free = radio.bandwidth * np.log2(1.0 + pr / self._noise)
 
     # ---- V2I ----
 
@@ -177,35 +230,11 @@ class PhysicalRateModel(_ServiceWindows):
         integrand = rates * d_lr / (road.speed * np.cos(phi) ** 2)
         return (integrand @ weights) * h / 3.0 / road.slot_duration
 
-    def slots_to_download(self, vid: int, start: int) -> int | None:
-        """Smallest slot count to accumulate the content from `start`, with
-        every slot inside the serving window; None when impossible."""
-        if self.content_size <= 0:
-            return 0
-        win = self.service_window(vid)
-        if win is None or not (win[0] <= start <= win[1]):
-            return None
-        r_min = min_rate(self, vid, start, win[1])
-        if r_min <= 0:
-            return None
-        n, bits = accumulate(self, vid, start, self.content_size,
-                             win[1] - start + 1, r_min)
-        return n if bits >= self.content_size else None
-
     # ---- V2V ----
-
-    def in_range(self, i: int, j: int) -> bool:
-        return bool(self._in_range[i, j])
 
     def rate_free(self, i: int, j: int) -> float:
         """Interference-free link rate, bits/s; 0 when out of range."""
         return float(self._rate_free[i, j])
-
-    def link_slots_free(self, i: int, j: int) -> int | None:
-        r = self.rate_free(i, j)
-        if r <= 0.0:
-            return None
-        return max(1, int(math.ceil(self.content_size / (r * self.slot_duration))))
 
     def _gain(self, theta: float) -> float:
         radio = self.config.radio
@@ -252,11 +281,8 @@ class PhysicalRateModel(_ServiceWindows):
         return [w * math.log2(1.0 + s) if s > 0 else 0.0
                 for s in self.link_sinrs(links)]
 
-    def set_feasible(self, links: list[Link]) -> bool:
-        return all(s >= self.sinr_threshold for s in self.link_sinrs(links))
 
-
-class TableRateModel(_ServiceWindows):
+class TableRateModel(RateModel):
     """Fixed slot-count tables in place of the physics.
 
     v2i_slots maps vehicle id -> slots to download from the RSU (any start
@@ -266,24 +292,14 @@ class TableRateModel(_ServiceWindows):
     accumulation lands exactly on the intended count.
     """
 
-    rate_mode = "midpoint"
-    _serve_radius = None
-
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
                  v2i_slots: dict[int, int], pair_slots: dict[frozenset, int],
                  geometric_coverage: bool = True):
-        self.config = config
-        self.vehicles = vehicles
-        self.content_size = config.road.content_size
-        self.slot_duration = config.road.slot_duration
-        self.horizon = config.road.horizon
-        self.ids = [v.id for v in vehicles]
-        self.sinr_threshold = config.radio.sinr_threshold
+        super().__init__(config, vehicles)
         self._v2i_slots = dict(v2i_slots)
         self._pair_slots = {frozenset(k): v for k, v in pair_slots.items()}
         self._entry = {v.id: v.entry_slot for v in vehicles}
         self._geometric = geometric_coverage
-        self._windows: dict[int, tuple[int, int] | None] = {}
 
     def _rate_for(self, slots: int) -> float:
         return self.content_size / ((slots - 0.5) * self.slot_duration)
@@ -302,29 +318,9 @@ class TableRateModel(_ServiceWindows):
     def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:
         return np.full(count, self._rate_for(self._v2i_slots[vid]))
 
-    def slots_to_download(self, vid: int, start: int) -> int | None:
-        if self.content_size <= 0:
-            return 0
-        win = self.service_window(vid)
-        if win is None or not (win[0] <= start <= win[1]):
-            return None
-        m = self._v2i_slots[vid]
-        if start + m - 1 > win[1]:
-            return None
-        return m
-
-    def in_range(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in self._pair_slots
-
     def rate_free(self, i: int, j: int) -> float:
-        key = frozenset((i, j))
-        if key not in self._pair_slots:
-            return 0.0
-        return self._rate_for(self._pair_slots[key])
-
-    def link_slots_free(self, i: int, j: int) -> int | None:
-        key = frozenset((i, j))
-        return self._pair_slots.get(key)
+        slots = self._pair_slots.get(frozenset((i, j)))
+        return 0.0 if slots is None else self._rate_for(slots)
 
     def link_sinrs(self, links: list[Link]) -> list[float]:
         return [self.sinr_threshold if self.in_range(tx, rx) else 0.0
@@ -332,6 +328,3 @@ class TableRateModel(_ServiceWindows):
 
     def link_rates(self, links: list[Link]) -> list[float]:
         return [self.rate_free(tx, rx) for tx, rx in links]
-
-    def set_feasible(self, links: list[Link]) -> bool:
-        return all(self.in_range(tx, rx) for tx, rx in links)

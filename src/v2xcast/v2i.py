@@ -13,8 +13,9 @@ vehicle has itself been granted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .v2v import best_first_hop
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ class V2ISelection:
 
 
 def two_hop_estimate(model, vid: int, candidates: list[int]) -> UtilityEval:
-    """Best forwarding chain vid -> j -> g among `candidates`, with hop slot
-    counts evaluated under the chain's own concurrency.
+    """Best forwarding chain vid -> j -> g among the sorted `candidates`,
+    each hop the best interference-free rate, with hop slot counts evaluated
+    under the chain's own concurrency.
 
     Returns chain_slots only (v2i_slots filled by the caller; the returned
     eval carries 0 there). With no candidates at all the chain cost is 0;
@@ -66,39 +68,16 @@ def two_hop_estimate(model, vid: int, candidates: list[int]) -> UtilityEval:
     """
     if not candidates:
         return UtilityEval(vid, 0, None, None, 0)
-    best_j, best_rate = None, 0.0
-    for j in candidates:
-        r = model.rate_free(vid, j)
-        if r > best_rate:
-            best_j, best_rate = j, r
-    if best_j is None:
+    first = best_first_hop(model, vid, candidates)
+    if first is None:
         return UtilityEval(vid, 0, None, None, model.horizon)
-    j = best_j
-    best_g, best_rate = None, 0.0
-    for g in candidates:
-        if g == j:
-            continue
-        r = model.rate_free(j, g)
-        if r > best_rate:
-            best_g, best_rate = g, r
-    if best_g is not None:
-        chain = [(vid, j), (j, best_g)]
-        sinrs = model.link_sinrs(chain)
-        if all(s >= model.sinr_threshold for s in sinrs):
-            rates = model.link_rates(chain)
-            dt = model.slot_duration
-            m1 = _ceil_slots(model.content_size, rates[0], dt)
-            m2 = _ceil_slots(model.content_size, rates[1], dt)
-            return UtilityEval(vid, 0, j, best_g, max(m1, m2))
+    j = first[1]
+    second = best_first_hop(model, j, [g for g in candidates if g != j])
+    if second is not None and model.set_feasible([first, second]):
+        slots = max(map(model.slots_at_rate, model.link_rates([first, second])))
+        return UtilityEval(vid, 0, j, second[1], slots)
     # Chain infeasible or no second receiver: fall back to the single hop.
-    m1 = model.link_slots_free(vid, j)
-    return UtilityEval(vid, 0, j, None, m1 if m1 is not None else model.horizon)
-
-
-def _ceil_slots(bits: float, rate: float, dt: float) -> int:
-    if rate <= 0.0:
-        return 0
-    return max(1, int(math.ceil(bits / (rate * dt))))
+    return UtilityEval(vid, 0, j, None, model.link_slots_free(vid, j))
 
 
 def evaluate_candidates(model, v_b: set[int], clock: int,

@@ -81,17 +81,12 @@ def conflict(model, candidate: Link, committed: list[Link]) -> bool:
     return not model.set_feasible(committed + [candidate])
 
 
-def _slots_free(model, link: Link) -> int:
-    m = model.link_slots_free(link[0], link[1])
-    return m if m is not None else model.horizon
-
-
 def best_first_hops(model, v_a: set[int], v_b: set[int]) -> list[Link]:
     """Every source's best first hop, in ascending order of interference-free
     slot demand, ties to the lower source id."""
     proposals = [link for link in (best_first_hop(model, src, v_b)
                                    for src in sorted(v_a)) if link is not None]
-    proposals.sort(key=lambda l: (_slots_free(model, l), l[0]))
+    proposals.sort(key=lambda l: (model.link_slots_free(*l), l[0]))
     return proposals
 
 
@@ -140,7 +135,8 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
     has received so far, which serializes unequal-rate chains honestly: it
     advances one slot at a time, in commit order, so a relay sees its
     feeder's same-slot arrivals before forwarding (pass-through within a
-    slot).
+    slot). The simulation stops once it has run past the slots left before
+    the horizon; the pairing it returns then overruns the slot budget.
     """
     d_target = model.content_size
     dt = model.slot_duration
@@ -155,7 +151,8 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
                 feeder_of[l] = feeds[0]
 
     rates: dict = {}
-    while active:
+    elapsed = 0
+    while active and elapsed <= model.horizon - start_slot:
         if len(rates) != len(active):  # active only ever shrinks
             rates = dict(zip(active, model.link_rates(active)))
             for l in active:
@@ -172,6 +169,7 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
                 grain = min(grain, max(0.0, delivered[feeder_of[l]] - delivered[l]))
             delivered[l] += grain
             m[l] += step
+        elapsed += step
         active = [l for l in active if delivered[l] < d_target]
     return Pairing(index, start_slot,
                    tuple(LinkSchedule(l[0], l[1], flag, m[l], delivered[l])

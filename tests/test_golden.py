@@ -2,7 +2,11 @@
 
 Each run is reduced to a canonical text (the CSV row, the grants, chains,
 granted and remaining vehicles, the incomplete flag, every pairing, and the
-sorted served/unserved sets) and each group of runs to one SHA-256. A
+sorted served/unserved sets) and each group of runs to one SHA-256. Most
+groups run the stock config; the `paths` group overrides config keys per run
+to reach code the stock config never does: fcfs runs that leave vehicles to
+the sharing phase (1-3 pairings each, strict and relaxed), and random runs
+whose pairing builder has to retry after an unlucky draw. A
 refactor that is meant to leave behaviour unchanged must leave every digest
 unchanged; a change that alters a schedule on purpose records the new
 digests here and says why.
@@ -20,20 +24,27 @@ import pytest
 
 from v2xcast.baselines import SCHEMES
 from v2xcast.harness import fmt, report_row, run_scenario
-from v2xcast.params import load_config
+from v2xcast.params import config_from_raw, parse_config_text
 
 CONFIG_PATH = Path(__file__).parent.parent / "configs" / "default.cfg"
 
-RUNS = {  # group -> (seed, scheme, run_scenario keywords) per run
-    "midpoint": [(seed, scheme, {}) for seed in range(1, 7)
+FCFS_SHARES = {"arrival_rate_per_s": 6, "content_gbit": 6,
+               "horizon_slots": 5_000_000}
+RANDOM_RETRIES = {"sinr_threshold_db": 64}
+
+RUNS = {  # group -> (seed, scheme, run_scenario keywords, config overrides)
+    "midpoint": [(seed, scheme, {}, {}) for seed in range(1, 7)
                  for scheme in SCHEMES],
-    "strict": [(seed, scheme, {"strict_causality": True})
+    "strict": [(seed, scheme, {"strict_causality": True}, {})
                for seed in range(1, 7)
                for scheme in ("proposed", "fcfs", "random")],
-    "literal": [(seed, "proposed", {"v2i_termination": "literal"})
+    "literal": [(seed, "proposed", {"v2i_termination": "literal"}, {})
                 for seed in range(1, 7)],
-    "quadrature": [(seed, scheme, {"rate_mode": "quadrature"})
+    "quadrature": [(seed, scheme, {"rate_mode": "quadrature"}, {})
                    for seed in (1, 2) for scheme in SCHEMES],
+    "paths": [(seed, "fcfs", {"strict_causality": strict}, FCFS_SHARES)
+              for seed in (1, 2, 3) for strict in (False, True)]
+    + [(seed, "random", {}, RANDOM_RETRIES) for seed in (4, 5, 16, 21)],
 }
 
 DIGESTS = {
@@ -41,6 +52,7 @@ DIGESTS = {
     "strict": "16b6ac61ed59b1cd756d2a5e4fdfa1e46bb4aab6e34d3201f38cdbce8b8d0ddd",
     "literal": "820bba8989ab9a7dfe3e09d24066553d8266b19be9d6c93ee2e901663a3ec727",
     "quadrature": "9d969ec1b8ea64e573815bcb0bbb450d6d62cabd8d10c3f74449a73273ad543c",
+    "paths": "a4938a7f075c1db5768e4608023aa278cd62cb3bf36d0e1d4371e9248d21dffa",
 }
 
 
@@ -70,11 +82,17 @@ def canonical(result, report) -> str:
     ])
 
 
+def stock_config(**overrides):
+    raw = parse_config_text(CONFIG_PATH.read_text(encoding="utf-8"))
+    raw.update(overrides)
+    return config_from_raw(raw)
+
+
 def group_digest(runs) -> str:
-    config = load_config(CONFIG_PATH)
     h = hashlib.sha256()
-    for seed, scheme, kwargs in runs:
-        result, report, _ = run_scenario(config, seed, scheme, **kwargs)
+    for seed, scheme, kwargs, overrides in runs:
+        result, report, _ = run_scenario(stock_config(**overrides), seed,
+                                         scheme, **kwargs)
         h.update(canonical(result, report).encode() + b"\n")
     return h.hexdigest()
 

@@ -150,6 +150,18 @@ def test_cli_rejects_zero_pathloss_exponent_in_one_line(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_cli_rejects_threshold_with_zero_link_rate_in_one_line(tmp_path):
+    # -200 dB clears log2's rounding: a link could pass the SINR gate while
+    # its rate is 0, which used to surface as a starvation traceback.
+    cfg = _write_small_config(tmp_path, pv_dbm=-205.0, sinr_threshold_db=-200.0,
+                              vehicle_count=40)
+    proc = _cli("simulate", "--config", str(cfg), "--scheme", "random",
+                "--seed", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: sinr_threshold 1e-20 gives a zero link rate")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_cli_nobody_served_exits_zero(tmp_path):
     cfg = _write_small_config(tmp_path, vehicle_count=100, horizon_slots=1)
     proc = _cli("simulate", "--config", str(cfg), "--scheme", "proposed",

@@ -85,6 +85,7 @@ def test_lane_beyond_rsu_range_rejected():
     ("si_cancel_exp", -400.0, "si_cancel_exp out of range"),
     ("sinr_threshold_db", 1e5, "sinr_threshold_db out of range"),
     ("carrier_frequency_hz", 0.0, "carrier_frequency_hz out of range"),
+    ("sinr_threshold_db", -200.0, "sinr_threshold 1e-20 gives a zero link rate"),
 ])
 def test_invariant_violations_name_the_field(key, value, msg):
     raw = dict(RAW_DEFAULT)

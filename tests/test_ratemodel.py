@@ -6,9 +6,12 @@ import pytest
 
 from v2xcast.geometry import coverage_window, position
 from v2xcast.radio import ConcurrentSet, DirectionalLink, v2i_slot_rate, v2v_sinr
-from v2xcast.ratemodel import PhysicalRateModel, TableRateModel, fd_relays
+from v2xcast.params import RoadConfig, ScenarioConfig
+from v2xcast.ratemodel import (PhysicalRateModel, RateModel, TableRateModel,
+                               fd_relays)
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import default_config
+from instances import (SIX_PAIR_SLOTS, default_config, default_radio,
+                       six_vehicle_instance)
 
 
 def test_fd_relays_identifies_dual_role_nodes():
@@ -83,24 +86,46 @@ def test_service_window_qos_limited():
         coverage_window(vehicles[0], config)[0]
 
 
-class ConstantRateStub:
-    """Fixed-rate single-vehicle feed for the accumulation contract."""
+class ConstantRateStub(RateModel):
+    """Fixed-rate feed for the accumulation contract. It supplies only the
+    protocol's primitives: one vehicle, level with the RSU at slot 0, whose
+    serving window is the real coverage window clipped to the horizon, and
+    a second vehicle it can talk to at the same rate."""
 
-    def __init__(self, rate, content, window=(0, 10 ** 9)):
+    def __init__(self, rate, content, horizon=10 ** 9):
+        road = RoadConfig(content_size=content, horizon=horizon)
+        step = road.slot_duration * road.speed
+        entry = -round(road.rsu_longitudinal / step)
+        vehicles = [VehicleState(1, 1, entry), VehicleState(2, 1, entry + 1)]
+        super().__init__(ScenarioConfig(default_radio(), road), vehicles)
+        self._entry = {v.id: v.entry_slot for v in vehicles}
         self.rate = rate
-        self.content_size = content
-        self.slot_duration = 1e-4
-        self.horizon = 10 ** 9
-        self._win = window
-
-    def service_window(self, vid):
-        return self._win
 
     def v2i_rates(self, vid, start, count):
         return np.full(count, self.rate)
 
-    def slots_to_download(self, vid, start):
-        return PhysicalRateModel.slots_to_download(self, vid, start)
+    def rsu_distance(self, vid, t):
+        return 0.0
+
+    def rate_free(self, i, j):
+        return self.rate if {i, j} == {1, 2} else 0.0
+
+    def link_sinrs(self, links):
+        return [self.sinr_threshold if self.in_range(*l) else 0.0 for l in links]
+
+    def link_rates(self, links):
+        return [self.rate_free(*l) for l in links]
+
+
+def test_constant_rate_stub_derives_every_query():
+    stub = ConstantRateStub(rate=1.44e10, content=3e9)
+    assert stub.service_window(1)[0] < 0 < stub.service_window(1)[1]
+    assert stub.in_service(1, 0) and stub.entered(1, 0)
+    assert stub.in_range(1, 2) and stub.in_range(2, 1)
+    assert not stub.in_range(1, 1)
+    assert stub.link_slots_free(1, 2) == 2084
+    assert stub.link_slots_free(1, 1) is None
+    assert stub.set_feasible([(1, 2)]) and not stub.set_feasible([(1, 2), (1, 1)])
 
 
 def test_slots_to_download_constant_rate_oracle():
@@ -120,7 +145,8 @@ def test_slots_to_download_zero_content():
 
 
 def test_slots_to_download_window_exhausted():
-    stub = ConstantRateStub(rate=1.44e10, content=3e9, window=(0, 999))
+    stub = ConstantRateStub(rate=1.44e10, content=3e9, horizon=1000)
+    assert stub.service_window(1)[1] == 999
     assert stub.slots_to_download(1, 0) is None        # needs 2084 slots
     assert stub.slots_to_download(1, 1000) is None     # starts past the window
 
@@ -164,3 +190,13 @@ def test_table_model_rates_land_exactly_on_slot_counts():
     rate = model.rate_free(1, 2)
     dt = model.slot_duration
     assert 4 * rate * dt < model.content_size <= 5 * rate * dt
+    # in_range, set_feasible and link_slots_free are derived from rate_free
+    # and link_sinrs; on the six-vehicle instance they must read the tables.
+    _, vehicles, model = six_vehicle_instance()
+    ids = [v.id for v in vehicles]
+    for i in ids:
+        for j in ids:
+            slots = SIX_PAIR_SLOTS.get(frozenset((i, j))) if i != j else None
+            assert model.in_range(i, j) == (slots is not None)
+            assert model.set_feasible([(i, j)]) == (slots is not None)
+            assert model.link_slots_free(i, j) == slots

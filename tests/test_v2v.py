@@ -221,6 +221,22 @@ def test_strict_causality_holds_at_every_slot():
     assert forwarded >= d
 
 
+def test_strict_pairing_stops_once_past_the_horizon():
+    # A 5000-slot link with 100 slots left before the horizon: strict
+    # causality advances one slot at a time and stops one slot past the
+    # budget instead of walking the link to completion.
+    config = default_config(vehicle_count=2, horizon=1000)
+    vehicles = _vehicles_at(config, [(510.0, 1), (500.0, 1)])
+    model = _table(config, vehicles, {1: 2, 2: 2}, {(1, 2): 5000})
+    pairing = run_pairing(model, [(1, 2)], [False], start_slot=900, index=1,
+                          strict_causality=True)
+    assert pairing.duration == 101
+    assert pairing.links[0].delivered < model.content_size
+    for strict in (False, True):
+        sched = schedule_v2v(model, {1}, {2}, t_v2i=900, strict_causality=strict)
+        assert sched.pairings == () and sched.unserved == (2,)
+
+
 def test_schedule_v2v_empty_receivers():
     config, vehicles, model = six_vehicle_instance()
     sched = schedule_v2v(model, {1, 3}, set(), t_v2i=5)
