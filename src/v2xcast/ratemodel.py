@@ -7,6 +7,9 @@ PhysicalRateModel evaluates the full link-budget math over the vehicle
 population, with caching that exploits two facts of the scenario: all
 vehicles share one speed, so pairwise distances and angles never change, and
 the RSU geometry per vehicle is a closed-form function of the slot index.
+V2V geometry is therefore sparse and fixed: each vehicle keeps only its
+neighbours within V2V range, found once by sort-and-sweep, and antenna gains
+are memoised per (antenna, boresight peer, probe) triple.
 
 TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
 counts. It is used for desk-scale reference instances and brute-force
@@ -50,6 +53,28 @@ def accumulate(model, vid: int, start: int, need: float, span: int,
     cum = np.cumsum(model.v2i_rates(vid, start, cap)) * dt
     n = min(int(np.searchsorted(cum, need, side="left")) + 1, cap)
     return n, float(cum[n - 1])
+
+
+def near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
+    """Index pairs (a, b), a != b, of the points (x, y) no more than `reach`
+    apart, each unordered pair once, with their distances.
+
+    Sort-and-sweep along x: a pair can be in reach only if its x gap is, so
+    after sorting by x each point is tested only against the points that
+    follow it within a searchsorted window of `reach` (widened by a relative
+    1e-9 so that rounding cannot drop a pair); the exact hypot test decides.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    pad = 1e-9 * (reach + float(np.abs(xs).max(initial=0.0)))
+    ends = np.searchsorted(xs, xs + (reach + pad), side="right")
+    counts = ends - np.arange(1, len(xs) + 1)
+    p = np.repeat(np.arange(len(xs)), counts)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[p], order[q]
+    d = np.hypot(x[a] - x[b], y[a] - y[b])
+    keep = d <= reach
+    return a[keep], b[keep], d[keep]
 
 
 class RateModel:
@@ -178,20 +203,21 @@ class PhysicalRateModel(RateModel):
         self._serve_radius = min(radio.rsu_range, r_qos)
 
         # Virtual positions at slot 0; only differences matter and they are
-        # constant over time, so V2V geometry is computed once.
+        # constant over time, so V2V geometry is computed once, for the
+        # pairs within V2V range only. _near[i] maps each neighbour j of
+        # vehicle i to (distance, received power, interference-free rate).
         x0 = -self._entry.astype(float) * self._step
-        dx = x0[:, None] - x0[None, :]
-        dy = self._y[:, None] - self._y[None, :]
         self._x0 = x0
-        dist = np.hypot(dx, dy)
-        self._dist = dist
+        a, b, dist = near_pairs(x0[1:], self._y[1:], radio.v2v_range)
         with np.errstate(divide="ignore"):
             pr = self._c_veh * dist ** (-self._tau)
-        in_range = (dist <= radio.v2v_range)
-        np.fill_diagonal(in_range, False)
-        pr = np.where(in_range, pr, 0.0)
-        self._pr = pr
-        self._rate_free = radio.bandwidth * np.log2(1.0 + pr / self._noise)
+        rate = radio.bandwidth * np.log2(1.0 + pr / self._noise)
+        self._near: list[dict[int, tuple[float, float, float]]] = [
+            {} for _ in range(n + 1)]
+        for i, j, *pair in zip((a + 1).tolist(), (b + 1).tolist(),
+                               dist.tolist(), pr.tolist(), rate.tolist()):
+            self._near[i][j] = self._near[j][i] = tuple(pair)
+        self._gains: dict[tuple[int, int, int], float] = {}
 
     # ---- V2I ----
 
@@ -234,11 +260,8 @@ class PhysicalRateModel(RateModel):
 
     def rate_free(self, i: int, j: int) -> float:
         """Interference-free link rate, bits/s; 0 when out of range."""
-        return float(self._rate_free[i, j])
-
-    def _gain(self, theta: float) -> float:
-        radio = self.config.radio
-        return antenna_gain(theta, radio.beamwidth, radio.sidelobe_gain)
+        pair = self._near[i].get(j)
+        return 0.0 if pair is None else pair[2]
 
     def _angle(self, at: int, toward_a: int, toward_b: int) -> float:
         ax = self._x0[toward_a] - self._x0[at]
@@ -247,33 +270,53 @@ class PhysicalRateModel(RateModel):
         by = self._y[toward_b] - self._y[at]
         dot = ax * bx + ay * by
         norm = math.hypot(ax, ay) * math.hypot(bx, by)
+        if norm == 0.0:
+            return 0.0  # a co-located peer: no direction, so no misalignment
         return math.acos(max(-1.0, min(1.0, dot / norm)))
 
+    def _gain(self, at: int, toward_a: int, toward_b: int) -> float:
+        """Gain of the antenna at `at`, aimed at `toward_a`, toward
+        `toward_b`. Memoised: every angle is fixed for the whole run."""
+        key = (at, toward_a, toward_b)
+        try:
+            return self._gains[key]
+        except KeyError:
+            radio = self.config.radio
+            g = self._gains[key] = antenna_gain(
+                self._angle(at, toward_a, toward_b), radio.beamwidth,
+                radio.sidelobe_gain)
+            return g
+
     def link_sinrs(self, links: list[Link]) -> list[float]:
-        """Receiver SINR per link when all of them transmit concurrently."""
-        radio = self.config.radio
+        """Receiver SINR per link when all of them transmit concurrently.
+
+        A link interferes only at the receivers that are neighbours of its
+        transmitter. Interferers are taken in the order of `links`, so each
+        receiver adds the same terms in the same order as a scan of every
+        link would."""
+        victims: dict[int, list[int]] = {}  # receiver -> indices of its links
+        for m, (_, rx) in enumerate(links):
+            victims.setdefault(rx, []).append(m)
+        itf = [0.0] * len(links)
+        for utx, urx in links:
+            for rx, (d, _, _) in self._near[utx].items():
+                for m in victims.get(rx, ()):
+                    tx = links[m][0]
+                    if tx == utx and rx == urx:
+                        continue
+                    if d == 0.0:
+                        itf[m] = math.inf
+                        continue
+                    gt = self._gain(utx, urx, rx)
+                    gr = self._gain(rx, tx, utx)
+                    itf[m] += self._c_itf * gt * gr * d ** (-self._tau)
         relays = fd_relays(links)
         out = []
-        for tx, rx in links:
-            pr = self._pr[tx, rx]
-            if pr <= 0.0:
-                out.append(0.0)
-                continue
-            itf = 0.0
-            for utx, urx in links:
-                if (utx, urx) == (tx, rx) or utx == rx:
-                    continue
-                d = self._dist[utx, rx]
-                if d > radio.v2v_range:
-                    continue
-                if d == 0.0:
-                    itf = math.inf
-                    break
-                gt = self._gain(self._angle(utx, urx, rx))
-                gr = self._gain(self._angle(rx, tx, utx))
-                itf += self._c_itf * gt * gr * d ** (-self._tau)
+        for (tx, rx), interference in zip(links, itf):
+            pair = self._near[rx].get(tx)
             rsi = self._rsi if rx in relays else 0.0
-            out.append(pr / (self._noise + itf + rsi))
+            out.append(0.0 if pair is None
+                       else pair[1] / (self._noise + interference + rsi))
         return out
 
     def link_rates(self, links: list[Link]) -> list[float]:

@@ -6,7 +6,9 @@ sorted served/unserved sets) and each group of runs to one SHA-256. Most
 groups run the stock config; the `paths` group overrides config keys per run
 to reach code the stock config never does: fcfs runs that leave vehicles to
 the sharing phase (1-3 pairings each, strict and relaxed), and random runs
-whose pairing builder has to retry after an unlucky draw. A
+whose pairing builder has to retry after an unlucky draw. The `ladder` group
+runs 400 vehicles, whose pairings of ~180 links leave most interferers out
+of V2V range. A
 refactor that is meant to leave behaviour unchanged must leave every digest
 unchanged; a change that alters a schedule on purpose records the new
 digests here and says why.
@@ -31,6 +33,7 @@ CONFIG_PATH = Path(__file__).parent.parent / "configs" / "default.cfg"
 FCFS_SHARES = {"arrival_rate_per_s": 6, "content_gbit": 6,
                "horizon_slots": 5_000_000}
 RANDOM_RETRIES = {"sinr_threshold_db": 64}
+LADDER = {"vehicle_count": 400, "horizon_slots": 4_000_000}
 
 RUNS = {  # group -> (seed, scheme, run_scenario keywords, config overrides)
     "midpoint": [(seed, scheme, {}, {}) for seed in range(1, 7)
@@ -45,6 +48,8 @@ RUNS = {  # group -> (seed, scheme, run_scenario keywords, config overrides)
     "paths": [(seed, "fcfs", {"strict_causality": strict}, FCFS_SHARES)
               for seed in (1, 2, 3) for strict in (False, True)]
     + [(seed, "random", {}, RANDOM_RETRIES) for seed in (4, 5, 16, 21)],
+    "ladder": [(1, "proposed", {"strict_causality": strict}, LADDER)
+               for strict in (False, True)] + [(1, "random", {}, LADDER)],
 }
 
 DIGESTS = {
@@ -53,7 +58,15 @@ DIGESTS = {
     "literal": "820bba8989ab9a7dfe3e09d24066553d8266b19be9d6c93ee2e901663a3ec727",
     "quadrature": "9d969ec1b8ea64e573815bcb0bbb450d6d62cabd8d10c3f74449a73273ad543c",
     "paths": "a4938a7f075c1db5768e4608023aa278cd62cb3bf36d0e1d4371e9248d21dffa",
+    "ladder": "fc753300e39e099745fc11928ec709a7ab59c85bb5e6a7f65ed12a0fc49577a1",
 }
+
+# Stock seed 113 spawns two vehicles on one spot: proposed and random then
+# ask for the beam angle toward a co-located peer, which must come out as 0
+# without a floating-point warning.
+COLOCATED_SEED = 113
+COLOCATED_DIGEST = (
+    "4bec7c2085ae6f4a42c075dca2a2c24ef86b5bf0e1e88614a51c0667573d3508")
 
 
 def _plain(x):
@@ -100,3 +113,9 @@ def group_digest(runs) -> str:
 @pytest.mark.parametrize("group", sorted(RUNS))
 def test_golden_digest(group):
     assert group_digest(RUNS[group]) == DIGESTS[group]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_colocated_vehicles_run_without_warnings():
+    runs = [(COLOCATED_SEED, scheme, {}, {}) for scheme in ("proposed", "random")]
+    assert group_digest(runs) == COLOCATED_DIGEST

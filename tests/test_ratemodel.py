@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from v2xcast.geometry import coverage_window, position
+from v2xcast.geometry import coverage_window, distance, position
 from v2xcast.radio import ConcurrentSet, DirectionalLink, v2i_slot_rate, v2v_sinr
 from v2xcast.params import RoadConfig, ScenarioConfig
 from v2xcast.ratemodel import (PhysicalRateModel, RateModel, TableRateModel,
@@ -177,6 +179,57 @@ def test_rate_free_symmetry_and_range_gate():
                 assert model.rate_free(i, j) > 0
             else:
                 assert model.rate_free(i, j) == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lanes=st.integers(1, 5), arrival=st.floats(5.0, 60.0),
+       count=st.integers(2, 40), v2v_range=st.floats(4.0, 40.0),
+       seed=st.integers(1, 10_000), data=st.data())
+def test_sparse_geometry_matches_dense_reference(lanes, arrival, count,
+                                                 v2v_range, seed, data):
+    """Neighbour lists found by sort-and-sweep lose no pair and keep none too
+    many, and interference summed over neighbours only matches the scalar
+    reference, which scans every link of the set."""
+    config = default_config(lane_count=lanes, arrival_rate=arrival,
+                            vehicle_count=count)
+    config = dataclasses.replace(
+        config, radio=default_radio(v2v_range=v2v_range))
+    vehicles = spawn_vehicles(config, seed)
+    slots = [(v.entry_slot, v.lane) for v in vehicles]
+    assume(len(set(slots)) == len(slots))  # co-location is out of scope here
+    model = PhysicalRateModel(config, vehicles)
+    t = max(v.entry_slot for v in vehicles)
+    pos = {v.id: position(v, t, config, midpoint=True) for v in vehicles}
+    ids = list(pos)
+
+    for i in ids:
+        for j in ids:
+            if i == j:
+                continue
+            d = distance(pos[i], pos[j])
+            if abs(d - v2v_range) > 1e-9 * v2v_range:  # rounding decides ties
+                assert (model.rate_free(i, j) > 0.0) == (d <= v2v_range)
+            assert model.rate_free(i, j) == model.rate_free(j, i)
+
+    # Disjoint relay chains of one or two hops, plus a few arbitrary links
+    # that may be out of range or share nodes with a chain.
+    order = data.draw(st.permutations(ids))
+    links, k = [], 0
+    while k + 1 < len(order):
+        hops = data.draw(st.integers(1, 2))
+        chain = order[k:k + hops + 1]
+        links += list(zip(chain, chain[1:]))
+        k += hops + 1
+    for _ in range(data.draw(st.integers(0, 3))):
+        tx, rx = data.draw(st.lists(st.sampled_from(ids), min_size=2,
+                                    max_size=2, unique=True))
+        links.append((tx, rx))
+    links = data.draw(st.permutations(links))
+    cset = ConcurrentSet(tuple(DirectionalLink(tx, rx, pos[tx], pos[rx])
+                               for tx, rx in links))
+    got = model.link_sinrs(links)
+    for link, s in zip(cset.links, got):
+        assert s == pytest.approx(v2v_sinr(link, cset, config.radio), rel=1e-9)
 
 
 def test_table_model_rates_land_exactly_on_slot_counts():
