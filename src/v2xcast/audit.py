@@ -196,31 +196,27 @@ def _check_precedence(result) -> CheckResult:
 
 def _check_two_hop(result) -> CheckResult:
     """Within a pairing the link graph must decompose into simple directed
-    paths of at most two links."""
+    paths of at most two links, each starting at a chain head: a transmitter
+    that receives nothing in the pairing. Links no head reaches form a
+    cycle, whose members never had the content."""
     for pairing in result.v2v.pairings:
-        out_deg: dict[int, int] = {}
-        in_deg: dict[int, int] = {}
-        for link in pairing.links:
-            out_deg[link.tx] = out_deg.get(link.tx, 0) + 1
-            in_deg[link.rx] = in_deg.get(link.rx, 0) + 1
-        if any(d > 1 for d in out_deg.values()) or any(d > 1 for d in in_deg.values()):
+        nxt = {l.tx: l.rx for l in pairing.links}
+        rxs = {l.rx for l in pairing.links}
+        if len(nxt) < len(pairing.links) or len(rxs) < len(pairing.links):
             return CheckResult("two_hop", False,
                                f"pairing {pairing.index}: node shared beyond "
                                f"the relay pattern")
-        nxt = {l.tx: l.rx for l in pairing.links}
-        for link in pairing.links:
-            if link.tx in {l.rx for l in pairing.links}:
-                continue  # not a chain head
-            hops, node = 0, link.tx
+        reached = 0
+        for head in (l.tx for l in pairing.links if l.tx not in rxs):
+            hops, node = 0, head
             while node in nxt:
-                node = nxt[node]
-                hops += 1
-                if hops > 2:
-                    return CheckResult("two_hop", False,
-                                       f"pairing {pairing.index}: chain longer "
-                                       f"than two hops")
-        heads = [l.tx for l in pairing.links if l.tx not in {x.rx for x in pairing.links}]
-        if not heads and pairing.links:
+                node, hops = nxt[node], hops + 1
+            if hops > 2:
+                return CheckResult("two_hop", False,
+                                   f"pairing {pairing.index}: chain longer "
+                                   f"than two hops")
+            reached += hops
+        if reached < len(pairing.links):
             return CheckResult("two_hop", False,
                                f"pairing {pairing.index}: cyclic link structure")
     return CheckResult("two_hop", True)

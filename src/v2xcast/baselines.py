@@ -9,13 +9,11 @@ serial-tdma  RSU serves everyone in entry order, no sharing (reference)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ratemodel import accumulate, min_rate
-from .v2i import (Grant, UtilityEval, V2ISelection, select_v2i_paths,
-                  two_hop_estimate)
+from .v2i import Grant, V2ISelection, select_v2i_paths, servable, two_hop_estimate
 from .v2v import V2VSchedule, build_pairing, conflict, schedule_v2v
 
 SCHEMES = ("proposed", "fcfs", "random", "noncoop", "serial-tdma")
@@ -53,39 +51,41 @@ def schedule_proposed(model, seed: int, strict_causality: bool = False,
                      strict_causality)
 
 
-def _entry_order_grants(model, partial: bool) -> V2ISelection:
-    """RSU grants in entry order, each starting once the previous one ends.
-    A vehicle that cannot finish inside its window at its turn is skipped,
-    or with `partial` transmitted to until its window closes; either way it
-    ends up in v_b. Only partial service, which ends the run, reports such
-    leftovers as incomplete."""
+def _serve_in_order(model, spans, partial: bool) -> V2ISelection:
+    """RSU grants over (vehicle, first, last) slot spans, taken in order.
+    Each grant starts at the latest of the span's first slot, the end of the
+    previous grant and the start of the vehicle's service window, and may
+    run to the end of the span or of the window, whichever comes first. A
+    vehicle that cannot finish there is skipped, or with `partial` keeps the
+    slots it got; either way it ends up in v_b. Only partial service, which
+    ends the run, reports such leftovers as incomplete."""
     clock = 0
-    grants, served, unserved = [], [], []
-    for vid in model.ids:
+    grants, served = [], []
+    for vid, first, last in spans:
         win = model.service_window(vid)
-        if win is None or max(clock, win[0]) > win[1]:
-            unserved.append(vid)
+        if win is None:
             continue
-        start = max(clock, win[0])
-        m = model.slots_to_download(vid, start)
-        if m is not None:
+        start, end = max(first, clock, win[0]), min(last, win[1])
+        if start > end:
+            continue
+        n, bits = model.download(vid, start, end)
+        if bits >= model.content_size:
             served.append(vid)
-        else:
-            unserved.append(vid)
-            if not partial:
-                continue
-            m = win[1] - start + 1  # transmit to the window edge, then give up
-        grants.append(Grant(vid, start, m))
-        clock = start + m
+        elif not partial:
+            continue
+        grants.append(Grant(vid, start, n))
+        clock = start + n
+    unserved = tuple(sorted(set(model.ids) - set(served)))
     return V2ISelection(tuple(grants), sum(g.n_slots for g in grants),
-                        tuple(served), tuple(sorted(unserved)), (),
+                        tuple(served), unserved, (),
                         incomplete=partial and bool(unserved))
 
 
 def schedule_fcfs(model, seed: int, strict_causality: bool = False) -> SchemeResult:
     """Entry-order grants; whoever cannot finish inside coverage at their turn
     is left to the sharing phase."""
-    selection = _entry_order_grants(model, partial=False)
+    whole_run = [(vid, 0, model.horizon - 1) for vid in model.ids]
+    selection = _serve_in_order(model, whole_run, partial=False)
     v2vsched = schedule_v2v(model, selection.v_a, selection.v_b,
                             selection.t_v2i, strict_causality)
     return _assemble("fcfs", seed, model, selection, v2vsched, strict_causality)
@@ -97,16 +97,12 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
     rng = np.random.default_rng([seed, 1])
 
     def random_pick(model, v_b, clock, pool):
-        slots = {vid: model.slots_to_download(vid, clock) for vid in sorted(pool)
-                 if model.entered(vid, clock) and model.in_service(vid, clock)}
-        cands = [vid for vid, m in slots.items() if m is not None]
-        if not cands:
+        entered, slots = servable(model, v_b, clock, pool)
+        if not slots:
             return None
-        winner = int(rng.choice(cands))
-        others = [j for j in sorted(v_b) if j != winner and model.entered(j, clock)]
-        est = two_hop_estimate(model, winner, others)
-        return UtilityEval(winner, slots[winner], est.first_hop, est.second_hop,
-                           est.chain_slots)
+        winner = int(rng.choice(list(slots)))
+        est = two_hop_estimate(model, winner, [j for j in entered if j != winner])
+        return replace(est, v2i_slots=slots[winner])
 
     selection = select_v2i_paths(model, pick=random_pick)
 
@@ -144,39 +140,19 @@ def schedule_noncoop(model, seed: int) -> SchemeResult:
     only when that vehicle still wants the content. Each vehicle holds the
     channel for at most one contiguous stretch (see _nearest_stretches), so it
     gets at most one grant; vehicles whose stretch is too short never finish
-    and end unserved.
+    and end unserved. The nearest entered vehicle is out of coverage only
+    when every entered vehicle is, so clipping each stretch to its holder's
+    window is exact.
     """
-    stretches = _nearest_stretches(model)
-    ends = [first - 1 for _, first in stretches[1:]] + [model.horizon - 1]
-    grants: list[Grant] = []
-    served: list[int] = []
-    # The nearest entered vehicle is out of coverage only when every entered
-    # vehicle is, so clipping each stretch to its holder's window is exact.
-    for (vid, first), last in zip(stretches, ends):
-        win = model.service_window(vid)
-        if win is None:
-            continue
-        start, end = max(first, win[0]), min(last, win[1])
-        if start > end:
-            continue
-        n, bits = accumulate(model, vid, start, model.content_size,
-                             end - start + 1, min_rate(model, vid, start, win[1]))
-        grants.append(Grant(vid, start, n))
-        if bits >= model.content_size:
-            served.append(vid)
-    unserved = tuple(sorted(set(model.ids) - set(served)))
-    selection = V2ISelection(tuple(grants), sum(g.n_slots for g in grants),
-                             tuple(served), unserved, (),
-                             incomplete=bool(unserved))
+    selection = _serve_in_order(model, _nearest_stretches(model), partial=True)
     return _assemble("noncoop", seed, model, selection,
                      V2VSchedule((), 0, selection.v_b), False)
 
 
-def _nearest_stretches(model) -> list[tuple[int, int]]:
-    """(vehicle, first slot) of each stretch of slots in [0, horizon) in
-    which that vehicle is the nearest entered one, by (mid-slot RSU distance,
-    id); each stretch runs up to the next one's first slot, the last one to
-    the horizon.
+def _nearest_stretches(model) -> list[tuple[int, int, int]]:
+    """(vehicle, first, last slot) of each stretch of slots in [0, horizon)
+    in which that vehicle is the nearest entered one, by (mid-slot RSU
+    distance, id); the stretches tile [0, horizon) from the first one on.
 
     All vehicles share one speed, so for k entered no later than j the gap
     d_k(t)^2 - d_j(t)^2 is affine in t with a non-negative slope: once j
@@ -206,13 +182,15 @@ def _nearest_stretches(model) -> list[tuple[int, int]]:
             stack.pop()
         if takeover < model.horizon:
             stack.append((j, takeover))
-    return stack
+    lasts = [first - 1 for _, first in stack[1:]] + [model.horizon - 1]
+    return [(vid, first, last) for (vid, first), last in zip(stack, lasts)]
 
 
 def schedule_serial_tdma(model, seed: int) -> SchemeResult:
     """Everyone served one-by-one in entry order, no sharing. A vehicle whose
     window closes mid-download keeps its partial slots and ends unserved."""
-    selection = _entry_order_grants(model, partial=True)
+    whole_run = [(vid, 0, model.horizon - 1) for vid in model.ids]
+    selection = _serve_in_order(model, whole_run, partial=True)
     return _assemble("serial-tdma", seed, model, selection,
                      V2VSchedule((), 0, selection.v_b), False)
 

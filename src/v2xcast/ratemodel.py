@@ -36,25 +36,6 @@ def fd_relays(links: list[Link]) -> set[int]:
     return txs & rxs
 
 
-def min_rate(model, vid: int, start: int, end: int) -> float:
-    """Lower bound on the vehicle's V2I rate over slots [start, end]: rates
-    are unimodal over the pass, so the lower end rate bounds the rest."""
-    return min(model.v2i_rates(vid, start, 1)[0], model.v2i_rates(vid, end, 1)[0])
-
-
-def accumulate(model, vid: int, start: int, need: float, span: int,
-               r_min: float) -> tuple[int, float]:
-    """Slots from `start` until `need` bits have arrived, and the bits those
-    slots carry; when the scanned slots fall short, all of them and their
-    bits. At most `span` slots are scanned, and with a positive rate bound
-    r_min no more than a download at that rate would take."""
-    dt = model.slot_duration
-    cap = min(span, int(math.ceil(need / (r_min * dt))) + 2) if r_min > 0 else span
-    cum = np.cumsum(model.v2i_rates(vid, start, cap)) * dt
-    n = min(int(np.searchsorted(cum, need, side="left")) + 1, cap)
-    return n, float(cum[n - 1])
-
-
 def near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     """Index pairs (a, b), a != b, of the points (x, y) no more than `reach`
     apart, each unordered pair once, with their distances.
@@ -137,6 +118,19 @@ class RateModel:
     def entered(self, vid: int, t: int) -> bool:
         return self._entry[vid] <= t
 
+    def download(self, vid: int, start: int, end: int) -> tuple[int, float]:
+        """Slots from `start` until the content has arrived, and the bits
+        those slots carry; when slots [start, end] fall short, all of them
+        and their bits. Rates are unimodal over the pass, so the lower of
+        the two end rates bounds the rest: while it is positive, no more
+        slots are scanned than a download at that rate would take."""
+        dt, need, span = self.slot_duration, self.content_size, end - start + 1
+        r_min = min(self.v2i_rates(vid, start, 1)[0], self.v2i_rates(vid, end, 1)[0])
+        cap = min(span, int(math.ceil(need / (r_min * dt))) + 2) if r_min > 0 else span
+        cum = np.cumsum(self.v2i_rates(vid, start, cap)) * dt
+        n = min(int(np.searchsorted(cum, need, side="left")) + 1, cap)
+        return n, float(cum[n - 1])
+
     def slots_to_download(self, vid: int, start: int) -> int | None:
         """Smallest slot count to accumulate the content from `start`, with
         every slot inside the serving window; None when impossible."""
@@ -145,11 +139,7 @@ class RateModel:
         win = self.service_window(vid)
         if win is None or not (win[0] <= start <= win[1]):
             return None
-        r_min = min_rate(self, vid, start, win[1])
-        if r_min <= 0:
-            return None
-        n, bits = accumulate(self, vid, start, self.content_size,
-                             win[1] - start + 1, r_min)
+        n, bits = self.download(vid, start, win[1])
         return n if bits >= self.content_size else None
 
     # ---- V2V ----

@@ -13,7 +13,7 @@ vehicle has itself been granted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .v2v import best_first_hop
 
@@ -80,28 +80,30 @@ def two_hop_estimate(model, vid: int, candidates: list[int]) -> UtilityEval:
     return UtilityEval(vid, 0, j, None, model.link_slots_free(vid, j))
 
 
-def evaluate_candidates(model, v_b: set[int], clock: int,
-                        pool: set[int] | None = None) -> list[UtilityEval]:
-    """Utility of every servable vehicle at the given clock.
-
-    `pool` restricts who may be granted; chain targets always come from the
-    full not-yet-served set v_b, claimed or not.
-    """
+def servable(model, v_b: set[int], clock: int,
+             pool: set[int]) -> tuple[list[int], dict[int, int]]:
+    """The vehicles of v_b that have entered by `clock`, sorted, and the
+    download slots of each one in `pool` that is in service at `clock` and
+    can finish from there inside its window, in id order."""
     entered = [i for i in sorted(v_b) if model.entered(i, clock)]
-    evals = []
+    slots = {}
     for vid in entered:
-        if pool is not None and vid not in pool:
-            continue
-        if not model.in_service(vid, clock):
-            continue
-        m = model.slots_to_download(vid, clock)
-        if m is None:
-            continue
-        others = [j for j in entered if j != vid]
-        chain = two_hop_estimate(model, vid, others)
-        evals.append(UtilityEval(vid, m, chain.first_hop, chain.second_hop,
-                                 chain.chain_slots))
-    return evals
+        if vid in pool and model.in_service(vid, clock):
+            m = model.slots_to_download(vid, clock)
+            if m is not None:
+                slots[vid] = m
+    return entered, slots
+
+
+def evaluate_candidates(model, v_b: set[int], clock: int,
+                        pool: set[int]) -> list[UtilityEval]:
+    """Utility of every servable vehicle of `pool` at the given clock. Chain
+    targets always come from the full not-yet-served set v_b, claimed or
+    not."""
+    entered, slots = servable(model, v_b, clock, pool)
+    return [replace(two_hop_estimate(model, vid, [j for j in entered if j != vid]),
+                    v2i_slots=m)
+            for vid, m in slots.items()]
 
 
 def next_service_slot(model, v_b, clock: int) -> int | None:

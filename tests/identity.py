@@ -7,7 +7,9 @@ x every scheme x both rate modes, plus proposed, fcfs and random under
 strict causality in both rate modes (1,600 stock runs), plus proposed, fcfs
 and random at 400 vehicles (horizon_slots=4,000,000) on seeds 1-2 with strict
 causality off and on, whose pairings of ~180 links leave most interferers out
-of V2V range: 1,612 runs.
+of V2V range (12 runs), plus fcfs, serial-tdma and noncoop at
+test_golden.FCFS_SHARES on seeds 1-20 in both rate modes, where fcfs forms
+pairings and serial-tdma keeps partial grants (120 runs): 1,732 runs.
 
     PYTHONPATH=src python tests/identity.py [--jobs J]
 
@@ -23,13 +25,15 @@ from multiprocessing import Pool
 
 from v2xcast.baselines import SCHEMES
 from v2xcast.harness import run_scenario
-from test_golden import canonical, stock_config
+from test_golden import FCFS_SHARES, canonical, stock_config
 
 MODES = ("midpoint", "quadrature")
 STRICT_SCHEMES = ("proposed", "fcfs", "random")
 SEEDS = range(1, 101)
 LADDER = {"vehicle_count": 400, "horizon_slots": 4_000_000}
 LADDER_SEEDS = (1, 2)
+RSU_SCHEMES = ("fcfs", "serial-tdma", "noncoop")
+SHARES_SEEDS = range(1, 21)
 
 
 def runs():
@@ -44,6 +48,10 @@ def runs():
         for scheme in STRICT_SCHEMES:
             for strict in (False, True):
                 yield seed, scheme, "midpoint", strict, LADDER
+    for mode in MODES:
+        for seed in SHARES_SEEDS:
+            for scheme in RSU_SCHEMES:
+                yield seed, scheme, mode, False, FCFS_SHARES
 
 
 def run_text(run) -> bytes:

@@ -8,7 +8,9 @@ to reach code the stock config never does: fcfs runs that leave vehicles to
 the sharing phase (1-3 pairings each, strict and relaxed), and random runs
 whose pairing builder has to retry after an unlucky draw. The `ladder` group
 runs 400 vehicles, whose pairings of ~180 links leave most interferers out
-of V2V range. A
+of V2V range. The `rsu-only` group runs serial-tdma and noncoop on the
+crowded, large-file config of `paths`, where serial-tdma's window closes
+mid-download 6-14 times per run and the vehicle keeps its partial grant. A
 refactor that is meant to leave behaviour unchanged must leave every digest
 unchanged; a change that alters a schedule on purpose records the new
 digests here and says why.
@@ -50,6 +52,8 @@ RUNS = {  # group -> (seed, scheme, run_scenario keywords, config overrides)
     + [(seed, "random", {}, RANDOM_RETRIES) for seed in (4, 5, 16, 21)],
     "ladder": [(1, "proposed", {"strict_causality": strict}, LADDER)
                for strict in (False, True)] + [(1, "random", {}, LADDER)],
+    "rsu-only": [(seed, scheme, {}, FCFS_SHARES) for seed in (1, 2, 3)
+                 for scheme in ("serial-tdma", "noncoop")],
 }
 
 DIGESTS = {
@@ -59,6 +63,7 @@ DIGESTS = {
     "quadrature": "9d969ec1b8ea64e573815bcb0bbb450d6d62cabd8d10c3f74449a73273ad543c",
     "paths": "a4938a7f075c1db5768e4608023aa278cd62cb3bf36d0e1d4371e9248d21dffa",
     "ladder": "fc753300e39e099745fc11928ec709a7ab59c85bb5e6a7f65ed12a0fc49577a1",
+    "rsu-only": "f54ceef3361a4b6feec526258b56edffdaddda4e5d8db6a22a34d56a1a021511",
 }
 
 # Stock seed 113 spawns two vehicles on one spot: proposed and random then

@@ -118,6 +118,22 @@ def test_audit_flags_three_hop_chain():
     assert any(c.name == "two_hop" for c in report.failures())
 
 
+def test_audit_flags_relay_cycle_beside_a_chain():
+    # 4 and 6 relay to each other while 1 -> 2 is a proper chain: neither 4
+    # nor 6 ever had the content, so the pairing is cyclic.
+    config, vehicles, model = six_vehicle_instance()
+    res = run_scheme("proposed", model, seed=0)
+    cycle = Pairing(1, 5, (
+        LinkSchedule(1, 2, False, 4, 3.1e9),
+        LinkSchedule(4, 6, False, 4, 3.1e9),
+        LinkSchedule(6, 4, True, 4, 3.1e9),
+    ), 4)
+    bad = dataclasses.replace(res, v2v=V2VSchedule((cycle,), 4, ()))
+    report = audit(bad, config, vehicles, model=model)
+    two_hop = [c for c in report.failures() if c.name == "two_hop"]
+    assert two_hop and "cyclic" in two_hop[0].detail
+
+
 def test_audit_flags_totals_mismatch():
     config, vehicles, model = six_vehicle_instance()
     res = run_scheme("proposed", model, seed=0)

@@ -128,6 +128,10 @@ def test_constant_rate_stub_derives_every_query():
     assert stub.link_slots_free(1, 2) == 2084
     assert stub.link_slots_free(1, 1) is None
     assert stub.set_feasible([(1, 2)]) and not stub.set_feasible([(1, 2), (1, 1)])
+    n, bits = stub.download(1, 0, 99)           # too short a span
+    assert n == 100 and bits < 3e9
+    n, bits = stub.download(1, 0, 9999)
+    assert n == stub.slots_to_download(1, 0) == 2084 and bits >= 3e9
 
 
 def test_slots_to_download_constant_rate_oracle():
