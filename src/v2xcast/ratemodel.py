@@ -9,7 +9,9 @@ vehicles share one speed, so pairwise distances and angles never change, and
 the RSU geometry per vehicle is a closed-form function of the slot index.
 V2V geometry is therefore sparse and fixed: each vehicle keeps only its
 neighbours within V2V range, found once by sort-and-sweep, and antenna gains
-are memoised per (antenna, boresight peer, probe) triple.
+are memoised per (antenna, boresight peer, probe) triple. A V2I rate depends
+only on the lane and on the slot offset k = t - entry_slot, so rates are
+memoised per lane in read-only blocks of BLOCK consecutive offsets.
 
 TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
 counts. It is used for desk-scale reference instances and brute-force
@@ -27,6 +29,9 @@ from .radio import antenna_gain, mainlobe_gain
 from .vehicles import VehicleState
 
 Link = tuple[int, int]  # (tx id, rx id)
+
+BLOCK = 2048  # slot offsets per V2I rate memo block
+SIMPSON = (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)  # 8 subintervals
 
 
 def fd_relays(links: list[Link]) -> set[int]:
@@ -174,11 +179,15 @@ class PhysicalRateModel(RateModel):
         self._entry = np.zeros(n + 1, dtype=np.int64)
         self._dlr = np.zeros(n + 1)
         self._y = np.zeros(n + 1)
+        self._lane_entry: list[tuple[int, int]] = [(0, 0)] * (n + 1)
         for v in vehicles:
             self._entry[v.id] = v.entry_slot
             self._dlr[v.id] = config.lane_offset(v.lane)
             self._y[v.id] = (v.lane - 0.5) * road.lane_width
+            self._lane_entry[v.id] = (v.lane, v.entry_slot)
         self._step = road.slot_duration * road.speed  # m of travel per slot
+        # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets.
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
 
         g = mainlobe_gain(radio)
         self._noise = radio.noise_floor_w
@@ -211,11 +220,6 @@ class PhysicalRateModel(RateModel):
 
     # ---- V2I ----
 
-    def _rsu_distances(self, vid: int, start: int, count: int) -> np.ndarray:
-        t = np.arange(start, start + count, dtype=float)
-        x = (t - self._entry[vid] + 0.5) * self._step - self.config.road.rsu_longitudinal
-        return np.hypot(x, self._dlr[vid])
-
     def rsu_distance(self, vid: int, t: int) -> float:
         """Mid-slot RSU distance, meters."""
         x = (t - self._entry[vid] + 0.5) * self._step - self.config.road.rsu_longitudinal
@@ -226,25 +230,51 @@ class PhysicalRateModel(RateModel):
         snr = self._c_rsu * d ** (-self._tau) / self._noise
         return np.where(d <= radio.rsu_range, snr, 0.0)
 
-    def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:
-        """Per-slot downlink rates for slots [start, start+count), bits/s."""
+    def _block(self, lane: int, b: int) -> np.ndarray:
+        """Read-only rates, bits/s, of a vehicle in `lane` at the slot
+        offsets [b * BLOCK, (b + 1) * BLOCK) from its entry slot, computed
+        on first use."""
+        rates = self._blocks.get((lane, b))
+        if rates is not None:
+            return rates
         radio, road = self.config.radio, self.config.road
+        d_lr = self.config.lane_offset(lane)
+        k = np.arange(b * BLOCK, (b + 1) * BLOCK, dtype=float)
         if self.rate_mode == "midpoint":
-            d = self._rsu_distances(vid, start, count)
-            return radio.bandwidth * np.log2(1.0 + self._snr_of_distance(d))
-        # Simpson with 8 subintervals over the in-slot angle sweep.
-        t = np.arange(start, start + count, dtype=float)
-        xa = (t - self._entry[vid]) * self._step - road.rsu_longitudinal
-        d_lr = self._dlr[vid]
-        phi_a = np.arctan(xa / d_lr)
-        phi_b = np.arctan((xa + self._step) / d_lr)
-        h = (phi_b - phi_a) / 8.0
-        weights = np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
-        phi = phi_a[:, None] + h[:, None] * np.arange(9)[None, :]
-        d = d_lr / np.cos(phi)
-        rates = radio.bandwidth * np.log2(1.0 + self._snr_of_distance(d))
-        integrand = rates * d_lr / (road.speed * np.cos(phi) ** 2)
-        return (integrand @ weights) * h / 3.0 / road.slot_duration
+            d = np.hypot((k + 0.5) * self._step - road.rsu_longitudinal, d_lr)
+            rates = radio.bandwidth * np.log2(1.0 + self._snr_of_distance(d))
+        else:
+            # Simpson with 8 subintervals over the in-slot angle sweep. The
+            # columns are summed one by one, left to right, so that a slot's
+            # rate does not depend on a BLAS kernel or its thread count.
+            xa = k * self._step - road.rsu_longitudinal
+            phi_a = np.arctan(xa / d_lr)
+            phi_b = np.arctan((xa + self._step) / d_lr)
+            h = (phi_b - phi_a) / 8.0
+            phi = phi_a[:, None] + h[:, None] * np.arange(9)[None, :]
+            d = d_lr / np.cos(phi)
+            f = (radio.bandwidth * np.log2(1.0 + self._snr_of_distance(d))
+                 * d_lr / (road.speed * np.cos(phi) ** 2))
+            total = f[:, 0] * SIMPSON[0]
+            for i in range(1, 9):
+                total = total + f[:, i] * SIMPSON[i]
+            rates = total * h / 3.0 / road.slot_duration
+        rates.setflags(write=False)
+        self._blocks[lane, b] = rates
+        return rates
+
+    def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:
+        """Per-slot downlink rates for slots [start, start+count), bits/s,
+        read-only: a view of one memo block, or of a copy where the slots
+        span several."""
+        lane, entry = self._lane_entry[vid]
+        b, lo = divmod(start - entry, BLOCK)
+        if lo + count <= BLOCK:
+            return self._block(lane, b)[lo:lo + count]
+        last = b + (lo + count - 1) // BLOCK
+        rates = np.concatenate([self._block(lane, c) for c in range(b, last + 1)])
+        rates.setflags(write=False)
+        return rates[lo:lo + count]
 
     # ---- V2V ----
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from v2xcast.geometry import coverage_window, distance, position
-from v2xcast.radio import ConcurrentSet, DirectionalLink, v2i_slot_rate, v2v_sinr
+from v2xcast.geometry import (Point2D, coverage_window, distance, lane_center_y,
+                              position, rsu_point)
+from v2xcast.radio import (ConcurrentSet, DirectionalLink, shannon_rate,
+                           v2i_slot_rate, v2i_snr, v2v_sinr)
 from v2xcast.params import RoadConfig, ScenarioConfig
-from v2xcast.ratemodel import (PhysicalRateModel, RateModel, TableRateModel,
-                               fd_relays)
+from v2xcast.ratemodel import (BLOCK, PhysicalRateModel, RateModel,
+                               TableRateModel, fd_relays)
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import (SIX_PAIR_SLOTS, default_config, default_radio,
                        six_vehicle_instance)
@@ -35,6 +37,95 @@ def test_model_v2i_rates_match_scalar_radio(mode):
             got = model.v2i_rates(v.id, t, 1)[0]
             ref = v2i_slot_rate(v, t, config, mode=mode)
             assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
+def test_v2i_rates_do_not_depend_on_the_query_window(mode):
+    """A slot's rate is a function of the lane and the offset from entry
+    alone: any query returns, bit for bit, the same slots of a query over
+    the whole service window, and two vehicles of one lane at one offset
+    get the same rates."""
+    config = default_config(vehicle_count=6)
+    vehicles = spawn_vehicles(config, seed=4)
+    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    rng = random.Random(5)
+    for v in vehicles:
+        w0, w1 = model.service_window(v.id)
+        whole = PhysicalRateModel(config, vehicles, rate_mode=mode).v2i_rates(
+            v.id, w0, w1 - w0 + 1)
+        edge = v.entry_slot + BLOCK * (-(-(w0 - v.entry_slot) // BLOCK) + 3)
+        for count in (1, 3, 64, 1500):
+            starts = [edge - count // 2, edge - 1, edge,
+                      rng.randint(w0, w1 - count + 1)]
+            for s in starts:
+                got = model.v2i_rates(v.id, s, count)
+                assert np.array_equal(got, whole[s - w0:s - w0 + count]), (v.id, s, count)
+    by_lane: dict[int, list[VehicleState]] = {}
+    for v in vehicles:
+        by_lane.setdefault(v.lane, []).append(v)
+    pairs = [vs[:2] for vs in by_lane.values() if len(vs) > 1]
+    assert pairs
+    for a, b in pairs:
+        k = model.service_window(a.id)[0] - a.entry_slot + 777
+        fresh = PhysicalRateModel(config, vehicles, rate_mode=mode)
+        assert np.array_equal(model.v2i_rates(a.id, a.entry_slot + k, 1500),
+                              fresh.v2i_rates(b.id, b.entry_slot + k - 10, 1510)[10:])
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
+def test_v2i_rates_memo_edges_match_scalar_radio(mode):
+    """Empty queries, offsets before entry, slots past the window and a
+    query over three memo blocks, against the scalar reference.
+
+    The scalar midpoint reference refuses slots before entry, so there the
+    mid-slot distance is extrapolated back along the lane. Quadrature is
+    compared at rel=1e-9: its step h = (phi_b - phi_a) / 8 cancels, so one
+    ulp of arctan moves a rate by up to ~4e-10 relative, and numpy's vector
+    arctan and math.atan differ by an ulp in about 0.2% of slots."""
+    config = default_config(vehicle_count=6)
+    vehicles = spawn_vehicles(config, seed=4)
+    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    radio, road = config.radio, config.road
+    rel = 1e-12 if mode == "midpoint" else 1e-9
+
+    def reference(v, t):
+        if t >= v.entry_slot or mode != "midpoint":
+            return v2i_slot_rate(v, t, config, mode=mode)
+        x = (t - v.entry_slot + 0.5) * road.slot_duration * road.speed
+        d = distance(Point2D(x, lane_center_y(config, v.lane)), rsu_point(config))
+        return shannon_rate(v2i_snr(d, radio), radio)
+
+    for v in vehicles[:2]:
+        assert model.v2i_rates(v.id, v.entry_slot, 0).shape == (0,)
+        w0, w1 = model.service_window(v.id)
+        spans = [(v.entry_slot - BLOCK - 5, 10),        # negative offsets
+                 (v.entry_slot - 3, 6),                 # across offset 0
+                 (w1 - 2, 40),                          # out of the window
+                 (2 * w1 - w0, 5),                      # far past it
+                 (v.entry_slot + BLOCK * ((w0 - v.entry_slot) // BLOCK + 2) - 7,
+                  BLOCK + 14)]                          # three blocks
+        for start, count in spans:
+            got = model.v2i_rates(v.id, start, count)
+            assert got.shape == (count,)
+            for t, r in zip(range(start, start + count), got):
+                assert r == pytest.approx(reference(v, t), rel=rel)
+                if mode == "midpoint" and model.rsu_distance(v.id, t) > radio.rsu_range:
+                    assert r == 0.0
+        assert model.v2i_rates(v.id, 2 * w1 - w0, 5).tolist() == [0.0] * 5
+
+
+def test_v2i_rates_are_read_only():
+    """Queries return read-only views of the memo (or read-only copies
+    across blocks), so a caller cannot corrupt later queries."""
+    config = default_config(vehicle_count=3)
+    vehicles = spawn_vehicles(config, seed=4)
+    model = PhysicalRateModel(config, vehicles)
+    w0 = model.service_window(1)[0]
+    first = float(model.v2i_rates(1, w0, 1)[0])
+    for rates in (model.v2i_rates(1, w0, 3), model.v2i_rates(1, w0, 3 * BLOCK)):
+        with pytest.raises(ValueError):
+            rates[0] = 0.0
+    assert model.v2i_rates(1, w0, 1)[0] == first
 
 
 def test_model_link_sinrs_match_scalar_radio():
