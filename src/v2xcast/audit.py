@@ -223,52 +223,74 @@ def _check_two_hop(result) -> CheckResult:
 
 
 def _check_v2v_delivery_and_qos(result, model) -> CheckResult:
-    """Replay each pairing from its traced slot counts: links stay active for
-    their recorded spans, the concurrent set shrinks as links finish, and at
-    every phase each active link must clear the SINR threshold while the
-    accumulated bits must reach the content size. Under strict causality the
-    replay advances slot by slot in trace order and caps each relay hop at
-    what its feeder has delivered so far."""
+    """Replay each pairing from its traced slot counts (_replay_pairing):
+    at every phase each active link must clear the SINR threshold, and the
+    accumulated bits must reach the content size."""
     target = model.content_size * (1.0 - REL_GUARD)
-    floor = model.sinr_threshold * (1.0 - REL_GUARD)
-    dt = model.slot_duration
-    strict = result.strict_causality
     for pairing in result.v2v.pairings:
-        links = [(l.tx, l.rx) for l in pairing.links]
-        spans = {(l.tx, l.rx): l.slots for l in pairing.links}
-        feeder_of = {}
-        for l in pairing.links:
-            if strict and l.relay_hop:
-                feeds = [(f.tx, f.rx) for f in pairing.links if f.rx == l.tx]
-                if feeds:
-                    feeder_of[(l.tx, l.rx)] = feeds[0]
-        delivered = {l: 0.0 for l in links}
-        elapsed = 0
-        active = [l for l in links if spans[l] > elapsed]
-        while active:
-            for l, s in zip(active, model.link_sinrs(active)):
-                if s < floor:
-                    return CheckResult(
-                        "v2v_delivery", False,
-                        f"pairing {pairing.index}: link {l} SINR {s:.2f} "
-                        f"below threshold after slot {elapsed}")
-            nxt = min(spans[l] for l in active)
-            step = 1 if strict else nxt - elapsed
-            grains = [(l, r * dt * step, feeder_of.get(l))
-                      for l, r in zip(active, model.link_rates(active))]
-            for _ in range(elapsed, nxt, step):
-                for l, grain, feeder in grains:
-                    if feeder is not None:
-                        grain = min(grain, max(0.0, delivered[feeder] - delivered[l]))
-                    delivered[l] += grain
-            elapsed = nxt
-            active = [l for l in active if spans[l] > elapsed]
-        for l in links:
-            if delivered[l] < target:
+        delivered, weak = _replay_pairing(pairing, model, result.strict_causality)
+        if weak is not None:
+            l, s, elapsed = weak
+            return CheckResult(
+                "v2v_delivery", False,
+                f"pairing {pairing.index}: link {l} SINR {s:.2f} "
+                f"below threshold after slot {elapsed}")
+        for l, got in delivered.items():
+            if got < target:
                 return CheckResult("v2v_delivery", False,
                                    f"pairing {pairing.index}: link {l} delivered "
-                                   f"{delivered[l]:.3e} of {model.content_size:.3e}")
+                                   f"{got:.3e} of {model.content_size:.3e}")
     return CheckResult("v2v_delivery", True)
+
+
+def _replay_pairing(pairing, model, strict: bool):
+    """Bits each link of a pairing delivers over its traced span, in trace
+    order, and the first (link, SINR, slot) below the threshold, or None
+    (then the bits are not replayed further).
+
+    Links stay active for their recorded spans and the concurrent set
+    shrinks as they finish. A phase of n slots at a fixed active set moves a
+    link from x to x + n * g, with g its per-slot grain. Under strict
+    causality a relay hop forwards at most what its feeder has delivered up
+    to and including the same slot. Since x never exceeds the feeder's f,
+    that is x_{t+1} = min(x_t + g, f_{t+1}): a rate-g server fed by the
+    feeder, whose output is the min-plus convolution
+    x_n = min(x + n * g, min_k f_k + (n - k) * g). With the feeder moving by
+    g_f per slot (0 once it has finished) the inner term is linear in k, so
+    it is least at k = n, or at k = 1 when g < g_f; but then it is no less
+    than x + n * g. The phase ends at min(x + n * g, f + n * g_f).
+    """
+    floor = model.sinr_threshold * (1.0 - REL_GUARD)
+    dt = model.slot_duration
+    links = [(l.tx, l.rx) for l in pairing.links]
+    spans = {(l.tx, l.rx): l.slots for l in pairing.links}
+    feeder_of = {}
+    for l in pairing.links:
+        if strict and l.relay_hop:
+            feeds = [(f.tx, f.rx) for f in pairing.links if f.rx == l.tx]
+            if feeds:
+                feeder_of[(l.tx, l.rx)] = feeds[0]
+    delivered = {l: 0.0 for l in links}
+    elapsed = 0
+    active = [l for l in links if spans[l] > elapsed]
+    while active:
+        for l, s in zip(active, model.link_sinrs(active)):
+            if s < floor:
+                return delivered, (l, s, elapsed)
+        nxt = min(spans[l] for l in active)
+        n = nxt - elapsed
+        grain = {l: r * dt for l, r in zip(active, model.link_rates(active))}
+        moved = {}
+        for l in active:
+            moved[l] = delivered[l] + grain[l] * n
+            feeder = feeder_of.get(l)
+            if feeder is not None:
+                moved[l] = min(moved[l], delivered[feeder]
+                               + n * grain.get(feeder, 0.0))
+        delivered.update(moved)
+        elapsed = nxt
+        active = [l for l in active if spans[l] > elapsed]
+    return delivered, None
 
 
 def _check_totals(result, config) -> CheckResult:

@@ -6,7 +6,9 @@ simultaneously: every available source proposes its best receiver, proposals
 commit in ascending order of their slot demand, and each committed first hop
 may attach one full-duplex second hop at its receiver. A pairing then runs
 slot by slot until every link has delivered the full content; interference
-drops as links finish, so surviving links speed up.
+drops as links finish, so surviving links speed up. Under strict causality a
+relay hop forwards only bits it has received; those per-slot sums are
+computed a span of slots at a time, float for float as a slot loop would.
 
 Conflicts are structural (shared nodes, except the relay join) or physical
 (adding the link would push any receiver, its own included, below the SINR
@@ -18,7 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 Link = tuple[int, int]
+
+CHUNK = 4096    # most slots one strict-causality span advances at once
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,13 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
     Rates are recomputed whenever the active set changes; between changes the
     geometry is static, so whole spans of identical slots are advanced at
     once. strict_causality additionally caps what a relay forwards at what it
-    has received so far, which serializes unequal-rate chains honestly: it
-    advances one slot at a time, in commit order, so a relay sees its
-    feeder's same-slot arrivals before forwarding (pass-through within a
-    slot). The simulation stops once it has run past the slots left before
-    the horizon; the pairing it returns then overruns the slot budget.
+    has received so far, which serializes unequal-rate chains honestly. Each
+    slot then adds, in commit order, min(rate * dt, feeder - relay) to a relay
+    hop, so a relay sees its feeder's same-slot arrivals before forwarding
+    (pass-through within a slot). Those per-slot sums are kept float for
+    float, but advanced a span at a time by _strict_span. The simulation stops
+    once it has run past the slots left before the horizon; the pairing it
+    returns then overruns the slot budget.
     """
     d_target = model.content_size
     dt = model.slot_duration
@@ -150,6 +158,10 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
             if feeds:
                 feeder_of[l] = feeds[0]
 
+    # A span runs relays after their feeders; links out of that order step
+    # one slot at a time, where a relay sees its feeder's previous slot.
+    order = {l: i for i, l in enumerate(links)}
+    chunk = CHUNK if all(order[f] < order[l] for l, f in feeder_of.items()) else 1
     rates: dict = {}
     elapsed = 0
     while active and elapsed <= model.horizon - start_slot:
@@ -160,14 +172,17 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
                     raise RuntimeError(
                         f"active link {l} starved (zero rate); pairing "
                         f"feasibility gate is inconsistent")
-        step = 1 if strict_causality else min(
-            max(1, math.ceil((d_target - delivered[l]) / (rates[l] * dt)))
-            for l in active)
+        if strict_causality:
+            left = model.horizon - start_slot - elapsed + 1
+            step = _strict_span(active, rates, delivered, feeder_of, dt,
+                                d_target, min(chunk, left))
+        else:
+            step = min(
+                max(1, math.ceil((d_target - delivered[l]) / (rates[l] * dt)))
+                for l in active)
+            for l in active:
+                delivered[l] += rates[l] * dt * step
         for l in active:
-            grain = rates[l] * dt * step
-            if l in feeder_of:
-                grain = min(grain, max(0.0, delivered[feeder_of[l]] - delivered[l]))
-            delivered[l] += grain
             m[l] += step
         elapsed += step
         active = [l for l in active if delivered[l] < d_target]
@@ -175,6 +190,76 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
                    tuple(LinkSchedule(l[0], l[1], flag, m[l], delivered[l])
                          for l, flag in zip(links, relay_flags)),
                    max(m.values()))
+
+
+def _strict_span(active, rates, delivered, feeder_of, dt, d_target,
+                 n: int) -> int:
+    """Advance a fixed active set by up to n strict-causality slots and
+    return the slots taken: n, or fewer when a link gets the content first.
+    delivered is moved to the end of the span.
+
+    Links are walked in commit order, so an active feeder already has its
+    path over the span when its relay hop is reached. A plain link's path is
+    np.add.accumulate over [x, g, g, ...], which adds left to right as the
+    slot loop's += does; a relay hop's path comes from _relay_path. The span
+    ends at the first slot after which some link holds the content.
+    """
+    # No plain link needs many more slots than its missing bits over g.
+    n = min([n] + [math.ceil((d_target - delivered[l]) / (rates[l] * dt)) + 1
+                   for l in active if l not in feeder_of])
+    paths = {}
+    for l in active:
+        g = rates[l] * dt
+        f = feeder_of.get(l)
+        if f is None:
+            path = np.full(n + 1, g)
+            path[0] = delivered[l]
+            np.add.accumulate(path, out=path)
+        else:
+            feed = paths[f][1:n + 1] if f in paths else np.full(n, delivered[f])
+            path = _relay_path(delivered[l], g, feed)
+        n = min(n, int(np.searchsorted(path, d_target)))  # paths never fall
+        paths[l] = path
+    for l in active:
+        delivered[l] = float(paths[l][n])
+    return n
+
+
+def _relay_path(x: float, g: float, feed: np.ndarray) -> np.ndarray:
+    """A relay hop's backlog over len(feed) slots, x_{t+1} = x_t + min(g,
+    max(0.0, feed[t] - x_t)), as the same floats as stepping it slot by slot.
+
+    Stretches are guessed: uncapped (x + g + g + ...) after an uncapped step,
+    tracking the feeder (x_{t+1} = feed[t]) after a capped one. Every guessed
+    element is checked against the step expression itself, so the path is
+    exact by induction; the first mismatch is taken as one scalar step, which
+    picks the next guess. After a mismatch the next guess covers twice the
+    stretch that held (at least 64 slots), so frequent switches stay cheap.
+    """
+    n = len(feed)
+    path = np.empty(n + 1)
+    path[0] = x
+    t, width = 0, n
+    while t < n:
+        grain = min(g, max(0.0, float(feed[t]) - x))
+        x += grain
+        t += 1
+        path[t] = x
+        m = min(width, n - t)
+        if grain == g:
+            guess = np.full(m + 1, g)
+            guess[0] = x
+            np.add.accumulate(guess, out=guess)
+        else:
+            guess = np.concatenate(([x], feed[t:t + m]))
+        head = guess[:-1]
+        ok = head + np.minimum(g, np.maximum(0.0, feed[t:t + m] - head)) == guess[1:]
+        j = m if ok.all() else int(ok.argmin())
+        path[t + 1:t + 1 + j] = guess[1:j + 1]
+        t += j
+        x = float(path[t])
+        width = 2 * width if j == m else max(64, 2 * j)
+    return path
 
 
 def schedule_v2v(model, v_a, v_b, t_v2i: int,

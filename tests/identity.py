@@ -11,6 +11,10 @@ of V2V range (12 runs), plus fcfs, serial-tdma and noncoop at
 test_golden.FCFS_SHARES on seeds 1-20 in both rate modes, where fcfs forms
 pairings and serial-tdma keeps partial grants (120 runs): 1,732 runs.
 
+The first line is the hash over every run. One line per run group follows
+(stock, strict, ladder, shares: the four parts above, in that order), so a
+mismatch points at the group that moved.
+
     PYTHONPATH=src python tests/identity.py [--jobs J]
 
 Point PYTHONPATH at another checkout's src/ to hash that code instead.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+from collections import Counter
 from multiprocessing import Pool
 
 from v2xcast.baselines import SCHEMES
@@ -37,21 +42,22 @@ SHARES_SEEDS = range(1, 21)
 
 
 def runs():
+    """(group, (seed, scheme, mode, strict, overrides)) in hashing order."""
     for mode in MODES:
         for seed in SEEDS:
             for scheme in SCHEMES:
-                yield seed, scheme, mode, False, {}
+                yield "stock", (seed, scheme, mode, False, {})
         for seed in SEEDS:
             for scheme in STRICT_SCHEMES:
-                yield seed, scheme, mode, True, {}
+                yield "strict", (seed, scheme, mode, True, {})
     for seed in LADDER_SEEDS:
         for scheme in STRICT_SCHEMES:
             for strict in (False, True):
-                yield seed, scheme, "midpoint", strict, LADDER
+                yield "ladder", (seed, scheme, "midpoint", strict, LADDER)
     for mode in MODES:
         for seed in SHARES_SEEDS:
             for scheme in RSU_SCHEMES:
-                yield seed, scheme, mode, False, FCFS_SHARES
+                yield "shares", (seed, scheme, mode, False, FCFS_SHARES)
 
 
 def run_text(run) -> bytes:
@@ -67,12 +73,17 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes; the hash does not depend on it")
     args = parser.parse_args()
-    todo = list(runs())
+    groups, todo = zip(*runs())
     h = hashlib.sha256()
+    group_hash = {group: hashlib.sha256() for group in groups}
     with Pool(args.jobs) as pool:
-        for text in pool.imap(run_text, todo, chunksize=8):
+        for group, text in zip(groups, pool.imap(run_text, todo, chunksize=8)):
             h.update(text)
+            group_hash[group].update(text)
     print(f"{h.hexdigest()}  {len(todo)} runs")
+    counts = Counter(groups)
+    for group, gh in group_hash.items():
+        print(f"{gh.hexdigest()}  {counts[group]} runs  {group}")
 
 
 if __name__ == "__main__":

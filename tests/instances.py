@@ -68,3 +68,15 @@ def six_vehicle_instance():
         vehicles.append(VehicleState(id=vid, lane=lane, entry_slot=entry))
     model = TableRateModel(config, vehicles, SIX_V2I_SLOTS, SIX_PAIR_SLOTS)
     return config, vehicles, model
+
+
+class CrowdedTableRateModel(TableRateModel):
+    """Table rates that fall with the number of links on the air, so every
+    finish speeds up the survivors, as dropping interference does. Links
+    from transmitters 3k+1 lose twice as much per extra link as the others,
+    so the rate order within a chain 3k+1 -> 3k+2 -> 3k+3 can flip as links
+    finish."""
+
+    def link_rates(self, links):
+        return [r / (1.0 + 0.25 * (len(links) - 1) * (2 if tx % 3 == 1 else 1))
+                for (tx, _), r in zip(links, super().link_rates(links))]

@@ -120,6 +120,21 @@ def test_golden_digest(group):
     assert group_digest(RUNS[group]) == DIGESTS[group]
 
 
+# With no self-interference cancellation a full-duplex relay slows its own
+# feeder to 3e9-1e11 slots. Under strict causality the first pairing then
+# runs to the horizon and is dropped, which leaves 53 vehicles unserved.
+STRICT_OVERRUN = {"si_cancel_exp": 0, "sinr_threshold_db": -70}
+
+
+def test_strict_pairing_past_the_horizon_is_dropped():
+    _, report, audit_report = run_scenario(
+        stock_config(**STRICT_OVERRUN), 1, "proposed", strict_causality=True,
+        with_audit=True)
+    assert ",".join(fmt(cell) for cell in report_row(report)) == (
+        "proposed,1,109601,109601,0,1.28648461e+10,10.9601,53")
+    assert audit_report.ok, str(audit_report)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_colocated_vehicles_run_without_warnings():
     runs = [(COLOCATED_SEED, scheme, {}, {}) for scheme in ("proposed", "random")]

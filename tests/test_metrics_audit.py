@@ -1,15 +1,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from v2xcast.audit import audit
+from v2xcast.audit import REL_GUARD, _replay_pairing, audit
 from v2xcast.baselines import SchemeResult, run_scheme
 from v2xcast.metrics import build_report, energy, system_throughput
 from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
 from v2xcast.v2i import Grant, V2ISelection
 from v2xcast.v2v import LinkSchedule, Pairing, V2VSchedule, run_pairing
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import default_config, six_vehicle_instance
+from instances import (CrowdedTableRateModel, default_config,
+                       six_vehicle_instance)
 
 
 def _fabricated(config, t_v2i, t_v2v, served, total, grants=(), pairings=()):
@@ -233,6 +235,92 @@ def test_strict_replay_caps_a_relay_hop_at_its_feeder():
     assert not strict.ok
     assert "link (2, 3) delivered 1.714e+09 of 3.000e+09" in strict.detail
     assert _v2v_delivery(_relay_chain_result(False, relay_slots=2)).ok
+
+
+def test_strict_replay_flags_a_short_relay_hop_after_its_feeder_finished():
+    # The feeder 1->2 needs 2 slots, the relay 2->3 needs 6 at its own rate.
+    # Traced at 4 slots, the relay runs its last two alone: 4 of its 5.5
+    # slot-shares arrive, whatever the feeder (done at slot 2) could give.
+    config = default_config(vehicle_count=3)
+    vehicles = [VehicleState(i, 1, 0) for i in (1, 2, 3)]
+    model = TableRateModel(config, vehicles, {1: 2, 2: 2, 3: 2},
+                           {frozenset((1, 2)): 2, frozenset((2, 3)): 6},
+                           geometric_coverage=False)
+    d = model.content_size
+
+    def check(relay_slots):
+        pairing = Pairing(1, 0, (LinkSchedule(1, 2, False, 2, d),
+                                 LinkSchedule(2, 3, True, relay_slots, d)),
+                          relay_slots)
+        sel = V2ISelection((), 0, (1,), (2, 3), (), False)
+        res = SchemeResult("proposed", 0, sel,
+                           V2VSchedule((pairing,), relay_slots, ()),
+                           frozenset({1, 2, 3}), frozenset(), "midpoint", True)
+        return _v2v_delivery(audit(res, config, vehicles, model=model))
+
+    assert check(6).ok
+    short = check(4)
+    assert not short.ok
+    assert "link (2, 3) delivered 2.182e+09 of 3.000e+09" in short.detail
+
+
+def _per_slot_replay(pairing, model):
+    """Strict replay one slot at a time, in trace order: the oracle for the
+    audit's closed-form phases."""
+    dt = model.slot_duration
+    links = [(l.tx, l.rx) for l in pairing.links]
+    spans = {(l.tx, l.rx): l.slots for l in pairing.links}
+    feeder_of = {(l.tx, l.rx): (f.tx, f.rx) for l in pairing.links
+                 for f in pairing.links if l.relay_hop and f.rx == l.tx}
+    delivered = {l: 0.0 for l in links}
+    elapsed = 0
+    active = [l for l in links if spans[l] > elapsed]
+    while active:
+        nxt = min(spans[l] for l in active)
+        grains = [(l, r * dt, feeder_of.get(l))
+                  for l, r in zip(active, model.link_rates(active))]
+        for _ in range(elapsed, nxt):
+            for l, grain, feeder in grains:
+                if feeder is not None:
+                    grain = min(grain, max(0.0, delivered[feeder] - delivered[l]))
+                delivered[l] += grain
+        elapsed = nxt
+        active = [l for l in active if spans[l] > elapsed]
+    return delivered
+
+
+_CHAIN = st.tuples(st.integers(1, 3000), st.integers(1, 3000),
+                   st.none() | st.tuples(st.integers(1, 3000),
+                                         st.integers(1, 3000)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chains=st.lists(_CHAIN, min_size=1, max_size=4), crowded=st.booleans())
+def test_strict_replay_matches_per_slot_replay(chains, crowded):
+    """Random chains (table rate slots, traced slots) for a first hop and an
+    optional relay hop, traced spans unrelated to the rates: the closed-form
+    phases give each link's bits to within REL_GUARD of a slot-by-slot
+    replay, whether the relay is capped, uncapped, or outlives its feeder."""
+    n = 3 * len(chains)
+    config = default_config(vehicle_count=n)
+    vehicles = [VehicleState(i, 1, 0) for i in range(1, n + 1)]
+    pairs, links = {}, []
+    for k, (rate_slots, traced, relay) in enumerate(chains):
+        a, b, c = 3 * k + 1, 3 * k + 2, 3 * k + 3
+        pairs[frozenset((a, b))] = rate_slots
+        links.append(LinkSchedule(a, b, False, traced, 0.0))
+        if relay is not None:
+            pairs[frozenset((b, c))] = relay[0]
+            links.append(LinkSchedule(b, c, True, relay[1], 0.0))
+    table = CrowdedTableRateModel if crowded else TableRateModel
+    model = table(config, vehicles, {i: 2 for i in range(1, n + 1)}, pairs,
+                  geometric_coverage=False)
+    pairing = Pairing(1, 0, tuple(links), max(l.slots for l in links))
+    closed, weak = _replay_pairing(pairing, model, strict=True)
+    assert weak is None
+    oracle = _per_slot_replay(pairing, model)
+    for l in oracle:
+        assert closed[l] == pytest.approx(oracle[l], rel=REL_GUARD, abs=0.0)
 
 
 def test_audit_report_formatting():

@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
-from v2xcast.v2v import (best_first_hop, build_pairing, conflict, run_pairing,
-                         schedule_v2v)
+from v2xcast.v2v import (CHUNK, best_first_hop, build_pairing, conflict,
+                         run_pairing, schedule_v2v)
 from v2xcast.vehicles import VehicleState
-from instances import default_config, six_vehicle_instance
+from instances import (CrowdedTableRateModel, default_config,
+                       six_vehicle_instance)
 
 
 def _vehicles_at(config, placements):
@@ -222,9 +224,9 @@ def test_strict_causality_holds_at_every_slot():
 
 
 def test_strict_pairing_stops_once_past_the_horizon():
-    # A 5000-slot link with 100 slots left before the horizon: strict
-    # causality advances one slot at a time and stops one slot past the
-    # budget instead of walking the link to completion.
+    # A 5000-slot link with 100 slots left before the horizon: a strict
+    # span never runs past the slots left, so the pairing stops one slot
+    # past the budget instead of walking the link to completion.
     config = default_config(vehicle_count=2, horizon=1000)
     vehicles = _vehicles_at(config, [(510.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2}, {(1, 2): 5000})
@@ -235,6 +237,101 @@ def test_strict_pairing_stops_once_past_the_horizon():
     for strict in (False, True):
         sched = schedule_v2v(model, {1}, {2}, t_v2i=900, strict_causality=strict)
         assert sched.pairings == () and sched.unserved == (2,)
+
+
+def _per_slot_strict(model, links, relay_flags, start_slot):
+    """The strict-causality slot loop, one slot per iteration: the oracle
+    that run_pairing's span advance must match float for float."""
+    d_target, dt = model.content_size, model.slot_duration
+    active = list(links)
+    delivered = {l: 0.0 for l in links}
+    m = {l: 0 for l in links}
+    feeder_of = {}
+    for l, flag in zip(links, relay_flags):
+        if flag:
+            feeds = [f for f in links if f[1] == l[0]]
+            if feeds:
+                feeder_of[l] = feeds[0]
+    rates: dict = {}
+    elapsed = 0
+    while active and elapsed <= model.horizon - start_slot:
+        if len(rates) != len(active):
+            rates = dict(zip(active, model.link_rates(active)))
+        for l in active:
+            grain = rates[l] * dt * 1
+            if l in feeder_of:
+                grain = min(grain, max(0.0, delivered[feeder_of[l]] - delivered[l]))
+            delivered[l] += grain
+            m[l] += 1
+        elapsed += 1
+        active = [l for l in active if delivered[l] < d_target]
+    return m, delivered
+
+
+def _chain_pairing(chains, horizon, crowded):
+    """Chain k is 3k+1 -> 3k+2 (first hop) and, when it has a relay slot
+    count, 3k+2 -> 3k+3 (relay hop), in commit order."""
+    config = default_config(vehicle_count=3 * len(chains), horizon=horizon)
+    vehicles = [VehicleState(id=i, lane=1, entry_slot=0)
+                for i in range(1, 3 * len(chains) + 1)]
+    pairs, links, flags = {}, [], []
+    for k, (first, relay) in enumerate(chains):
+        a, b, c = 3 * k + 1, 3 * k + 2, 3 * k + 3
+        pairs[frozenset((a, b))] = first
+        links.append((a, b))
+        flags.append(False)
+        if relay is not None:
+            pairs[frozenset((b, c))] = relay
+            links.append((b, c))
+            flags.append(True)
+    table = CrowdedTableRateModel if crowded else TableRateModel
+    model = table(config, vehicles, {i: 2 for i in range(1, 3 * len(chains) + 1)},
+                  pairs, geometric_coverage=False)
+    return model, links, flags
+
+
+_SLOTS = st.integers(1, 3 * CHUNK)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chains=st.lists(
+           st.tuples(_SLOTS, st.none() | _SLOTS | st.just(0)).map(
+               lambda c: (c[0], c[0] if c[1] == 0 else c[1])),
+           min_size=1, max_size=4),
+       start=st.integers(0, 50),
+       budget=st.just(10 ** 6) | st.integers(1, 8 * CHUNK),
+       crowded=st.booleans())
+@example(chains=[(3000, 1000)], start=0, budget=10 ** 6, crowded=False)  # faster relay
+@example(chains=[(1000, 3000)], start=0, budget=10 ** 6, crowded=False)  # feeder done first
+@example(chains=[(2500, 2500), (900, None)], start=0, budget=10 ** 6,
+         crowded=True)                                                  # equal rates
+@example(chains=[(3 * CHUNK, 2 * CHUNK), (CHUNK + 7, 3 * CHUNK)],
+         start=0, budget=10 ** 6, crowded=True)                         # spans > CHUNK
+@example(chains=[(5000, 4000)], start=900, budget=100, crowded=False)   # horizon cut
+def test_strict_span_advance_matches_per_slot_loop(chains, start, budget, crowded):
+    """Random chains on table rates, against the per-slot loop: relays
+    faster than, slower than and equal to their feeder, feeders that finish
+    first, links longer than a chunk, and a horizon (start + budget) that
+    cuts the pairing short."""
+    model, links, flags = _chain_pairing(chains, start + budget, crowded)
+    pairing = run_pairing(model, links, flags, start, 1, strict_causality=True)
+    m, delivered = _per_slot_strict(model, links, flags, start)
+    assert [(l.tx, l.rx) for l in pairing.links] == links
+    assert [l.slots for l in pairing.links] == [m[l] for l in links]
+    assert [l.delivered for l in pairing.links] == [delivered[l] for l in links]
+    assert all(type(l.delivered) is float for l in pairing.links)
+    assert pairing.duration == max(m.values())
+
+
+def test_strict_relay_listed_before_its_feeder_matches_per_slot_loop():
+    # Out of commit order the relay sees its feeder's previous slot, so the
+    # pairing steps one slot at a time, as the loop always did.
+    model, links, flags = _chain_pairing([(60, 25), (40, 90)], 10 ** 6, True)
+    links, flags = links[::-1], flags[::-1]
+    pairing = run_pairing(model, links, flags, 0, 1, strict_causality=True)
+    m, delivered = _per_slot_strict(model, links, flags, 0)
+    assert [(l.slots, l.delivered) for l in pairing.links] == [
+        (m[l], delivered[l]) for l in links]
 
 
 def test_schedule_v2v_empty_receivers():
