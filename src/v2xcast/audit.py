@@ -280,11 +280,9 @@ def _replay_pairing(pairing, model, strict: bool):
         nxt = min(spans[l] for l in active)
         n = nxt - elapsed
         grain = {l: r * dt for l, r in zip(active, model.link_rates(active))}
-        moved = {}
-        for l in active:
-            moved[l] = delivered[l] + grain[l] * n
-            feeder = feeder_of.get(l)
-            if feeder is not None:
+        moved = {l: delivered[l] + grain[l] * n for l in active}
+        for l, feeder in feeder_of.items():
+            if l in moved:
                 moved[l] = min(moved[l], delivered[feeder]
                                + n * grain.get(feeder, 0.0))
         delivered.update(moved)
