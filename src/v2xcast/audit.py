@@ -1,13 +1,22 @@
-"""Independent constraint auditor.
+"""Constraint auditor.
 
 Consumes only the emitted schedule trace (grants, pairings, slot counts) and
-recomputes every constraint from scratch: coverage and link quality from the
-geometry, delivered bits from re-derived per-slot rates, and the structural
-rules of the sharing phase. It never calls scheduler code; failures are data,
-not exceptions.
+recomputes every constraint: coverage and V2I link quality from its own
+geometry arithmetic, and the structural rules of the sharing phase from the
+trace alone. It calls none of the scheduling loops (v2i, v2v, baselines),
+but it does replay V2I delivery and V2V SINR through a rate model: a second
+PhysicalRateModel by default, built from the config. Its V2V replay calls
+link_sinrs, the from-scratch reference, once per phase, while the scheduler
+admits links and re-rates pairings incrementally; so the V2V interference
+sums of scheduler and audit are computed by different code. Failures are
+data, not exceptions.
 
-A relative guard of 1e-12 absorbs float-association noise between the
-scheduler's accumulation order and the recomputation.
+A relative guard of 1e-12 (REL_GUARD) absorbs float-association noise
+between the scheduler's accumulation order and the recomputation. Its reach
+is bounded: a strict-causality phase is replayed as x + n * g where the
+scheduler adds g slot by slot, and the two differ by up to about n ulps, so
+the guard covers links of up to about 40,000 slots (stock links take
+1,500-4,000). A longer link may fail the audit spuriously.
 """
 
 from __future__ import annotations
@@ -57,9 +66,10 @@ def audit(result: SchemeResult, config: ScenarioConfig,
     """
     if model is None:
         model = PhysicalRateModel(config, vehicles, rate_mode=result.rate_mode)
+    edges = _grant_edge_distances(result, config, vehicles)
     checks = [
-        _check_coverage(result, config, vehicles),
-        _check_v2i_qos(result, config, vehicles, model),
+        _check_coverage(edges, config),
+        _check_v2i_qos(edges, config),
         _check_rsu_serial(result),
         _check_v2i_delivery(result, model),
         _check_source_once(result),
@@ -71,25 +81,32 @@ def audit(result: SchemeResult, config: ScenarioConfig,
     return AuditReport(tuple(checks))
 
 
-def _grant_edge_distances(grant, config, vehicles):
+def _grant_edge_distances(result, config, vehicles):
+    """(grant, first, last) for each grant with slots, in grant order: the
+    mid-slot RSU distance at its first and last slot, or None for both when
+    the grant starts before the vehicle enters the road."""
     from .geometry import distance_to_rsu
-    v = vehicles[grant.vehicle - 1]
-    first = distance_to_rsu(v, grant.start_slot, config, midpoint=True)
-    last = distance_to_rsu(v, grant.start_slot + grant.n_slots - 1, config,
-                           midpoint=True)
-    return first, last
-
-
-def _check_coverage(result, config, vehicles) -> CheckResult:
-    """Granted slots must lie inside the RSU range. RSU distance over a slot
-    interval is V-shaped, so the interval endpoints bound it."""
-    limit = config.radio.rsu_range * (1.0 + REL_GUARD)
+    edges = []
     for grant in result.selection.grants:
         if grant.n_slots == 0:
             continue
+        v = vehicles[grant.vehicle - 1]
         try:
-            first, last = _grant_edge_distances(grant, config, vehicles)
+            first = distance_to_rsu(v, grant.start_slot, config, midpoint=True)
+            last = distance_to_rsu(v, grant.start_slot + grant.n_slots - 1,
+                                   config, midpoint=True)
         except ValueError:
+            first = last = None
+        edges.append((grant, first, last))
+    return edges
+
+
+def _check_coverage(edges, config) -> CheckResult:
+    """Granted slots must lie inside the RSU range. RSU distance over a slot
+    interval is V-shaped, so the interval endpoints bound it."""
+    limit = config.radio.rsu_range * (1.0 + REL_GUARD)
+    for grant, first, last in edges:
+        if first is None:
             return CheckResult("coverage", False,
                                f"vehicle {grant.vehicle} granted at slot "
                                f"{grant.start_slot} before road entry")
@@ -101,17 +118,13 @@ def _check_coverage(result, config, vehicles) -> CheckResult:
     return CheckResult("coverage", True)
 
 
-def _check_v2i_qos(result, config, vehicles, model) -> CheckResult:
+def _check_v2i_qos(edges, config) -> CheckResult:
     """Granted slots must meet the SNR threshold; SNR is minimal where the
     distance is maximal, so endpoints again suffice."""
     from .radio import v2i_snr
     floor = config.radio.sinr_threshold * (1.0 - REL_GUARD)
-    for grant in result.selection.grants:
-        if grant.n_slots == 0:
-            continue
-        try:
-            first, last = _grant_edge_distances(grant, config, vehicles)
-        except ValueError:
+    for grant, first, last in edges:
+        if first is None:
             return CheckResult("v2i_qos", False,
                                f"vehicle {grant.vehicle} granted before road entry")
         worst = max(first, last)
@@ -274,12 +287,13 @@ def _replay_pairing(pairing, model, strict: bool):
     elapsed = 0
     active = [l for l in links if spans[l] > elapsed]
     while active:
-        for l, s in zip(active, model.link_sinrs(active)):
+        sinrs = model.link_sinrs(active)
+        for l, s in zip(active, sinrs):
             if s < floor:
                 return delivered, (l, s, elapsed)
         nxt = min(spans[l] for l in active)
         n = nxt - elapsed
-        grain = {l: r * dt for l, r in zip(active, model.link_rates(active))}
+        grain = {l: r * dt for l, r in zip(active, model.link_rates(active, sinrs))}
         moved = {l: delivered[l] + grain[l] * n for l in active}
         for l, feeder in feeder_of.items():
             if l in moved:

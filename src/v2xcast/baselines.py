@@ -101,7 +101,7 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
         if not slots:
             return None
         winner = int(rng.choice(list(slots)))
-        est = two_hop_estimate(model, winner, [j for j in entered if j != winner])
+        est = two_hop_estimate(model, winner, entered - {winner})
         return replace(est, v2i_slots=slots[winner])
 
     selection = select_v2i_paths(model, pick=random_pick)

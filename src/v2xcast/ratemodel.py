@@ -74,13 +74,18 @@ class RateModel:
                                   the pair cannot talk
     link_sinrs(links)             receiver SINR per link when all of them
                                   transmit concurrently
-    link_rates(links)             rate per link under that concurrency, bits/s
+    link_rates(links, sinrs=None) rate per link under that concurrency,
+                                  bits/s; a model may derive them from
+                                  sinrs, the link_sinrs(links) a caller
+                                  already holds
 
     and sets _entry (entry slot, indexed by id) and, to serve inside less
     than the RSU range, _serve_radius. The attributes the schedulers read,
     config, vehicles, ids, content_size, slot_duration, horizon,
     sinr_threshold and rate_mode, are set here. Every other query is derived
-    below from the primitives, once for every model.
+    below from the primitives, once for every model. A model may answer the
+    scheduler's hot queries (peers, admits, rates_after_finish) faster, but
+    with the same values the derived versions give.
     """
 
     rate_mode = "midpoint"
@@ -95,6 +100,8 @@ class RateModel:
         self.horizon = config.road.horizon
         self.sinr_threshold = config.radio.sinr_threshold
         self._windows: dict[int, tuple[int, int] | None] = {}
+        self._entry_order: tuple[list[int], list[int]] | None = None
+        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     # ---- V2I ----
 
@@ -122,6 +129,29 @@ class RateModel:
 
     def entered(self, vid: int, t: int) -> bool:
         return self._entry[vid] <= t
+
+    def entry_order(self) -> tuple[list[int], list[int]]:
+        """Ids sorted by entry slot (a stable sort of ids), and those entry
+        slots: the vehicles entered by slot t are the first
+        bisect_right(slots, t) ids. Built once."""
+        if self._entry_order is None:
+            order = sorted(self.ids, key=lambda vid: self._entry[vid])
+            self._entry_order = order, [int(self._entry[vid]) for vid in order]
+        return self._entry_order
+
+    def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and last slot of every service_window, as arrays indexed by
+        id; a vehicle that can never be served has a last slot below any
+        clock. Built once."""
+        if self._bounds is None:
+            first = np.zeros(max(self.ids) + 1, dtype=np.int64)
+            last = np.full_like(first, np.iinfo(np.int64).min)
+            for vid in self.ids:
+                win = self.service_window(vid)
+                if win is not None:
+                    first[vid], last[vid] = win
+            self._bounds = first, last
+        return self._bounds
 
     def download(self, vid: int, start: int, end: int) -> tuple[int, float]:
         """Slots from `start` until the content has arrived, and the bits
@@ -156,6 +186,11 @@ class RateModel:
     def in_range(self, i: int, j: int) -> bool:
         return self.rate_free(i, j) > 0.0
 
+    def peers(self, vid: int):
+        """Every vehicle j with rate_free(vid, j) > 0, and maybe others;
+        never vid itself."""
+        return [j for j in self.ids if j != vid]
+
     def link_slots_free(self, i: int, j: int) -> int | None:
         """Interference-free transfer slots; None when out of range."""
         r = self.rate_free(i, j)
@@ -163,6 +198,18 @@ class RateModel:
 
     def set_feasible(self, links: list[Link]) -> bool:
         return all(s >= self.sinr_threshold for s in self.link_sinrs(links))
+
+    def admits(self, committed: list[Link], link: Link) -> bool:
+        """Whether `link` can join `committed` with every link at or above
+        the SINR threshold: set_feasible(committed + [link])."""
+        return self.set_feasible(committed + [link])
+
+    def rates_after_finish(self, links: list[Link], rates: dict,
+                           finished: list[Link]) -> list[float]:
+        """link_rates(links), where `links` is what is left of a concurrent
+        set once its `finished` links stopped, and `rates` maps every link
+        of that set to its link_rates rate."""
+        return self.link_rates(links)
 
 
 class PhysicalRateModel(RateModel):
@@ -217,6 +264,7 @@ class PhysicalRateModel(RateModel):
                                dist.tolist(), pr.tolist(), rate.tolist()):
             self._near[i][j] = self._near[j][i] = tuple(pair)
         self._gains: dict[tuple[int, int, int], float] = {}
+        self._fold = _Fold()
 
     # ---- V2I ----
 
@@ -339,10 +387,147 @@ class PhysicalRateModel(RateModel):
                        else pair[1] / (self._noise + interference + rsi))
         return out
 
-    def link_rates(self, links: list[Link]) -> list[float]:
+    def link_rates(self, links: list[Link], sinrs=None) -> list[float]:
         w = self.config.radio.bandwidth
-        return [w * math.log2(1.0 + s) if s > 0 else 0.0
-                for s in self.link_sinrs(links)]
+        if sinrs is None:
+            sinrs = self.link_sinrs(links)
+        return [w * math.log2(1.0 + s) if s > 0 else 0.0 for s in sinrs]
+
+    # ---- V2V, incremental ----
+    #
+    # link_sinrs adds each receiver's interference terms in link order. A
+    # term depends only on the interfering link and the receiver's link, so
+    # a running sum kept in that order, plus a term added last, is the
+    # float link_sinrs gives, and a sum whose terms did not change can be
+    # reused as it is. The methods below use that to touch only the links
+    # near a change; link_sinrs stays the from-scratch reference.
+
+    def peers(self, vid: int):
+        return self._near[vid].keys()
+
+    def _term(self, utx: int, urx: int, tx: int, rx: int) -> float:
+        """link_sinrs's interference term of link (utx, urx) at the receiver
+        of link (tx, rx), a neighbour of utx."""
+        d = self._near[utx][rx][0]
+        if d == 0.0:
+            return math.inf
+        return (self._c_itf * self._gain(utx, urx, rx) * self._gain(rx, tx, utx)
+                * d ** (-self._tau))
+
+    def _sinr(self, link: Link, interference: float, relay: bool) -> float:
+        tx, rx = link
+        pair = self._near[rx].get(tx)
+        rsi = self._rsi if relay else 0.0
+        return 0.0 if pair is None else pair[1] / (self._noise + interference + rsi)
+
+    def _interference(self, links: list[Link], by_tx: dict, link: Link) -> float:
+        """Interference at link's receiver from `links`, whose indices by
+        transmitter are `by_tx`, added in list order as link_sinrs does."""
+        tx, rx = link
+        total = 0.0
+        for u in sorted(m for t in self._near[rx] for m in by_tx.get(t, ())):
+            if links[u] != link:
+                total += self._term(*links[u], tx, rx)
+        return total
+
+    def _join(self, fold: _Fold, link: Link):
+        """What `link` joining the folded set changes: the new interference
+        of every link whose SINR moves, by index, `link` itself last at
+        index len(fold.links); and the nodes that relay once it joins. Only
+        the links whose receiver hears link's transmitter, and those whose
+        receiver link turns into a relay, can move."""
+        links, by_rx = fold.links, fold.by_rx
+        tx, rx = link
+        changed = {}
+        for r in self._near[tx]:
+            for m in by_rx.get(r, ()):
+                if links[m] != link:
+                    changed[m] = fold.itf[m] + self._term(tx, rx, *links[m])
+        relays = {n for n in (tx, rx) if (n == tx or n in fold.by_tx)
+                  and (n == rx or n in by_rx)}
+        for n in relays - fold.relays:
+            for m in by_rx.get(n, ()):
+                changed.setdefault(m, fold.itf[m])
+        changed[len(links)] = self._interference(links, fold.by_tx, link)
+        return changed, relays
+
+    def _weak(self, fold: _Fold, link: Link, changed: dict, relays: set):
+        """Indices among `changed` whose SINR fails set_feasible's test
+        (NaN included) once `link` has joined."""
+        n = len(fold.links)
+        for m, itf in changed.items():
+            l = fold.links[m] if m < n else link
+            if not self._sinr(l, itf, l[1] in relays or l[1] in fold.relays) \
+                    >= self.sinr_threshold:
+                yield m
+
+    def _folded(self, committed: list[Link]) -> _Fold:
+        """The fold of `committed`, extending the kept one when it folded a
+        prefix of committed, else starting over."""
+        fold = self._fold
+        if committed[:len(fold.links)] != fold.links:
+            fold = self._fold = _Fold()
+        for link in committed[len(fold.links):]:
+            changed, relays = self._join(fold, link)
+            weak = set(self._weak(fold, link, changed, relays))
+            fold.by_tx.setdefault(link[0], []).append(len(fold.links))
+            fold.by_rx.setdefault(link[1], []).append(len(fold.links))
+            fold.links.append(link)
+            fold.itf.append(0.0)
+            fold.relays |= relays
+            for m, itf in changed.items():
+                fold.itf[m] = itf
+            fold.weak = (fold.weak - changed.keys()) | weak
+        return fold
+
+    def admits(self, committed: list[Link], link: Link) -> bool:
+        """set_feasible(committed + [link]), checking only the links that
+        `link` changes. Committed links it leaves alone keep their SINR, and
+        adding a link never raises one, so a committed link already below
+        the threshold decides the answer alone."""
+        fold = self._folded(committed)
+        if fold.weak:
+            return False
+        changed, relays = self._join(fold, link)
+        return next(self._weak(fold, link, changed, relays), None) is None
+
+    def rates_after_finish(self, links: list[Link], rates: dict,
+                           finished: list[Link]) -> list[float]:
+        """Only the receivers that heard a finished transmitter, or that
+        stopped relaying, get a new rate, summed afresh in link order; every
+        other rate is reused."""
+        relays = fd_relays(links)
+        stale = fd_relays(links + finished) - relays
+        for tx, _ in finished:
+            stale.update(self._near[tx])
+        by_tx: dict[int, list[int]] = {}
+        for m, (tx, _) in enumerate(links):
+            by_tx.setdefault(tx, []).append(m)
+        w = self.config.radio.bandwidth
+        out = []
+        for link in links:
+            if link[1] not in stale:
+                out.append(rates[link])
+                continue
+            s = self._sinr(link, self._interference(links, by_tx, link),
+                           link[1] in relays)
+            out.append(w * math.log2(1.0 + s) if s > 0 else 0.0)
+        return out
+
+
+class _Fold:
+    """PhysicalRateModel.admits's state for one committed link list: each
+    link's interference from the others, summed in list order; the link
+    indices by transmitter and by receiver; the relay nodes; and the
+    indices of links below the SINR threshold."""
+
+    def __init__(self):
+        self.links: list[Link] = []
+        self.itf: list[float] = []
+        self.by_tx: dict[int, list[int]] = {}
+        self.by_rx: dict[int, list[int]] = {}
+        self.relays: set[int] = set()
+        self.weak: set[int] = set()
 
 
 class TableRateModel(RateModel):
@@ -389,5 +574,5 @@ class TableRateModel(RateModel):
         return [self.sinr_threshold if self.in_range(tx, rx) else 0.0
                 for tx, rx in links]
 
-    def link_rates(self, links: list[Link]) -> list[float]:
+    def link_rates(self, links: list[Link], sinrs=None) -> list[float]:
         return [self.rate_free(tx, rx) for tx, rx in links]

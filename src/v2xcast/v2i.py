@@ -13,7 +13,10 @@ vehicle has itself been granted.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .v2v import best_first_hop
 
@@ -56,10 +59,11 @@ class V2ISelection:
     incomplete: bool                    # ran out of coverage or horizon
 
 
-def two_hop_estimate(model, vid: int, candidates: list[int]) -> UtilityEval:
-    """Best forwarding chain vid -> j -> g among the sorted `candidates`,
-    each hop the best interference-free rate, with hop slot counts evaluated
-    under the chain's own concurrency.
+def two_hop_estimate(model, vid: int, candidates) -> UtilityEval:
+    """Best forwarding chain vid -> j -> g among `candidates` (vid not among
+    them; a set keeps the hop scans to vid's and j's peers), each hop the
+    best interference-free rate, with hop slot counts evaluated under the
+    chain's own concurrency.
 
     Returns chain_slots only (v2i_slots filled by the caller; the returned
     eval carries 0 there). With no candidates at all the chain cost is 0;
@@ -72,7 +76,7 @@ def two_hop_estimate(model, vid: int, candidates: list[int]) -> UtilityEval:
     if first is None:
         return UtilityEval(vid, 0, None, None, model.horizon)
     j = first[1]
-    second = best_first_hop(model, j, [g for g in candidates if g != j])
+    second = best_first_hop(model, j, candidates)  # j is not its own peer
     if second is not None and model.set_feasible([first, second]):
         slots = max(map(model.slots_at_rate, model.link_rates([first, second])))
         return UtilityEval(vid, 0, j, second[1], slots)
@@ -81,14 +85,17 @@ def two_hop_estimate(model, vid: int, candidates: list[int]) -> UtilityEval:
 
 
 def servable(model, v_b: set[int], clock: int,
-             pool: set[int]) -> tuple[list[int], dict[int, int]]:
-    """The vehicles of v_b that have entered by `clock`, sorted, and the
-    download slots of each one in `pool` that is in service at `clock` and
-    can finish from there inside its window, in id order."""
-    entered = [i for i in sorted(v_b) if model.entered(i, clock)]
+             pool: set[int]) -> tuple[set[int], dict[int, int]]:
+    """The vehicles of v_b that have entered by `clock`, and the download
+    slots of each one in `pool` that is in service at `clock` and can finish
+    from there inside its window, in id order. The entered vehicles are a
+    prefix of the model's entry order, so no vehicle yet to enter is
+    looked at."""
+    order, entries = model.entry_order()
+    entered = v_b.intersection(order[:bisect_right(entries, clock)])
     slots = {}
-    for vid in entered:
-        if vid in pool and model.in_service(vid, clock):
+    for vid in sorted(entered & pool):
+        if model.in_service(vid, clock):
             m = model.slots_to_download(vid, clock)
             if m is not None:
                 slots[vid] = m
@@ -101,22 +108,20 @@ def evaluate_candidates(model, v_b: set[int], clock: int,
     targets always come from the full not-yet-served set v_b, claimed or
     not."""
     entered, slots = servable(model, v_b, clock, pool)
-    return [replace(two_hop_estimate(model, vid, [j for j in entered if j != vid]),
-                    v2i_slots=m)
+    return [replace(two_hop_estimate(model, vid, entered - {vid}), v2i_slots=m)
             for vid, m in slots.items()]
 
 
-def next_service_slot(model, v_b, clock: int) -> int | None:
-    """Earliest slot strictly after idling starts at which any vehicle in v_b
-    is servable; None when every remaining window has already closed."""
-    upcoming = []
-    for vid in v_b:
-        win = model.service_window(vid)
-        if win is not None and win[1] >= clock:
-            upcoming.append(max(win[0], clock + 1))
-    if not upcoming:
+def next_service_slot(model, pool, clock: int) -> int | None:
+    """Earliest slot strictly after idling starts at which any vehicle in
+    the pool is servable; None when every remaining window has already
+    closed. Reads the model's window arrays, built once."""
+    first, last = model.window_bounds()
+    ids = np.fromiter(pool, dtype=np.int64, count=len(pool))
+    still = last[ids] >= clock
+    if not still.any():
         return None
-    nxt = min(upcoming)
+    nxt = max(int(first[ids[still]].min()), clock + 1)
     return nxt if nxt < model.horizon else None
 
 

@@ -51,14 +51,16 @@ class V2VSchedule:
     unserved: tuple[int, ...]
 
 
-def best_first_hop(model, source: int, v_b: set[int]) -> Link | None:
+def best_first_hop(model, source: int, v_b) -> Link | None:
     """Highest interference-free-rate link from `source` into v_b; ties go to
-    the lower receiver id; None when nobody is in range."""
+    the lower receiver id; None when nobody is in range. Only the model's
+    peers of `source` are looked at, not all of v_b."""
     best, best_rate = None, 0.0
-    for j in sorted(v_b):
-        r = model.rate_free(source, j)
-        if r > best_rate:
-            best, best_rate = j, r
+    for j in model.peers(source):
+        if j in v_b:
+            r = model.rate_free(source, j)
+            if r > best_rate or (r == best_rate > 0.0 and j < best):
+                best, best_rate = j, r
     if best is None:
         return None
     return (source, best)
@@ -71,7 +73,9 @@ def conflict(model, candidate: Link, committed: list[Link]) -> bool:
     that node is the receiver of exactly one committed link (the sanctioned
     relay join), whose own transmitter is not already relaying. On top of the
     structural check, the whole tentative set must keep every link at or
-    above the SINR threshold.
+    above the SINR threshold: model.admits, which gives set_feasible's
+    answer but may keep the interference of `committed` between calls and
+    add only the candidate's terms.
     """
     ctx, crx = candidate
     feeders = [l for l in committed if l[1] == ctx]
@@ -84,7 +88,7 @@ def conflict(model, candidate: Link, committed: list[Link]) -> bool:
         if shared == {ctx} and rx == ctx and relay_join_ok:
             continue
         return True
-    return not model.set_feasible(committed + [candidate])
+    return not model.admits(committed, candidate)
 
 
 def best_first_hops(model, v_a: set[int], v_b: set[int]) -> list[Link]:
@@ -135,9 +139,10 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
                 strict_causality: bool = False) -> Pairing:
     """Simulate a pairing to completion and return its schedule.
 
-    Rates are recomputed whenever the active set changes; between changes the
-    geometry is static, so whole spans of identical slots are advanced at
-    once. strict_causality additionally caps what a relay forwards at what it
+    Rates are recomputed whenever the active set changes: model.link_rates
+    for the whole set at first, then model.rates_after_finish, which may
+    reuse the rates no finish changed. Between changes the geometry is
+    static, so whole spans of identical slots are advanced at once. strict_causality additionally caps what a relay forwards at what it
     has received so far, which serializes unequal-rate chains honestly. Each
     slot then adds, in commit order, min(rate * dt, feeder - relay) to a relay
     hop, so a relay sees its feeder's same-slot arrivals before forwarding
@@ -166,7 +171,12 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
     elapsed = 0
     while active and elapsed <= model.horizon - start_slot:
         if len(rates) != len(active):  # active only ever shrinks
-            rates = dict(zip(active, model.link_rates(active)))
+            if rates:
+                finished = [l for l in rates if delivered[l] >= d_target]
+                new = model.rates_after_finish(active, rates, finished)
+            else:
+                new = model.link_rates(active)
+            rates = dict(zip(active, new))
             for l in active:
                 if rates[l] <= 0.0:
                     raise RuntimeError(

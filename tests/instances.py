@@ -77,6 +77,6 @@ class CrowdedTableRateModel(TableRateModel):
     so the rate order within a chain 3k+1 -> 3k+2 -> 3k+3 can flip as links
     finish."""
 
-    def link_rates(self, links):
+    def link_rates(self, links, sinrs=None):
         return [r / (1.0 + 0.25 * (len(links) - 1) * (2 if tx % 3 == 1 else 1))
-                for (tx, _), r in zip(links, super().link_rates(links))]
+                for (tx, _), r in zip(links, super().link_rates(links, sinrs))]

@@ -1,0 +1,306 @@
+"""The scheduler's incremental paths against their from-scratch references.
+
+PhysicalRateModel.admits keeps each committed link's interference as a
+running sum, and rates_after_finish reuses every rate a finish did not
+change. Both must give link_sinrs's floats, not close ones: admits only
+answers a boolean, which would hide a last-ulp error, so these tests also
+read the sums it keeps. best_first_hop, servable and next_service_slot scan
+peers, entry order and window arrays instead of all of v_b; the old scans
+are kept here as their oracles.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from v2xcast.baselines import run_scheme
+from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
+from v2xcast.v2i import next_service_slot, servable
+from v2xcast.v2v import best_first_hop, conflict
+from v2xcast.vehicles import VehicleState, spawn_vehicles
+from instances import default_config, default_radio
+from test_golden import LADDER, stock_config
+
+
+# ---- references ----
+
+def fold_sinrs(model, committed, candidate):
+    """The SINRs of committed + [candidate] as admits sees them: the kept
+    sums of the committed links, with the candidate's changes applied."""
+    fold = model._folded(committed)
+    changed, relays = model._join(fold, candidate)
+    itf = fold.itf + [None]
+    for m, value in changed.items():
+        itf[m] = value
+    links = committed + [candidate]
+    return [model._sinr(l, i, l[1] in relays or l[1] in fold.relays)
+            for l, i in zip(links, itf)]
+
+
+def assert_admits_exact(model, committed, candidate):
+    links = committed + [candidate]
+    ref = model.link_sinrs(links)
+    assert model.admits(committed, candidate) == model.set_feasible(links)
+    assert np.array_equal(fold_sinrs(model, committed, candidate), ref,
+                          equal_nan=True), (committed, candidate)
+
+
+def assert_rerate_exact(model, active, rates, finished):
+    got = model.rates_after_finish(active, rates, finished)
+    assert got == model.link_rates(active), (active, finished)
+    return got
+
+
+def oracle_best_first_hop(model, source, v_b):
+    best, best_rate = None, 0.0
+    for j in sorted(v_b):
+        r = model.rate_free(source, j)
+        if r > best_rate:
+            best, best_rate = j, r
+    return None if best is None else (source, best)
+
+
+def oracle_servable(model, v_b, clock, pool):
+    entered = [i for i in sorted(v_b) if model.entered(i, clock)]
+    slots = {}
+    for vid in entered:
+        if vid in pool and model.in_service(vid, clock):
+            m = model.slots_to_download(vid, clock)
+            if m is not None:
+                slots[vid] = m
+    return entered, slots
+
+
+def oracle_next_service_slot(model, pool, clock):
+    upcoming = []
+    for vid in pool:
+        win = model.service_window(vid)
+        if win is not None and win[1] >= clock:
+            upcoming.append(max(win[0], clock + 1))
+    if not upcoming:
+        return None
+    nxt = min(upcoming)
+    return nxt if nxt < model.horizon else None
+
+
+# ---- populations ----
+
+def hand_built(config, spots):
+    """Vehicles at (lane, entry slot) spots, with ids in the drawn order,
+    not in entry order; equal spots are co-located."""
+    return [VehicleState(vid, lane, entry)
+            for vid, (lane, entry) in enumerate(spots, start=1)]
+
+
+def drawn_model(data, spread_m, **radio):
+    lanes = data.draw(st.integers(1, 3), label="lanes")
+    n = data.draw(st.integers(2, 14), label="vehicles")
+    config = default_config(lane_count=lanes, vehicle_count=n)
+    config = dataclasses.replace(config, radio=default_radio(**radio))
+    per_m = round(1.0 / (config.road.slot_duration * config.road.speed))
+    spots = data.draw(st.lists(
+        st.tuples(st.integers(1, lanes), st.integers(0, spread_m)),
+        min_size=n, max_size=n), label="spots")
+    vehicles = hand_built(config, [(lane, x * per_m) for lane, x in spots])
+    return PhysicalRateModel(config, vehicles)
+
+
+def check_pairing_build(model, order, forced):
+    """Commit `order` greedily as build_pairing does (and the `forced` links
+    whatever conflict says), checking admits for every candidate at every
+    prefix; returns the committed links."""
+    committed = []
+    for k, link in enumerate(order):
+        if k == 0 or committed[-1] == order[k - 1]:  # a new prefix
+            for cand in order:
+                assert_admits_exact(model, committed, cand)
+        if k in forced and link not in committed:
+            committed.append(link)
+        elif not conflict(model, link, committed):
+            committed.append(link)
+    return committed
+
+
+def check_shrinks(model, links, groups):
+    """Finish `links` in the given groups, checking every re-rate."""
+    active = list(links)
+    rates = dict(zip(active, model.link_rates(active)))
+    for finished in groups:
+        active = [l for l in active if l not in finished]
+        rates = dict(zip(active, assert_rerate_exact(model, active, rates,
+                                                     finished)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(si_cancel=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8]), data=st.data())
+def test_incremental_interference_matches_link_sinrs(si_cancel, data):
+    """Every prefix, candidate and shrink of a pairing built from every
+    in-range link of a dense hand-built population, co-located vehicles
+    included, gives link_sinrs's SINRs and link_rates's rates bit for bit."""
+    model = drawn_model(data, 30, si_cancel=si_cancel)
+    near = [(i, j) for i in model.ids for j in model.peers(i)]
+    order = data.draw(st.permutations(near), label="order")
+    forced = set(data.draw(st.lists(st.integers(0, max(0, len(order) - 1)),
+                                    max_size=3), label="forced"))
+    committed = check_pairing_build(model, order, forced)
+    finish = data.draw(st.permutations(committed), label="finish")
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, max(1, len(finish))),
+                                         max_size=len(finish)), label="cuts")))
+    groups = [finish[a:b] for a, b in zip([0] + cuts, cuts + [len(finish)])]
+    check_shrinks(model, committed, [g for g in groups if g])
+
+
+def test_relay_join_and_finish_refresh_the_feeder():
+    """A relay join adds the relay's self-interference to its feeder link,
+    and the relay hop finishing takes it off again."""
+    config = default_config(vehicle_count=4)
+    per_m = round(1.0 / (config.road.slot_duration * config.road.speed))
+    model = PhysicalRateModel(config, hand_built(
+        config, [(1, 0), (1, 10 * per_m), (1, 14 * per_m), (2, 40 * per_m)]))
+    feeder, relay = (1, 2), (2, 3)
+    assert model.set_feasible([feeder]) and not model.admits([feeder], relay)
+    assert_admits_exact(model, [feeder], relay)
+    links = [feeder, relay]
+    before = dict(zip(links, model.link_rates(links)))
+    after = assert_rerate_exact(model, [feeder], before, [relay])
+    assert after[0] > before[feeder]        # self-interference is gone
+    check_shrinks(model, links, [[feeder]])
+
+
+def test_colocated_peers_match_link_sinrs():
+    """Co-located vehicles (distance 0.0) give infinite power and infinite
+    interference; the incremental paths must give the same inf and NaN."""
+    config = default_config(vehicle_count=5)
+    per_m = round(1.0 / (config.road.slot_duration * config.road.speed))
+    model = PhysicalRateModel(config, hand_built(
+        config, [(1, 0), (1, 0), (1, 6 * per_m), (1, 6 * per_m), (2, 3 * per_m)]))
+    assert model.rate_free(1, 2) == math.inf
+    links = [(1, 2), (3, 4), (5, 1)]
+    for k in range(len(links) + 1):
+        for cand in [(1, 2), (3, 4), (5, 1), (2, 5), (4, 3), (5, 3)]:
+            assert_admits_exact(model, links[:k], cand)
+    assert math.isnan(model.link_sinrs([(1, 2), (1, 5)])[0])  # inf / inf
+    assert_admits_exact(model, [(1, 2)], (1, 5))
+    assert_admits_exact(model, [(1, 2)], (2, 1))
+    check_shrinks(model, links, [[(3, 4)], [(1, 2)]])
+
+
+@pytest.mark.parametrize("overrides, seed", [
+    (LADDER, 1), (LADDER, 2), ({}, 113), ({}, 195)])
+def test_scheduler_pairings_are_exact(overrides, seed):
+    """Every admits call and re-rate the proposed and random schedulers make
+    on ladder seeds 1-2 and on the stock seeds that co-locate two vehicles,
+    checked against the from-scratch references."""
+    config = stock_config(**overrides)
+    admits_calls, rerates = [], []
+    for scheme in ("proposed", "random"):
+        model = PhysicalRateModel(config, spawn_vehicles(config, seed))
+        admits, after = model.admits, model.rates_after_finish
+
+        def recorded_admits(committed, link, admits=admits):
+            admits_calls.append((model, list(committed), link))
+            return admits(committed, link)
+
+        def recorded_after(links, rates, finished, after=after):
+            rerates.append((model, list(links), dict(rates), list(finished)))
+            return after(links, rates, finished)
+
+        model.admits, model.rates_after_finish = recorded_admits, recorded_after
+        run_scheme(scheme, model, seed)
+        del model.admits, model.rates_after_finish
+    joins = colocated = relay_finishes = 0
+    for model, committed, link in admits_calls:
+        assert_admits_exact(model, committed, link)
+        joins += any(rx == link[0] for _, rx in committed)
+        colocated += model.rate_free(*link) == math.inf
+    for model, links, rates, finished in rerates:
+        assert_rerate_exact(model, links, rates, finished)
+        relay_finishes += any(rx == tx for tx, _ in finished for _, rx in links)
+    assert joins and relay_finishes
+    if seed in (113, 195):
+        assert colocated
+
+
+# ---- scans ----
+
+def scan_cases(model, data):
+    ids = model.ids
+    for _ in range(5):
+        v_b = set(data.draw(st.lists(st.sampled_from(ids), max_size=len(ids)),
+                            label="v_b"))
+        pool = set(data.draw(st.lists(st.sampled_from(ids), max_size=len(ids)),
+                             label="pool")) & v_b
+        clock = data.draw(st.integers(-1000, 700_000), label="clock")
+        yield v_b, pool, clock
+
+
+def assert_scans_match(model, data):
+    for v_b, pool, clock in scan_cases(model, data):
+        for source in model.ids:
+            assert best_first_hop(model, source, v_b) == \
+                oracle_best_first_hop(model, source, v_b)
+        entered, slots = servable(model, v_b, clock, pool)
+        ref_entered, ref_slots = oracle_servable(model, v_b, clock, pool)
+        assert sorted(entered) == ref_entered
+        assert list(slots.items()) == list(ref_slots.items())
+        assert next_service_slot(model, pool, clock) == \
+            oracle_next_service_slot(model, pool, clock)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scans_match_oracles_on_hand_built_populations(data):
+    """Ids out of entry order, and co-located peers, whose equal rates must
+    go to the lower id."""
+    model = drawn_model(data, 400)
+    assert_scans_match(model, data)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(1, 10_000), lanes=st.integers(1, 5),
+       arrival=st.floats(1.0, 30.0), data=st.data())
+def test_scans_match_oracles_on_spawned_populations(seed, lanes, arrival, data):
+    config = default_config(lane_count=lanes, arrival_rate=arrival,
+                            vehicle_count=30)
+    model = PhysicalRateModel(config, spawn_vehicles(config, seed))
+    assert_scans_match(model, data)
+
+
+def test_equal_rate_peers_go_to_the_lower_id():
+    config = default_config(vehicle_count=4)
+    per_m = round(1.0 / (config.road.slot_duration * config.road.speed))
+    # 1 and 3 are 5 m behind and ahead of 2; 4 is out of range.
+    model = PhysicalRateModel(config, hand_built(
+        config, [(1, -5 * per_m), (1, 0), (1, 5 * per_m), (1, 100 * per_m)]))
+    assert model.rate_free(2, 3) == model.rate_free(2, 1) > 0.0
+    assert list(model.peers(2))[0] == 3  # the higher id is seen first
+    for v_b in ({1, 3, 4}, [3, 1], {3}):
+        assert best_first_hop(model, 2, v_b) == oracle_best_first_hop(model, 2, v_b)
+    assert best_first_hop(model, 2, {1, 3, 4}) == (2, 1)
+
+    # Table models scan every other id; equal table rates tie the same way.
+    table = TableRateModel(config, model.vehicles, {i: 5 for i in range(1, 5)},
+                           {frozenset((3, 4)): 8, frozenset((3, 2)): 8},
+                           geometric_coverage=False)
+    assert best_first_hop(table, 3, {4, 2, 1}) == (3, 2)
+    assert best_first_hop(table, 3, {1}) is None
+
+
+def test_servable_with_ids_out_of_entry_order():
+    """Vehicle 1 enters last: a scan that stopped at the first not-yet-entered
+    id would miss 2 and 3."""
+    config = default_config(vehicle_count=3)
+    model = PhysicalRateModel(config, hand_built(
+        config, [(1, 9000), (1, 0), (2, 3000)]))
+    for clock in (-1, 0, 2999, 3000, 8999, 9000, 200_000):
+        for pool in ({1, 2, 3}, {1}, {2, 3}, set()):
+            entered, slots = servable(model, {1, 2, 3}, clock, pool)
+            ref_entered, ref_slots = oracle_servable(model, {1, 2, 3}, clock, pool)
+            assert sorted(entered) == ref_entered
+            assert list(slots.items()) == list(ref_slots.items())
+            assert next_service_slot(model, pool, clock) == \
+                oracle_next_service_slot(model, pool, clock)
+    assert servable(model, {1, 2, 3}, 3000, set())[0] == {2, 3}
