@@ -66,10 +66,10 @@ def audit(result: SchemeResult, config: ScenarioConfig,
     """
     if model is None:
         model = PhysicalRateModel(config, vehicles, rate_mode=result.rate_mode)
-    edges = _grant_edge_distances(result, config, vehicles)
+    coverage, v2i_qos = _check_coverage_and_qos(result, config, vehicles)
     checks = [
-        _check_coverage(edges, config),
-        _check_v2i_qos(edges, config),
+        coverage,
+        v2i_qos,
         _check_rsu_serial(result),
         _check_v2i_delivery(result, model),
         _check_source_once(result),
@@ -81,12 +81,17 @@ def audit(result: SchemeResult, config: ScenarioConfig,
     return AuditReport(tuple(checks))
 
 
-def _grant_edge_distances(result, config, vehicles):
-    """(grant, first, last) for each grant with slots, in grant order: the
-    mid-slot RSU distance at its first and last slot, or None for both when
-    the grant starts before the vehicle enters the road."""
+def _check_coverage_and_qos(result, config, vehicles):
+    """Granted slots must lie inside the RSU range (coverage) and meet the
+    SNR threshold (v2i_qos). RSU distance over a slot interval is V-shaped
+    and SNR falls with distance, so the interval endpoints bound both; each
+    grant's two edge distances are computed once, for both checks. Each
+    check reports its first failing grant."""
     from .geometry import distance_to_rsu
-    edges = []
+    from .radio import v2i_snr
+    limit = config.radio.rsu_range * (1.0 + REL_GUARD)
+    floor = config.radio.sinr_threshold * (1.0 - REL_GUARD)
+    coverage = qos = None
     for grant in result.selection.grants:
         if grant.n_slots == 0:
             continue
@@ -96,43 +101,28 @@ def _grant_edge_distances(result, config, vehicles):
             last = distance_to_rsu(v, grant.start_slot + grant.n_slots - 1,
                                    config, midpoint=True)
         except ValueError:
-            first = last = None
-        edges.append((grant, first, last))
-    return edges
-
-
-def _check_coverage(edges, config) -> CheckResult:
-    """Granted slots must lie inside the RSU range. RSU distance over a slot
-    interval is V-shaped, so the interval endpoints bound it."""
-    limit = config.radio.rsu_range * (1.0 + REL_GUARD)
-    for grant, first, last in edges:
-        if first is None:
-            return CheckResult("coverage", False,
-                               f"vehicle {grant.vehicle} granted at slot "
-                               f"{grant.start_slot} before road entry")
-        if first > limit or last > limit:
-            slot = grant.start_slot if first > limit else grant.start_slot + grant.n_slots - 1
-            return CheckResult("coverage", False,
-                               f"vehicle {grant.vehicle} granted at slot {slot} "
-                               f"at distance {max(first, last):.3f} m")
-    return CheckResult("coverage", True)
-
-
-def _check_v2i_qos(edges, config) -> CheckResult:
-    """Granted slots must meet the SNR threshold; SNR is minimal where the
-    distance is maximal, so endpoints again suffice."""
-    from .radio import v2i_snr
-    floor = config.radio.sinr_threshold * (1.0 - REL_GUARD)
-    for grant, first, last in edges:
-        if first is None:
-            return CheckResult("v2i_qos", False,
-                               f"vehicle {grant.vehicle} granted before road entry")
+            if coverage is None:
+                coverage = CheckResult("coverage", False,
+                                       f"vehicle {grant.vehicle} granted at slot "
+                                       f"{grant.start_slot} before road entry")
+            if qos is None:
+                qos = CheckResult("v2i_qos", False,
+                                  f"vehicle {grant.vehicle} granted before road entry")
+            continue
         worst = max(first, last)
-        if v2i_snr(worst, config.radio) < floor:
-            return CheckResult("v2i_qos", False,
-                               f"vehicle {grant.vehicle} below threshold at "
-                               f"distance {worst:.3f} m")
-    return CheckResult("v2i_qos", True)
+        if coverage is None and (first > limit or last > limit):
+            slot = grant.start_slot if first > limit else grant.start_slot + grant.n_slots - 1
+            coverage = CheckResult("coverage", False,
+                                   f"vehicle {grant.vehicle} granted at slot {slot} "
+                                   f"at distance {worst:.3f} m")
+        if qos is None and v2i_snr(worst, config.radio) < floor:
+            qos = CheckResult("v2i_qos", False,
+                              f"vehicle {grant.vehicle} below threshold at "
+                              f"distance {worst:.3f} m")
+        if coverage is not None and qos is not None:
+            break
+    return (coverage or CheckResult("coverage", True),
+            qos or CheckResult("v2i_qos", True))
 
 
 def _check_rsu_serial(result) -> CheckResult:

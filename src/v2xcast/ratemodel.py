@@ -503,16 +503,11 @@ class PhysicalRateModel(RateModel):
         by_tx: dict[int, list[int]] = {}
         for m, (tx, _) in enumerate(links):
             by_tx.setdefault(tx, []).append(m)
-        w = self.config.radio.bandwidth
-        out = []
-        for link in links:
-            if link[1] not in stale:
-                out.append(rates[link])
-                continue
-            s = self._sinr(link, self._interference(links, by_tx, link),
-                           link[1] in relays)
-            out.append(w * math.log2(1.0 + s) if s > 0 else 0.0)
-        return out
+        fresh = [l for l in links if l[1] in stale]
+        sinrs = [self._sinr(l, self._interference(links, by_tx, l), l[1] in relays)
+                 for l in fresh]
+        rates = {**rates, **dict(zip(fresh, self.link_rates(fresh, sinrs)))}
+        return [rates[l] for l in links]
 
 
 class _Fold:

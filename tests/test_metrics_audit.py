@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from v2xcast.audit import REL_GUARD, _replay_pairing, audit
 from v2xcast.baselines import SchemeResult, run_scheme
 from v2xcast.metrics import build_report, energy, system_throughput
+from v2xcast.radio import v2i_snr
 from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
 from v2xcast.v2i import Grant, V2ISelection
 from v2xcast.v2v import LinkSchedule, Pairing, V2VSchedule, run_pairing
@@ -81,6 +82,38 @@ def test_audit_flags_out_of_coverage_grant():
     assert "coverage" in fails
     detail = next(c.detail for c in report.failures() if c.name == "coverage")
     assert "slot" in detail
+
+
+def test_audit_coverage_and_qos_each_name_their_first_failure():
+    """The two checks share each grant's edge distances, and each still
+    names the first grant that fails it. Grant 1 is in range but, under a
+    threshold met only within 120 m, below it; grant 2 is out of range."""
+    config, vehicles, model = six_vehicle_instance()
+    strict = dataclasses.replace(config, radio=dataclasses.replace(
+        config.radio, sinr_threshold=v2i_snr(120.0, config.radio)))
+    res = run_scheme("proposed", model, seed=0)
+    step = config.road.slot_duration * config.road.speed
+
+    def past_rsu(vid, metres):
+        return vehicles[vid - 1].entry_slot + round(
+            (config.road.rsu_longitudinal + metres) / step)
+
+    early = Grant(3, vehicles[2].entry_slot - 10, 3)
+    cases = [
+        ((Grant(1, past_rsu(1, 150), 3), Grant(2, past_rsu(2, 300), 3), early),
+         "vehicle 2 granted at slot 75000 at distance 300.545 m",
+         "vehicle 1 below threshold at distance 151.081 m"),
+        ((Grant(1, past_rsu(1, 150), 0), Grant(4, past_rsu(4, 0), 3), early,
+          Grant(2, past_rsu(2, 300), 3)),
+         "vehicle 3 granted at slot -323010 before road entry",
+         "vehicle 3 granted before road entry"),
+    ]
+    for grants, coverage, qos in cases:
+        sel = dataclasses.replace(res.selection, grants=grants)
+        report = audit(dataclasses.replace(res, selection=sel), strict, vehicles,
+                       model=model)
+        details = {c.name: c.detail for c in report.failures()}
+        assert (details["coverage"], details["v2i_qos"]) == (coverage, qos)
 
 
 def test_audit_flags_double_source():
