@@ -142,7 +142,8 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
     Rates are recomputed whenever the active set changes: model.link_rates
     for the whole set at first, then model.rates_after_finish, which may
     reuse the rates no finish changed. Between changes the geometry is
-    static, so whole spans of identical slots are advanced at once. strict_causality additionally caps what a relay forwards at what it
+    static, so whole spans of identical slots are advanced at once.
+    strict_causality additionally caps what a relay forwards at what it
     has received so far, which serializes unequal-rate chains honestly. Each
     slot then adds, in commit order, min(rate * dt, feeder - relay) to a relay
     hop, so a relay sees its feeder's same-slot arrivals before forwarding
