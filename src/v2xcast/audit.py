@@ -76,7 +76,7 @@ def audit(result: SchemeResult, config: ScenarioConfig,
         _check_precedence(result),
         _check_two_hop(result),
         _check_v2v_delivery_and_qos(result, model),
-        _check_totals(result, config),
+        _check_totals(result, config, vehicles),
     ]
     return AuditReport(tuple(checks))
 
@@ -254,7 +254,8 @@ def _replay_pairing(pairing, model, strict: bool):
     Links stay active for their recorded spans and the concurrent set
     shrinks as they finish. A phase of n slots at a fixed active set moves a
     link from x to x + n * g, with g its per-slot grain. Under strict
-    causality a relay hop forwards at most what its feeder has delivered up
+    causality a relay hop (derived from the links, as run_pairing does, not
+    read from relay_hop) forwards at most what its feeder has delivered up
     to and including the same slot. Since x never exceeds the feeder's f,
     that is x_{t+1} = min(x_t + g, f_{t+1}): a rate-g server fed by the
     feeder, whose output is the min-plus convolution
@@ -267,12 +268,8 @@ def _replay_pairing(pairing, model, strict: bool):
     dt = model.slot_duration
     links = [(l.tx, l.rx) for l in pairing.links]
     spans = {(l.tx, l.rx): l.slots for l in pairing.links}
-    feeder_of = {}
-    for l in pairing.links:
-        if strict and l.relay_hop:
-            feeds = [(f.tx, f.rx) for f in pairing.links if f.rx == l.tx]
-            if feeds:
-                feeder_of[(l.tx, l.rx)] = feeds[0]
+    into = {l[1]: l for l in reversed(links)}  # the first link into a node
+    feeder_of = {l: into[l[0]] for l in links if l[0] in into} if strict else {}
     delivered = {l: 0.0 for l in links}
     elapsed = 0
     active = [l for l in links if spans[l] > elapsed]
@@ -295,9 +292,12 @@ def _replay_pairing(pairing, model, strict: bool):
     return delivered, None
 
 
-def _check_totals(result, config) -> CheckResult:
+def _check_totals(result, config, vehicles) -> CheckResult:
     """Reported phase totals must equal an independent recount, pairing
-    durations must equal their longest link, and the sum must fit the horizon."""
+    durations must equal their longest link, and the sum must fit the
+    horizon. Who was served is recounted too: served and unserved partition
+    the vehicle ids, every served vehicle was granted or received in a
+    pairing, and no receiver is listed as unserved."""
     t_v2i = sum(g.n_slots for g in result.selection.grants)
     if t_v2i != result.selection.t_v2i:
         return CheckResult("totals", False,
@@ -316,4 +316,15 @@ def _check_totals(result, config) -> CheckResult:
     if t_v2i + t_v2v > config.road.horizon:
         return CheckResult("totals", False,
                            f"total {t_v2i + t_v2v} exceeds horizon {config.road.horizon}")
-    return CheckResult("totals", True)
+    served, unserved = set(result.served), set(result.unserved)
+    received = {l.rx for p in result.v2v.pairings for l in p.links}
+    ghosts = served - received - {g.vehicle for g in result.selection.grants}
+    if served & unserved or served | unserved != {v.id for v in vehicles}:
+        detail = "served and unserved do not partition the vehicle ids"
+    elif ghosts:
+        detail = f"vehicle {min(ghosts)} served but neither granted nor a receiver"
+    elif received & unserved:
+        detail = f"vehicle {min(received & unserved)} received but is listed unserved"
+    else:
+        return CheckResult("totals", True)
+    return CheckResult("totals", False, detail)

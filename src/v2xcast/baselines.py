@@ -118,14 +118,13 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
 
     def random_pairing(model, va, vb):
         for _ in range(100):
-            links, flags, va2, vb2 = build_pairing(model, va, vb,
-                                                   random_first_hops, random_hop)
+            pairing = build_pairing(model, va, vb, random_first_hops, random_hop)
             # Unlucky draw; only retry while a lone feasible link exists.
-            if links or not any(model.in_range(s, r)
-                                and not conflict(model, (s, r), [])
-                                for s in va for r in vb):
+            if pairing[0] or not any(model.in_range(s, r)
+                                     and not conflict(model, (s, r), [])
+                                     for s in va for r in vb):
                 break
-        return links, flags, va2, vb2
+        return pairing
 
     v2vsched = schedule_v2v(model, selection.v_a, selection.v_b,
                             selection.t_v2i, strict_causality,

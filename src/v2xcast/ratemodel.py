@@ -79,11 +79,11 @@ class RateModel:
                                   sinrs, the link_sinrs(links) a caller
                                   already holds
 
-    and sets _entry (entry slot, indexed by id) and, to serve inside less
-    than the RSU range, _serve_radius. The attributes the schedulers read,
-    config, vehicles, ids, content_size, slot_duration, horizon,
-    sinr_threshold and rate_mode, are set here. Every other query is derived
-    below from the primitives, once for every model. A model may answer the
+    and may set _serve_radius to serve inside less than the RSU range. The
+    attributes the schedulers read, config, vehicles, ids, content_size,
+    slot_duration, horizon, sinr_threshold and rate_mode, and the entry
+    slots by id, _entry, are set here. Every other query is derived below
+    from the primitives, once for every model. A model may answer the
     scheduler's hot queries (peers, admits, rates_after_finish) faster, but
     with the same values the derived versions give.
     """
@@ -95,6 +95,7 @@ class RateModel:
         self.config = config
         self.vehicles = vehicles
         self.ids = [v.id for v in vehicles]
+        self._entry = {v.id: v.entry_slot for v in vehicles}
         self.content_size = config.road.content_size
         self.slot_duration = config.road.slot_duration
         self.horizon = config.road.horizon
@@ -169,11 +170,11 @@ class RateModel:
     def slots_to_download(self, vid: int, start: int) -> int | None:
         """Smallest slot count to accumulate the content from `start`, with
         every slot inside the serving window; None when impossible."""
-        if self.content_size <= 0:
-            return 0
         win = self.service_window(vid)
         if win is None or not (win[0] <= start <= win[1]):
             return None
+        if self.content_size <= 0:
+            return 0
         n, bits = self.download(vid, start, win[1])
         return n if bits >= self.content_size else None
 
@@ -222,17 +223,17 @@ class PhysicalRateModel(RateModel):
         radio, road = config.radio, config.road
 
         n = len(vehicles)
+        self._step = road.slot_duration * road.speed  # m of travel per slot
         # 1-based arrays; index 0 unused.
-        self._entry = np.zeros(n + 1, dtype=np.int64)
+        self._x0 = np.zeros(n + 1)
         self._dlr = np.zeros(n + 1)
         self._y = np.zeros(n + 1)
         self._lane_entry: list[tuple[int, int]] = [(0, 0)] * (n + 1)
         for v in vehicles:
-            self._entry[v.id] = v.entry_slot
+            self._x0[v.id] = -float(v.entry_slot) * self._step
             self._dlr[v.id] = config.lane_offset(v.lane)
             self._y[v.id] = (v.lane - 0.5) * road.lane_width
             self._lane_entry[v.id] = (v.lane, v.entry_slot)
-        self._step = road.slot_duration * road.speed  # m of travel per slot
         # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets.
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
 
@@ -248,13 +249,11 @@ class PhysicalRateModel(RateModel):
         r_qos = (self._c_rsu / (self._noise * radio.sinr_threshold)) ** (1.0 / self._tau)
         self._serve_radius = min(radio.rsu_range, r_qos)
 
-        # Virtual positions at slot 0; only differences matter and they are
-        # constant over time, so V2V geometry is computed once, for the
-        # pairs within V2V range only. _near[i] maps each neighbour j of
+        # _x0 holds virtual positions at slot 0; only differences matter and
+        # they are constant over time, so V2V geometry is computed once, for
+        # the pairs within V2V range only. _near[i] maps each neighbour j of
         # vehicle i to (distance, received power, interference-free rate).
-        x0 = -self._entry.astype(float) * self._step
-        self._x0 = x0
-        a, b, dist = near_pairs(x0[1:], self._y[1:], radio.v2v_range)
+        a, b, dist = near_pairs(self._x0[1:], self._y[1:], radio.v2v_range)
         with np.errstate(divide="ignore"):
             pr = self._c_veh * dist ** (-self._tau)
         rate = radio.bandwidth * np.log2(1.0 + pr / self._noise)
@@ -541,7 +540,6 @@ class TableRateModel(RateModel):
         super().__init__(config, vehicles)
         self._v2i_slots = dict(v2i_slots)
         self._pair_slots = {frozenset(k): v for k, v in pair_slots.items()}
-        self._entry = {v.id: v.entry_slot for v in vehicles}
         self._geometric = geometric_coverage
 
     def _rate_for(self, slots: int) -> float:

@@ -77,9 +77,12 @@ def two_hop_estimate(model, vid: int, candidates) -> UtilityEval:
         return UtilityEval(vid, 0, None, None, model.horizon)
     j = first[1]
     second = best_first_hop(model, j, candidates)  # j is not its own peer
-    if second is not None and model.set_feasible([first, second]):
-        slots = max(map(model.slots_at_rate, model.link_rates([first, second])))
-        return UtilityEval(vid, 0, j, second[1], slots)
+    if second is not None:
+        chain = [first, second]
+        sinrs = model.link_sinrs(chain)  # set_feasible's test, SINRs kept
+        if all(s >= model.sinr_threshold for s in sinrs):
+            slots = max(map(model.slots_at_rate, model.link_rates(chain, sinrs)))
+            return UtilityEval(vid, 0, j, second[1], slots)
     # Chain infeasible or no second receiver: fall back to the single hop.
     return UtilityEval(vid, 0, j, None, model.link_slots_free(vid, j))
 
@@ -95,10 +98,9 @@ def servable(model, v_b: set[int], clock: int,
     entered = v_b.intersection(order[:bisect_right(entries, clock)])
     slots = {}
     for vid in sorted(entered & pool):
-        if model.in_service(vid, clock):
-            m = model.slots_to_download(vid, clock)
-            if m is not None:
-                slots[vid] = m
+        m = model.slots_to_download(vid, clock)  # None outside the window
+        if m is not None:
+            slots[vid] = m
     return entered, slots
 
 
@@ -149,25 +151,21 @@ def select_v2i_paths(model, termination: str = "coverage",
     """
     if termination not in ("coverage", "literal"):
         raise ValueError(f"unknown termination rule {termination!r}")
-    all_ids = list(model.ids)
-    last_id = max(all_ids)
-    v_b: set[int] = set(all_ids)
-    v_a: list[int] = []
+    ids = set(model.ids)
+    last_id = max(ids)
+    v_b: set[int] = set(ids)
     grants: list[Grant] = []
     chains: list[ChainEstimate] = []
     covered: set[int] = set()
     clock = 0
-    t_v2i = 0
     incomplete = False
 
     def done() -> bool:
         if termination == "coverage":
-            return covered >= set(all_ids)
+            return covered >= ids
         return last_id not in v_b
 
     while not done():
-        if not v_b:
-            break
         pool = v_b - covered if termination == "coverage" else set(v_b)
         winner = pick(model, v_b, clock, pool)
         if winner is None:
@@ -182,25 +180,19 @@ def select_v2i_paths(model, termination: str = "coverage",
         grants.append(Grant(winner.vehicle, clock, winner.v2i_slots))
         chains.append(ChainEstimate(winner.vehicle, winner.first_hop,
                                     winner.second_hop))
-        v_a.append(winner.vehicle)
         v_b.discard(winner.vehicle)
-        covered.add(winner.vehicle)
-        if winner.first_hop is not None:
-            covered.add(winner.first_hop)
-        if winner.second_hop is not None:
-            covered.add(winner.second_hop)
-        t_v2i += winner.v2i_slots
+        covered.update({winner.vehicle, winner.first_hop, winner.second_hop} - {None})
         clock += winner.v2i_slots
         if clock > model.horizon:
             incomplete = True
             break
 
-    if termination == "coverage" and not covered >= set(all_ids):
+    if termination == "coverage" and not covered >= ids:
         incomplete = True
     return V2ISelection(
         grants=tuple(grants),
-        t_v2i=t_v2i,
-        v_a=tuple(v_a),
+        t_v2i=sum(g.n_slots for g in grants),
+        v_a=tuple(g.vehicle for g in grants),
         v_b=tuple(sorted(v_b)),
         chains=tuple(chains),
         incomplete=incomplete,

@@ -31,7 +31,7 @@ CHUNK = 4096    # most slots one strict-causality span advances at once
 class LinkSchedule:
     tx: int
     rx: int
-    relay_hop: bool     # True when this is the second hop of a relay chain
+    relay_hop: bool     # True when tx also receives in the same pairing
     slots: int
     delivered: float    # bits
 
@@ -102,8 +102,8 @@ def best_first_hops(model, v_a: set[int], v_b: set[int]) -> list[Link]:
 
 def build_pairing(model, v_a: set[int], v_b: set[int],
                   first_hops=best_first_hops, next_hop=best_first_hop):
-    """Assemble one pairing. Returns (links, relay_flags, new_v_a, new_v_b);
-    links is empty when no source can reach anyone.
+    """Assemble one pairing. Returns (links, new_v_a, new_v_b); links is
+    empty when no source can reach anyone.
 
     first_hops(model, v_a, live_v_b) proposes first hops in commit order; a
     lazy generator sees every commit in live_v_b. Each proposal whose
@@ -113,12 +113,10 @@ def build_pairing(model, v_a: set[int], v_b: set[int],
     pairings unless they already relayed here.
     """
     committed: list[Link] = []
-    relay_flags: list[bool] = []
     va, vb = set(v_a), set(v_b)
 
-    def commit(link: Link, relay: bool):
+    def commit(link: Link):
         committed.append(link)
-        relay_flags.append(relay)
         tx, rx = link
         va.discard(tx)
         va.add(rx)
@@ -127,15 +125,14 @@ def build_pairing(model, v_a: set[int], v_b: set[int],
     for link in first_hops(model, v_a, vb):
         if link[1] not in vb or conflict(model, link, committed):
             continue  # receiver taken by an earlier commit, or conflicting
-        commit(link, False)
+        commit(link)
         relay = next_hop(model, link[1], vb)
         if relay is not None and not conflict(model, relay, committed):
-            commit(relay, True)
-    return committed, relay_flags, va, vb
+            commit(relay)
+    return committed, va, vb
 
 
-def run_pairing(model, links: list[Link], relay_flags: list[bool],
-                start_slot: int, index: int,
+def run_pairing(model, links: list[Link], start_slot: int, index: int,
                 strict_causality: bool = False) -> Pairing:
     """Simulate a pairing to completion and return its schedule.
 
@@ -144,9 +141,11 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
     reuse the rates no finish changed. Between changes the geometry is
     static, so whole spans of identical slots are advanced at once.
     strict_causality additionally caps what a relay forwards at what it
-    has received so far, which serializes unequal-rate chains honestly. Each
-    slot then adds, in commit order, min(rate * dt, feeder - relay) to a relay
-    hop, so a relay sees its feeder's same-slot arrivals before forwarding
+    has received so far, which serializes unequal-rate chains honestly. A
+    relay hop is a link whose transmitter also receives in the pairing, and
+    its feeder is the first link into that transmitter. Each slot then adds,
+    in commit order, min(rate * dt, feeder - relay) to a relay hop, so a
+    relay sees its feeder's same-slot arrivals before forwarding
     (pass-through within a slot). Those per-slot sums are kept float for
     float, but advanced a span at a time by _strict_span. The simulation stops
     once it has run past the slots left before the horizon; the pairing it
@@ -157,12 +156,8 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
     active = list(links)
     delivered = {l: 0.0 for l in links}
     m = {l: 0 for l in links}
-    feeder_of = {}
-    for l, flag in zip(links, relay_flags):
-        if flag and strict_causality:
-            feeds = [f for f in links if f[1] == l[0]]
-            if feeds:
-                feeder_of[l] = feeds[0]
+    into = {l[1]: l for l in reversed(links)}  # the first link into a node
+    feeder_of = {l: into[l[0]] for l in links if l[0] in into}
 
     # A span runs relays after their feeders; links out of that order step
     # one slot at a time, where a relay sees its feeder's previous slot.
@@ -198,8 +193,8 @@ def run_pairing(model, links: list[Link], relay_flags: list[bool],
         elapsed += step
         active = [l for l in active if delivered[l] < d_target]
     return Pairing(index, start_slot,
-                   tuple(LinkSchedule(l[0], l[1], flag, m[l], delivered[l])
-                         for l, flag in zip(links, relay_flags)),
+                   tuple(LinkSchedule(l[0], l[1], l in feeder_of, m[l],
+                                      delivered[l]) for l in links),
                    max(m.values()))
 
 
@@ -288,11 +283,11 @@ def schedule_v2v(model, v_a, v_b, t_v2i: int,
     while vb:
         if t_v2i + t_v2v >= model.horizon:
             break
-        links, flags, va_next, vb_next = pairing_builder(model, va, vb)
+        links, va_next, vb_next = pairing_builder(model, va, vb)
         if not links:
             break
-        pairing = run_pairing(model, links, flags, t_v2i + t_v2v,
-                              len(pairings) + 1, strict_causality)
+        pairing = run_pairing(model, links, t_v2i + t_v2v, len(pairings) + 1,
+                              strict_causality)
         if t_v2i + t_v2v + pairing.duration > model.horizon:
             break  # would overrun the slot budget; receivers stay unserved
         pairings.append(pairing)

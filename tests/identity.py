@@ -9,11 +9,14 @@ and random at 400 vehicles (horizon_slots=4,000,000) on seeds 1-2 with strict
 causality off and on, whose pairings of ~180 links leave most interferers out
 of V2V range (12 runs), plus fcfs, serial-tdma and noncoop at
 test_golden.FCFS_SHARES on seeds 1-20 in both rate modes, where fcfs forms
-pairings and serial-tdma keeps partial grants (120 runs): 1,732 runs.
+pairings and serial-tdma keeps partial grants (120 runs), plus random and
+proposed at test_golden.RANDOM_RETRIES on seeds 1-30 with strict causality
+off and on, where random's pairing builder draws again after an empty
+pairing (120 runs): 1,852 runs.
 
 The first line is the hash over every run. One line per run group follows
-(stock, strict, ladder, shares: the four parts above, in that order), so a
-mismatch points at the group that moved.
+(stock, strict, ladder, shares, retries: the five parts above, in that
+order), so a mismatch points at the group that moved.
 
     PYTHONPATH=src python tests/identity.py [--jobs J]
 
@@ -30,7 +33,7 @@ from multiprocessing import Pool
 
 from v2xcast.baselines import SCHEMES
 from v2xcast.harness import run_scenario
-from test_golden import FCFS_SHARES, canonical, stock_config
+from test_golden import FCFS_SHARES, RANDOM_RETRIES, canonical, stock_config
 
 MODES = ("midpoint", "quadrature")
 STRICT_SCHEMES = ("proposed", "fcfs", "random")
@@ -39,6 +42,8 @@ LADDER = {"vehicle_count": 400, "horizon_slots": 4_000_000}
 LADDER_SEEDS = (1, 2)
 RSU_SCHEMES = ("fcfs", "serial-tdma", "noncoop")
 SHARES_SEEDS = range(1, 21)
+RETRY_SCHEMES = ("random", "proposed")
+RETRY_SEEDS = range(1, 31)
 
 
 def runs():
@@ -58,6 +63,10 @@ def runs():
         for seed in SHARES_SEEDS:
             for scheme in RSU_SCHEMES:
                 yield "shares", (seed, scheme, mode, False, FCFS_SHARES)
+    for seed in RETRY_SEEDS:
+        for scheme in RETRY_SCHEMES:
+            for strict in (False, True):
+                yield "retries", (seed, scheme, "midpoint", strict, RANDOM_RETRIES)
 
 
 def run_text(run) -> bytes:

@@ -11,6 +11,7 @@ from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
 from v2xcast.v2i import Grant, V2ISelection
 from v2xcast.v2v import LinkSchedule, Pairing, V2VSchedule, run_pairing
 from v2xcast.vehicles import VehicleState, spawn_vehicles
+from test_golden import STRICT_OVERRUN, stock_config
 from instances import (CrowdedTableRateModel, default_config,
                        six_vehicle_instance)
 
@@ -178,6 +179,38 @@ def test_audit_flags_totals_mismatch():
     assert any(c.name == "totals" for c in report.failures())
 
 
+def test_audit_recounts_who_was_served():
+    # The strict overrun leaves 53 vehicles unserved. Relabelled as served,
+    # nobody granted or received anything for them, and the reported
+    # throughput would double; only the recount in totals can tell.
+    config = stock_config(**STRICT_OVERRUN)
+    vehicles = spawn_vehicles(config, 1)
+    res = run_scheme("proposed", PhysicalRateModel(config, vehicles), 1,
+                     strict_causality=True)
+    assert len(res.unserved) == 53
+    forged = dataclasses.replace(res, served=res.served | res.unserved,
+                                 unserved=frozenset())
+    assert system_throughput(forged, config) == pytest.approx(2.737e10, rel=1e-3)
+    fails = {c.name: c.detail for c in audit(forged, config, vehicles).failures()}
+    assert fails == {"totals": f"vehicle {min(res.unserved)} served but "
+                               f"neither granted nor a receiver"}
+    overlap = dataclasses.replace(res, served=res.served | res.unserved)
+    fails = {c.name: c.detail for c in audit(overlap, config, vehicles).failures()}
+    assert fails == {"totals": "served and unserved do not partition the "
+                               "vehicle ids"}
+
+
+def test_audit_flags_a_receiver_listed_unserved():
+    config, vehicles, model = six_vehicle_instance()
+    res = run_scheme("proposed", model, seed=0)
+    rx = res.v2v.pairings[0].links[0].rx
+    moved = dataclasses.replace(res, served=res.served - {rx},
+                                unserved=res.unserved | {rx})
+    fails = {c.name: c.detail
+             for c in audit(moved, config, vehicles, model=model).failures()}
+    assert fails == {"totals": f"vehicle {rx} received but is listed unserved"}
+
+
 def test_audit_flags_v2i_delivery_shortfall():
     config, vehicles, model = six_vehicle_instance()
     res = run_scheme("proposed", model, seed=0)
@@ -232,9 +265,10 @@ def test_audit_flags_sinr_violation():
         assert "below threshold" in fails["v2v_delivery"]
 
 
-def _relay_chain_result(strict_causality, relay_slots=None):
+def _relay_chain_result(strict_causality, relay_slots=None, relay_hop=True):
     """Links 1->2 (4 slots) and relay 2->3 (2 slots at its own rate), run
-    under strict causality; relay_slots overrides the traced relay span."""
+    under strict causality; relay_slots overrides the traced relay span and
+    relay_hop the relay's traced flag."""
     config = default_config(vehicle_count=3)
     step = config.road.slot_duration * config.road.speed
     vehicles = [VehicleState(i, 1, round(-x / step))
@@ -242,11 +276,11 @@ def _relay_chain_result(strict_causality, relay_slots=None):
     model = TableRateModel(config, vehicles, {1: 2, 2: 2, 3: 2},
                            {frozenset((1, 2)): 4, frozenset((2, 3)): 2},
                            geometric_coverage=False)
-    pairing = run_pairing(model, [(1, 2), (2, 3)], [False, True], 0, 1,
-                          strict_causality=True)
+    pairing = run_pairing(model, [(1, 2), (2, 3)], 0, 1, strict_causality=True)
     assert [l.slots for l in pairing.links] == [4, 4]
     if relay_slots is not None:
-        relay = dataclasses.replace(pairing.links[1], slots=relay_slots)
+        relay = dataclasses.replace(pairing.links[1], slots=relay_slots,
+                                    relay_hop=relay_hop)
         pairing = dataclasses.replace(pairing, links=(pairing.links[0], relay))
     sel = V2ISelection((), 0, (1,), (2, 3), (), False)
     res = SchemeResult("proposed", 0, sel,
@@ -268,6 +302,15 @@ def test_strict_replay_caps_a_relay_hop_at_its_feeder():
     assert not strict.ok
     assert "link (2, 3) delivered 1.714e+09 of 3.000e+09" in strict.detail
     assert _v2v_delivery(_relay_chain_result(False, relay_slots=2)).ok
+
+
+def test_strict_replay_derives_relay_hops_from_the_links():
+    # The trace's flag does not lift the cap: 2->3 is a relay hop because 2
+    # receives in the same pairing, whatever its relay_hop field says.
+    strict = _v2v_delivery(_relay_chain_result(True, relay_slots=2,
+                                               relay_hop=False))
+    assert not strict.ok
+    assert "link (2, 3) delivered 1.714e+09 of 3.000e+09" in strict.detail
 
 
 def test_strict_replay_flags_a_short_relay_hop_after_its_feeder_finished():

@@ -192,7 +192,6 @@ class ConstantRateStub(RateModel):
         entry = -round(road.rsu_longitudinal / step)
         vehicles = [VehicleState(1, 1, entry), VehicleState(2, 1, entry + 1)]
         super().__init__(ScenarioConfig(default_radio(), road), vehicles)
-        self._entry = {v.id: v.entry_slot for v in vehicles}
         self.rate = rate
 
     def v2i_rates(self, vid, start, count):
@@ -207,7 +206,7 @@ class ConstantRateStub(RateModel):
     def link_sinrs(self, links):
         return [self.sinr_threshold if self.in_range(*l) else 0.0 for l in links]
 
-    def link_rates(self, links):
+    def link_rates(self, links, sinrs=None):
         return [self.rate_free(*l) for l in links]
 
 

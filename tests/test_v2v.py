@@ -87,9 +87,10 @@ def test_no_conflict_for_far_parallel_links():
 
 def test_build_pairing_reference_instance():
     config, vehicles, model = six_vehicle_instance()
-    links, flags, va, vb = build_pairing(model, {1, 3}, {2, 4, 5, 6})
+    links, va, vb = build_pairing(model, {1, 3}, {2, 4, 5, 6})
     assert links == [(1, 2), (2, 4), (3, 5), (5, 6)]
-    assert flags == [False, True, False, True]
+    pairing = run_pairing(model, links, 0, 1)
+    assert [l.relay_hop for l in pairing.links] == [False, True, False, True]
     assert vb == set()
     assert va == {4, 6}   # leaf receivers become future sources
 
@@ -99,7 +100,7 @@ def test_build_pairing_contested_receiver():
     vehicles = _vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2, 3: 2},
                    {(1, 3): 4, (2, 3): 4})
-    links, flags, va, vb = build_pairing(model, {1, 2}, {3})
+    links, va, vb = build_pairing(model, {1, 2}, {3})
     assert links == [(1, 3)]   # slot-count tie, lower source id commits
     assert va == {2, 3}        # loser keeps its source turn
 
@@ -108,7 +109,7 @@ def test_build_pairing_no_reachable_receiver():
     config = default_config(vehicle_count=2)
     vehicles = _vehicles_at(config, [(600.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
-    links, flags, va, vb = build_pairing(model, {1}, {2})
+    links, va, vb = build_pairing(model, {1}, {2})
     assert links == []
     assert va == {1} and vb == {2}
 
@@ -117,7 +118,7 @@ def test_run_pairing_constant_rate_slot_count():
     config = default_config(vehicle_count=2)
     vehicles = _vehicles_at(config, [(510.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2}, {(1, 2): 7})
-    pairing = run_pairing(model, [(1, 2)], [False], start_slot=0, index=1)
+    pairing = run_pairing(model, [(1, 2)], start_slot=0, index=1)
     assert pairing.duration == 7
     assert pairing.links[0].slots == 7
     assert pairing.links[0].delivered >= model.content_size
@@ -135,7 +136,7 @@ def test_run_pairing_survivor_speeds_up():
     slower = (3, 1)
     assert both[(4, 2)] > both[slower]
     bound_if_never_relieved = math.ceil(model.content_size / (both[slower] * dt))
-    pairing = run_pairing(model, links, [False, False], 0, 1)
+    pairing = run_pairing(model, links, 0, 1)
     m = {(l.tx, l.rx): l.slots for l in pairing.links}
     assert m[(4, 2)] < m[slower]
     assert m[slower] < bound_if_never_relieved
@@ -151,7 +152,7 @@ def test_run_pairing_chunked_matches_per_slot_reference():
     model = PhysicalRateModel(config, vehicles)
     links = [(4, 1), (5, 2), (6, 3)]
     assert all(s >= 100.0 for s in model.link_sinrs(links))
-    pairing = run_pairing(model, links, [False] * 3, 0, 1)
+    pairing = run_pairing(model, links, 0, 1)
     got = {(l.tx, l.rx): l.slots for l in pairing.links}
 
     d, dt = model.content_size, model.slot_duration
@@ -178,7 +179,7 @@ def test_run_pairing_starvation_aborts():
             return [0.0 for _ in links]
 
     with pytest.raises(RuntimeError, match="starved"):
-        run_pairing(StarvingModel(), [(1, 2)], [False], 0, 1)
+        run_pairing(StarvingModel(), [(1, 2)], 0, 1)
 
 
 def test_strict_causality_serializes_fast_second_hop():
@@ -186,9 +187,9 @@ def test_strict_causality_serializes_fast_second_hop():
     vehicles = _vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2, 3: 2},
                    {(1, 2): 4, (2, 3): 2})
-    links, flags = [(1, 2), (2, 3)], [False, True]
-    ideal = run_pairing(model, links, flags, 0, 1, strict_causality=False)
-    strict = run_pairing(model, links, flags, 0, 1, strict_causality=True)
+    links = [(1, 2), (2, 3)]
+    ideal = run_pairing(model, links, 0, 1, strict_causality=False)
+    strict = run_pairing(model, links, 0, 1, strict_causality=True)
     m_ideal = {(l.tx, l.rx): l.slots for l in ideal.links}
     m_strict = {(l.tx, l.rx): l.slots for l in strict.links}
     assert m_ideal[(2, 3)] == 2          # idealized relay runs at its own rate
@@ -204,8 +205,8 @@ def test_strict_causality_holds_at_every_slot():
     vehicles = _vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2, 3: 2},
                    {(1, 2): 5, (2, 3): 2})
-    links, flags = [(1, 2), (2, 3)], [False, True]
-    pairing = run_pairing(model, links, flags, 0, 1, strict_causality=True)
+    links = [(1, 2), (2, 3)]
+    pairing = run_pairing(model, links, 0, 1, strict_causality=True)
     m = {(l.tx, l.rx): l.slots for l in pairing.links}
     r1, r2 = model.rate_free(1, 2), model.rate_free(2, 3)
     dt, d = model.slot_duration, model.content_size
@@ -230,7 +231,7 @@ def test_strict_pairing_stops_once_past_the_horizon():
     config = default_config(vehicle_count=2, horizon=1000)
     vehicles = _vehicles_at(config, [(510.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2}, {(1, 2): 5000})
-    pairing = run_pairing(model, [(1, 2)], [False], start_slot=900, index=1,
+    pairing = run_pairing(model, [(1, 2)], start_slot=900, index=1,
                           strict_causality=True)
     assert pairing.duration == 101
     assert pairing.links[0].delivered < model.content_size
@@ -314,9 +315,10 @@ def test_strict_span_advance_matches_per_slot_loop(chains, start, budget, crowde
     first, links longer than a chunk, and a horizon (start + budget) that
     cuts the pairing short."""
     model, links, flags = _chain_pairing(chains, start + budget, crowded)
-    pairing = run_pairing(model, links, flags, start, 1, strict_causality=True)
+    pairing = run_pairing(model, links, start, 1, strict_causality=True)
     m, delivered = _per_slot_strict(model, links, flags, start)
     assert [(l.tx, l.rx) for l in pairing.links] == links
+    assert [l.relay_hop for l in pairing.links] == flags
     assert [l.slots for l in pairing.links] == [m[l] for l in links]
     assert [l.delivered for l in pairing.links] == [delivered[l] for l in links]
     assert all(type(l.delivered) is float for l in pairing.links)
@@ -328,7 +330,7 @@ def test_strict_relay_listed_before_its_feeder_matches_per_slot_loop():
     # pairing steps one slot at a time, as the loop always did.
     model, links, flags = _chain_pairing([(60, 25), (40, 90)], 10 ** 6, True)
     links, flags = links[::-1], flags[::-1]
-    pairing = run_pairing(model, links, flags, 0, 1, strict_causality=True)
+    pairing = run_pairing(model, links, 0, 1, strict_causality=True)
     m, delivered = _per_slot_strict(model, links, flags, 0)
     assert [(l.slots, l.delivered) for l in pairing.links] == [
         (m[l], delivered[l]) for l in links]
