@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import SchemeResult
+from .geometry import distance_to_rsu
 from .params import ScenarioConfig
+from .radio import v2i_snr
 from .ratemodel import PhysicalRateModel
 from .vehicles import VehicleState
 
@@ -87,8 +89,6 @@ def _check_coverage_and_qos(result, config, vehicles):
     and SNR falls with distance, so the interval endpoints bound both; each
     grant's two edge distances are computed once, for both checks. Each
     check reports its first failing grant."""
-    from .geometry import distance_to_rsu
-    from .radio import v2i_snr
     limit = config.radio.rsu_range * (1.0 + REL_GUARD)
     floor = config.radio.sinr_threshold * (1.0 - REL_GUARD)
     coverage = qos = None

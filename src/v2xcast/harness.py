@@ -37,7 +37,7 @@ def run_scenario(config: ScenarioConfig, seed: int, scheme: str,
     model = PhysicalRateModel(config, vehicles, rate_mode=rate_mode)
     result = run_scheme(scheme, model, seed, strict_causality, v2i_termination)
     report = build_report(result, config)
-    audit_report = audit(result, config, vehicles, model=None) if with_audit else None
+    audit_report = audit(result, config, vehicles) if with_audit else None
     return result, report, audit_report
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Point2D, alignment_angle, distance
+from .geometry import Point2D, alignment_angle, distance, distance_to_rsu
 from .params import RadioParams, ScenarioConfig
 from .vehicles import VehicleState
 
@@ -56,8 +56,6 @@ def v2i_slot_rate(vehicle: VehicleState, t: int, config: ScenarioConfig,
     angle between the vehicle-RSU direction and the lane perpendicular. Out of
     coverage contributes rate zero through the SNR zero branch.
     """
-    from .geometry import distance_to_rsu  # local import keeps module API flat
-
     radio = config.radio
     if mode == "midpoint":
         d = distance_to_rsu(vehicle, t, config, midpoint=True)

@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from .geometry import coverage_window, distance_to_rsu
 from .params import ScenarioConfig
 from .radio import antenna_gain, mainlobe_gain
 from .vehicles import VehicleState
@@ -113,7 +114,6 @@ class RateModel:
             return self._windows[vid]
         except KeyError:
             pass
-        from .geometry import coverage_window
         v = self.vehicles[vid - 1]
         assert v.id == vid
         win = coverage_window(v, self.config, radius=self._serve_radius)
@@ -123,13 +123,6 @@ class RateModel:
             win = (t_in, t_out) if t_in <= t_out else None
         self._windows[vid] = win
         return win
-
-    def in_service(self, vid: int, t: int) -> bool:
-        win = self.service_window(vid)
-        return win is not None and win[0] <= t <= win[1]
-
-    def entered(self, vid: int, t: int) -> bool:
-        return self._entry[vid] <= t
 
     def entry_order(self) -> tuple[list[int], list[int]]:
         """Ids sorted by entry slot (a stable sort of ids), and those entry
@@ -553,7 +546,6 @@ class TableRateModel(RateModel):
     def rsu_distance(self, vid: int, t: int) -> float:
         if not self._geometric:
             return 0.0
-        from .geometry import distance_to_rsu
         return distance_to_rsu(self.vehicles[vid - 1], t, self.config, midpoint=True)
 
     def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:

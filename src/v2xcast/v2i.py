@@ -187,8 +187,6 @@ def select_v2i_paths(model, termination: str = "coverage",
             incomplete = True
             break
 
-    if termination == "coverage" and not covered >= ids:
-        incomplete = True
     return V2ISelection(
         grants=tuple(grants),
         t_v2i=sum(g.n_slots for g in grants),

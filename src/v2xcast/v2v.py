@@ -147,7 +147,9 @@ def run_pairing(model, links: list[Link], start_slot: int, index: int,
     in commit order, min(rate * dt, feeder - relay) to a relay hop, so a
     relay sees its feeder's same-slot arrivals before forwarding
     (pass-through within a slot). Those per-slot sums are kept float for
-    float, but advanced a span at a time by _strict_span. The simulation stops
+    float, but advanced a span at a time by _strict_span, which sums every
+    link uncapped and caps each relay hop at its feeder in place, checking
+    every element against that step. The simulation stops
     once it has run past the slots left before the horizon; the pairing it
     returns then overruns the slot budget.
     """
@@ -204,11 +206,12 @@ def _strict_span(active, rates, delivered, feeder_of, dt, d_target,
     return the slots taken: n, or fewer when a link gets the content first.
     delivered is moved to the end of the span.
 
-    Links are walked in commit order, so an active feeder already has its
-    path over the span when its relay hop is reached. A plain link's path is
-    np.add.accumulate over [x, g, g, ...], which adds left to right as the
-    slot loop's += does; a relay hop's path comes from _relay_path. The span
-    ends at the first slot after which some link holds the content.
+    Every link's path starts uncapped, np.add.accumulate over [x, g, g,
+    ...], which adds left to right as the slot loop's += does. Links are
+    walked in commit order, so an active feeder already has its path over
+    the span when its relay hop is reached, and _cap then caps the relay
+    hop's path at it in place. The span ends at the first slot after which
+    some link holds the content.
     """
     # No plain link needs many more slots than its missing bits over g.
     n = min([n] + [math.ceil((d_target - delivered[l]) / (rates[l] * dt)) + 1
@@ -216,14 +219,13 @@ def _strict_span(active, rates, delivered, feeder_of, dt, d_target,
     paths = {}
     for l in active:
         g = rates[l] * dt
+        path = np.full(n + 1, g)
+        path[0] = delivered[l]
+        np.add.accumulate(path, out=path)
         f = feeder_of.get(l)
-        if f is None:
-            path = np.full(n + 1, g)
-            path[0] = delivered[l]
-            np.add.accumulate(path, out=path)
-        else:
-            feed = paths[f][1:n + 1] if f in paths else np.full(n, delivered[f])
-            path = _relay_path(delivered[l], g, feed)
+        if f is not None:
+            _cap(path, g, paths[f][1:n + 1] if f in paths
+                 else np.full(n, delivered[f]))
         n = min(n, int(np.searchsorted(path, d_target)))  # paths never fall
         paths[l] = path
     for l in active:
@@ -231,41 +233,30 @@ def _strict_span(active, rates, delivered, feeder_of, dt, d_target,
     return n
 
 
-def _relay_path(x: float, g: float, feed: np.ndarray) -> np.ndarray:
-    """A relay hop's backlog over len(feed) slots, x_{t+1} = x_t + min(g,
-    max(0.0, feed[t] - x_t)), as the same floats as stepping it slot by slot.
+def _cap(path: np.ndarray, g: float, feed: np.ndarray) -> None:
+    """Turn a relay hop's uncapped path over len(feed) slots into its
+    backlog x_{t+1} = x_t + min(g, max(0.0, feed[t] - x_t)), in place and as
+    the same floats as stepping it slot by slot.
 
-    Stretches are guessed: uncapped (x + g + g + ...) after an uncapped step,
-    tracking the feeder (x_{t+1} = feed[t]) after a capped one. Every guessed
-    element is checked against the step expression itself, so the path is
-    exact by induction; the first mismatch is taken as one scalar step, which
-    picks the next guess. After a mismatch the next guess covers twice the
-    stretch that held (at least 64 slots), so frequent switches stay cheap.
+    The guess for each element is min(uncapped, feed), and every element is
+    checked against the step from the one before it, so the path is exact by
+    induction. At the first mismatch the step's own value is kept and the
+    uncapped path is accumulated again from there.
     """
-    n = len(feed)
-    path = np.empty(n + 1)
-    path[0] = x
-    t, width = 0, n
-    while t < n:
-        grain = min(g, max(0.0, float(feed[t]) - x))
-        x += grain
-        t += 1
-        path[t] = x
-        m = min(width, n - t)
-        if grain == g:
-            guess = np.full(m + 1, g)
-            guess[0] = x
-            np.add.accumulate(guess, out=guess)
-        else:
-            guess = np.concatenate(([x], feed[t:t + m]))
-        head = guess[:-1]
-        ok = head + np.minimum(g, np.maximum(0.0, feed[t:t + m] - head)) == guess[1:]
-        j = m if ok.all() else int(ok.argmin())
-        path[t + 1:t + 1 + j] = guess[1:j + 1]
-        t += j
-        x = float(path[t])
-        width = 2 * width if j == m else max(64, 2 * j)
-    return path
+    t = 0
+    while True:
+        rest = path[t + 1:]
+        np.minimum(rest, feed[t:], out=rest)
+        head = path[t:-1]
+        step = head + np.minimum(g, np.maximum(0.0, feed[t:] - head))
+        bad = np.flatnonzero(step != rest)
+        if not bad.size:
+            return
+        t += int(bad[0]) + 1
+        tail = path[t:]
+        tail[0] = step[bad[0]]
+        tail[1:] = g
+        np.add.accumulate(tail, out=tail)
 
 
 def schedule_v2v(model, v_a, v_b, t_v2i: int,

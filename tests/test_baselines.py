@@ -97,8 +97,10 @@ def _naive_noncoop(model):
     remaining = {vid: model.content_size for vid in model.ids}
     v_b = set(model.ids)
     served, grants = set(), []
+    windows = {i: model.service_window(i) for i in model.ids}
     for t in range(model.horizon):
-        in_cov = [i for i in model.ids if model.in_service(i, t)]
+        in_cov = [i for i, w in windows.items()
+                  if w is not None and w[0] <= t <= w[1]]
         if not in_cov:
             continue
         target = min(in_cov, key=lambda i: (model.rsu_distance(i, t), i))

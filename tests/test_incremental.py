@@ -64,10 +64,11 @@ def oracle_best_first_hop(model, source, v_b):
 
 
 def oracle_servable(model, v_b, clock, pool):
-    entered = [i for i in sorted(v_b) if model.entered(i, clock)]
+    entered = [i for i in sorted(v_b) if model._entry[i] <= clock]
     slots = {}
     for vid in entered:
-        if vid in pool and model.in_service(vid, clock):
+        win = model.service_window(vid)
+        if vid in pool and win is not None and win[0] <= clock <= win[1]:
             m = model.slots_to_download(vid, clock)
             if m is not None:
                 slots[vid] = m

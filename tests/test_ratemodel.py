@@ -213,7 +213,6 @@ class ConstantRateStub(RateModel):
 def test_constant_rate_stub_derives_every_query():
     stub = ConstantRateStub(rate=1.44e10, content=3e9)
     assert stub.service_window(1)[0] < 0 < stub.service_window(1)[1]
-    assert stub.in_service(1, 0) and stub.entered(1, 0)
     assert stub.in_range(1, 2) and stub.in_range(2, 1)
     assert not stub.in_range(1, 1)
     assert stub.link_slots_free(1, 2) == 2084

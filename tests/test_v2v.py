@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
-from v2xcast.v2v import (CHUNK, best_first_hop, build_pairing, conflict,
-                         run_pairing, schedule_v2v)
+from v2xcast.v2v import (CHUNK, _cap, best_first_hop, build_pairing,
+                         conflict, run_pairing, schedule_v2v)
 from v2xcast.vehicles import VehicleState
 from instances import (CrowdedTableRateModel, default_config,
                        six_vehicle_instance)
@@ -334,6 +335,69 @@ def test_strict_relay_listed_before_its_feeder_matches_per_slot_loop():
     m, delivered = _per_slot_strict(model, links, flags, 0)
     assert [(l.slots, l.delivered) for l in pairing.links] == [
         (m[l], delivered[l]) for l in links]
+
+
+def _step_loop(x, g, feed):
+    """A relay hop's backlog stepped one slot at a time: the oracle that
+    _cap must match float for float."""
+    path = [x]
+    for f in feed.tolist():
+        x += min(g, max(0.0, f - x))
+        path.append(x)
+    return path
+
+
+def _feeder(g, start, stretches, n):
+    """A feeder's backlog after each of n slots. A stretch is (slots, bits
+    per slot as factors of g taken in turn, ulps each grain is moved by);
+    the last grain is held to the end."""
+    grains = []
+    for slots, factors, ulps in stretches:
+        pattern = []
+        for factor in factors:
+            grain = factor * g
+            for _ in range(abs(ulps)):
+                grain = float(np.nextafter(grain, math.copysign(math.inf, ulps)))
+            pattern.append(grain)
+        grains += (pattern * slots)[:slots]
+    grains += grains[-1:] * (n - len(grains))
+    return np.add.accumulate([start] + grains[:n])[1:]
+
+
+_FACTOR = st.just(0.0) | st.just(1.0) | st.floats(0.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=st.floats(1e3, 1e7), start=st.floats(0.0, 3e9),
+       n=st.integers(1, CHUNK),
+       stretches=st.lists(st.tuples(st.integers(1, CHUNK),
+                                    st.lists(_FACTOR, min_size=1, max_size=6),
+                                    st.integers(-3, 3)), min_size=1, max_size=5),
+       chain=st.none() | st.tuples(st.floats(0.0, 1.0), _FACTOR),
+       frac=st.floats(0.0, 1.0))
+@example(g=1234567.891, start=2.5e9, n=CHUNK, stretches=[(CHUNK, [1.0], -3)],
+         chain=None, frac=1.0)                      # a hair slower, capped start
+@example(g=1234567.891, start=1e9, n=CHUNK,
+         stretches=[(700, [1.0], 3), (900, [1.0], -1), (CHUNK, [1.0], 2)],
+         chain=None, frac=0.999999)                 # within 3 ulps either way
+@example(g=1e6, start=1e8, n=2000, stretches=[(300, [0.0], 0), (CHUNK, [3.0], 0)],
+         chain=None, frac=0.999)                    # stalls, then pulls ahead
+@example(g=1e6, start=1e8, n=CHUNK, stretches=[(CHUNK, [0.3, 2.9, 0.0], 0)],
+         chain=(0.5, 0.7), frac=1.0)                # three-hop chain, jumpy feed
+def test_cap_matches_step_loop(g, start, n, stretches, chain, frac):
+    """A relay hop's capped span against the slot loop, on nondecreasing
+    feeds: held constant, moving exactly g or within a few ulps of it,
+    jumping up to 3g a slot, or the backlog of another relay hop."""
+    feed = _feeder(g, start, stretches, n)
+    if chain is not None:
+        first_frac, factor = chain
+        feed = np.array(_step_loop(first_frac * feed[0], factor * g, feed)[1:])
+    x = frac * float(feed[0])
+    path = np.full(n + 1, g)
+    path[0] = x
+    np.add.accumulate(path, out=path)
+    _cap(path, g, feed)
+    assert path.tolist() == _step_loop(x, g, feed)
 
 
 def test_schedule_v2v_empty_receivers():
