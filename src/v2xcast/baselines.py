@@ -93,7 +93,7 @@ def schedule_fcfs(model, seed: int, strict_causality: bool = False) -> SchemeRes
 
 def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeResult:
     """Random grants with the same coverage-based termination as the proposed
-    scheme, then random pairing partners under identical conflict rules."""
+    scheme, then random pairing partners through the same pairing builder."""
     rng = np.random.default_rng([seed, 1])
 
     def random_pick(model, v_b, clock, pool):
@@ -117,12 +117,16 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
                 yield link
 
     def random_pairing(model, va, vb):
+        lone = None
         for _ in range(100):
             pairing = build_pairing(model, va, vb, random_first_hops, random_hop)
+            if pairing[0]:
+                break
             # Unlucky draw; only retry while a lone feasible link exists.
-            if pairing[0] or not any(model.in_range(s, r)
-                                     and not conflict(model, (s, r), [])
-                                     for s in va for r in vb):
+            if lone is None:
+                lone = any(model.in_range(s, r) and not conflict(model, (s, r), [])
+                           for s in va for r in vb)
+            if not lone:
                 break
         return pairing
 

@@ -183,9 +183,6 @@ def select_v2i_paths(model, termination: str = "coverage",
         v_b.discard(winner.vehicle)
         covered.update({winner.vehicle, winner.first_hop, winner.second_hop} - {None})
         clock += winner.v2i_slots
-        if clock > model.horizon:
-            incomplete = True
-            break
 
     return V2ISelection(
         grants=tuple(grants),

@@ -10,9 +10,12 @@ drops as links finish, so surviving links speed up. Under strict causality a
 relay hop forwards only bits it has received; those per-slot sums are
 computed a span of slots at a time, float for float as a slot loop would.
 
-Conflicts are structural (shared nodes, except the relay join) or physical
-(adding the link would push any receiver, its own included, below the SINR
-threshold).
+The pairing's structure holds by construction: build_pairing commits a
+first hop only from a source yet to transmit to a vehicle still waiting, and
+a relay hop only onward from the receiver just committed, so each vehicle
+transmits once and receives once, and a relay joins exactly two hops. The
+one conflict left to test is physical: adding the link would push some
+receiver, its own included, below the SINR threshold.
 """
 
 from __future__ import annotations
@@ -67,27 +70,10 @@ def best_first_hop(model, source: int, v_b) -> Link | None:
 
 
 def conflict(model, candidate: Link, committed: list[Link]) -> bool:
-    """True when the candidate cannot join the committed set.
-
-    A shared node is a conflict unless it is the candidate's transmitter and
-    that node is the receiver of exactly one committed link (the sanctioned
-    relay join), whose own transmitter is not already relaying. On top of the
-    structural check, the whole tentative set must keep every link at or
-    above the SINR threshold: model.admits, which gives set_feasible's
-    answer but may keep the interference of `committed` between calls and
-    add only the candidate's terms.
-    """
-    ctx, crx = candidate
-    feeders = [l for l in committed if l[1] == ctx]
-    relay_join_ok = len(feeders) == 1 and not any(
-        l[1] == feeders[0][0] for l in committed)
-    for tx, rx in committed:
-        shared = {tx, rx} & {ctx, crx}
-        if not shared:
-            continue
-        if shared == {ctx} and rx == ctx and relay_join_ok:
-            continue
-        return True
+    """True when the candidate would push some link of committed + [candidate]
+    below the SINR threshold: model.admits, which gives set_feasible's answer
+    but may keep the interference of `committed` between calls. Structure is
+    not checked here; build_pairing keeps it."""
     return not model.admits(committed, candidate)
 
 
@@ -103,17 +89,23 @@ def best_first_hops(model, v_a: set[int], v_b: set[int]) -> list[Link]:
 def build_pairing(model, v_a: set[int], v_b: set[int],
                   first_hops=best_first_hops, next_hop=best_first_hop):
     """Assemble one pairing. Returns (links, new_v_a, new_v_b); links is
-    empty when no source can reach anyone.
+    empty when no source can reach anyone. v_a (the holders) and v_b (the
+    vehicles still waiting) must be disjoint, else ValueError.
 
     first_hops(model, v_a, live_v_b) proposes first hops in commit order; a
-    lazy generator sees every commit in live_v_b. Each proposal whose
-    receiver is still waiting and that does not conflict is committed, and
-    next_hop(model, receiver, live_v_b) then offers its relay hop. Sources
-    are consumed when they transmit; receivers become sources for later
-    pairings unless they already relayed here.
+    lazy generator sees every commit in live_v_b. A proposal commits when
+    its transmitter is in v_a and has not transmitted yet, its receiver is
+    still in live_v_b, and it does not conflict. next_hop(model, receiver,
+    live_v_b) then offers that receiver's relay hop, or None; it commits
+    when it leaves that receiver, ends in live_v_b and does not conflict.
+    Any other proposal is skipped. Sources are consumed when they transmit;
+    receivers become sources for later pairings unless they already relayed
+    here.
     """
     committed: list[Link] = []
     va, vb = set(v_a), set(v_b)
+    if not va.isdisjoint(vb):
+        raise ValueError(f"v_a and v_b share {sorted(va & vb)}")
 
     def commit(link: Link):
         committed.append(link)
@@ -123,11 +115,15 @@ def build_pairing(model, v_a: set[int], v_b: set[int],
         vb.discard(rx)
 
     for link in first_hops(model, v_a, vb):
-        if link[1] not in vb or conflict(model, link, committed):
-            continue  # receiver taken by an earlier commit, or conflicting
+        tx, rx = link
+        # A source of v_a stays in va until it transmits.
+        if tx not in v_a or tx not in va or rx not in vb \
+                or conflict(model, link, committed):
+            continue
         commit(link)
-        relay = next_hop(model, link[1], vb)
-        if relay is not None and not conflict(model, relay, committed):
+        relay = next_hop(model, rx, vb)
+        if relay is not None and relay[0] == rx and relay[1] in vb \
+                and not conflict(model, relay, committed):
             commit(relay)
     return committed, va, vb
 

@@ -110,9 +110,11 @@ def drawn_model(data, spread_m, **radio):
 
 
 def check_pairing_build(model, order, forced):
-    """Commit `order` greedily as build_pairing does (and the `forced` links
-    whatever conflict says), checking admits for every candidate at every
-    prefix; returns the committed links."""
+    """Commit `order` greedily on conflict, the physical test build_pairing
+    applies (and the `forced` links whatever conflict says), checking admits
+    for every candidate at every prefix; returns the committed links. The
+    structure build_pairing keeps is not imposed, so links may share nodes:
+    admits must answer as set_feasible does for any link list."""
     committed = []
     for k, link in enumerate(order):
         if k == 0 or committed[-1] == order[k - 1]:  # a new prefix
@@ -138,9 +140,10 @@ def check_shrinks(model, links, groups):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(si_cancel=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8]), data=st.data())
 def test_incremental_interference_matches_link_sinrs(si_cancel, data):
-    """Every prefix, candidate and shrink of a pairing built from every
-    in-range link of a dense hand-built population, co-located vehicles
-    included, gives link_sinrs's SINRs and link_rates's rates bit for bit."""
+    """Every prefix, candidate and shrink of a link set built greedily from
+    every in-range link of a dense hand-built population, co-located
+    vehicles included, gives link_sinrs's SINRs and link_rates's rates bit
+    for bit."""
     model = drawn_model(data, 30, si_cancel=si_cancel)
     near = [(i, j) for i in model.ids for j in model.peers(i)]
     order = data.draw(st.permutations(near), label="order")

@@ -47,25 +47,62 @@ def test_best_first_hop_tie_takes_lower_id():
     assert best_first_hop(model, 2, {1, 3}) == (2, 1)
 
 
-def test_conflict_on_shared_nodes():
+def _all_in_range():
+    """Four vehicles, every pair in range on a table model, so no link is
+    ever refused on physics: only the pairing's structure can refuse one."""
     config = default_config(vehicle_count=4)
     vehicles = _vehicles_at(config, [(515.0, 1), (510.0, 1), (505.0, 1), (500.0, 1)])
-    model = _table(config, vehicles, {i: 2 for i in range(1, 5)},
-                   {(i, j): 3 for i in range(1, 5) for j in range(i + 1, 5)})
-    committed = [(1, 2)]
-    assert conflict(model, (1, 3), committed)        # shared transmitter
-    assert conflict(model, (3, 2), committed)        # shared receiver
-    assert not conflict(model, (2, 3), committed)    # sanctioned relay join
-    assert not conflict(model, (3, 4), committed)    # disjoint
+    return _table(config, vehicles, {i: 2 for i in range(1, 5)},
+                  {(i, j): 3 for i in range(1, 5) for j in range(i + 1, 5)})
 
 
-def test_conflict_blocks_three_hop_chains():
-    config = default_config(vehicle_count=4)
-    vehicles = _vehicles_at(config, [(515.0, 1), (510.0, 1), (505.0, 1), (500.0, 1)])
-    model = _table(config, vehicles, {i: 2 for i in range(1, 5)},
-                   {(i, j): 3 for i in range(1, 5) for j in range(i + 1, 5)})
-    committed = [(1, 2), (2, 3)]
-    assert conflict(model, (3, 4), committed)
+def _scripted(model, v_a, v_b, first, relays=None):
+    """build_pairing with hooks that propose the `first` links in order and
+    the relay hop relays[receiver] after each committed first hop."""
+    relays = relays or {}
+    return build_pairing(model, v_a, v_b,
+                         first_hops=lambda model, va, vb: iter(first),
+                         next_hop=lambda model, rx, vb: relays.get(rx))
+
+
+def test_build_pairing_on_shared_nodes():
+    model = _all_in_range()
+    # A shared transmitter: a source sends once per pairing.
+    assert _scripted(model, {1}, {2, 3, 4}, [(1, 2), (1, 3)])[0] == [(1, 2)]
+    # A taken receiver, taken by a first hop or by a relay hop.
+    links, va, vb = _scripted(model, {1, 3}, {2, 4}, [(1, 2), (3, 2)])
+    assert links == [(1, 2)] and va == {2, 3} and vb == {4}
+    assert _scripted(model, {1, 3}, {2, 4}, [(1, 2), (3, 4)],
+                     {2: (2, 4)})[0] == [(1, 2), (2, 4)]
+    # The sanctioned relay join: the receiver just committed forwards once,
+    # through next_hop only, never as a first hop of its own.
+    links, va, vb = _scripted(model, {1}, {2, 3, 4}, [(1, 2), (2, 4)],
+                              {2: (2, 3)})
+    assert links == [(1, 2), (2, 3)] and va == {3} and vb == {4}
+    assert _scripted(model, {1}, {2, 3, 4}, [(1, 2), (2, 3)])[0] == [(1, 2)]
+    # A disjoint link.
+    links, va, vb = _scripted(model, {1, 3}, {2, 4}, [(1, 2), (3, 4)])
+    assert links == [(1, 2), (3, 4)] and va == {2, 4} and vb == set()
+
+
+def test_build_pairing_blocks_three_hop_chains():
+    model = _all_in_range()
+    links, va, vb = _scripted(model, {1}, {2, 3, 4}, [(1, 2), (3, 4)],
+                              {2: (2, 3)})
+    assert links == [(1, 2), (2, 3)] and vb == {4}
+
+
+def test_build_pairing_relay_hop_must_leave_its_receiver():
+    model = _all_in_range()
+    for relay in [(3, 4), (1, 3), (2, 1), (2, 2)]:
+        links, va, vb = _scripted(model, {1}, {2, 3, 4}, [(1, 2)], {2: relay})
+        assert links == [(1, 2)] and va == {2} and vb == {3, 4}
+
+
+def test_build_pairing_rejects_overlapping_sets():
+    model = _all_in_range()
+    with pytest.raises(ValueError, match="share"):
+        build_pairing(model, {1, 2}, {2, 3})
 
 
 def test_conflict_when_sinr_would_collapse():
