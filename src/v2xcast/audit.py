@@ -3,20 +3,25 @@
 Consumes only the emitted schedule trace (grants, pairings, slot counts) and
 recomputes every constraint: coverage and V2I link quality from its own
 geometry arithmetic, and the structural rules of the sharing phase from the
-trace alone. It calls none of the scheduling loops (v2i, v2v, baselines),
-but it does replay V2I delivery and V2V SINR through a rate model: a second
-PhysicalRateModel by default, built from the config. Its V2V replay calls
-link_sinrs, the from-scratch reference, once per phase, while the scheduler
-admits links and re-rates pairings incrementally; so the V2V interference
-sums of scheduler and audit are computed by different code. Failures are
-data, not exceptions.
+trace alone. It calls none of the scheduling loops (v2i, v2v, baselines).
+
+The V2V replay is the audit's own arithmetic: V2VBudget computes desired
+power, interference terms and self-interference with numpy from the config
+and the vehicles alone, and re-sums a receiver's interference only when a
+finish touched it. No rate-model code takes part. V2I delivery still goes
+through a rate model: a second PhysicalRateModel by default, built from the
+config. A model passed in (table-driven tests) supplies both, the V2V replay
+then calling its link_sinrs and link_rates from scratch at every phase.
+Failures are data, not exceptions.
 
 A relative guard of 1e-12 (REL_GUARD) absorbs float-association noise
 between the scheduler's accumulation order and the recomputation. Its reach
 is bounded: a strict-causality phase is replayed as x + n * g where the
 scheduler adds g slot by slot, and the two differ by up to about n ulps, so
 the guard covers links of up to about 40,000 slots (stock links take
-1,500-4,000). A longer link may fail the audit spuriously.
+1,500-4,000). A longer link may fail the audit spuriously. The audit's own
+V2V rates differ from the scheduler's by a few ulps at most (numpy's power,
+arccos and log2 against the math module's), far inside the guard.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from .baselines import SchemeResult
 from .geometry import distance_to_rsu
 from .params import ScenarioConfig
-from .radio import v2i_snr
+from .radio import mainlobe_gain, v2i_snr
 from .ratemodel import PhysicalRateModel
 from .vehicles import VehicleState
 
@@ -63,11 +68,14 @@ def audit(result: SchemeResult, config: ScenarioConfig,
           vehicles: list[VehicleState], model=None) -> AuditReport:
     """Check the full constraint set against the trace.
 
-    `model` supplies the rate arithmetic; by default a fresh physical model is
-    built from the config, so table-driven runs must pass their own.
+    By default V2I delivery is replayed through a fresh physical model
+    built from the config, and V2V SINR on the audit's own V2VBudget.
+    Table-driven runs pass their `model`, which then supplies both.
     """
+    v2v = model
     if model is None:
         model = PhysicalRateModel(config, vehicles, rate_mode=result.rate_mode)
+        v2v = V2VBudget(config, vehicles)
     coverage, v2i_qos = _check_coverage_and_qos(result, config, vehicles)
     checks = [
         coverage,
@@ -77,7 +85,7 @@ def audit(result: SchemeResult, config: ScenarioConfig,
         _check_source_once(result),
         _check_precedence(result),
         _check_two_hop(result),
-        _check_v2v_delivery_and_qos(result, model),
+        _check_v2v_delivery_and_qos(result, v2v),
         _check_totals(result, config, vehicles),
     ]
     return AuditReport(tuple(checks))
@@ -251,6 +259,10 @@ def _replay_pairing(pairing, model, strict: bool):
     order, and the first (link, SINR, slot) below the threshold, or None
     (then the bits are not replayed further).
 
+    `model` is the audit's own V2VBudget, whose phases re-sum only the
+    receivers a finish touched, or a rate model, whose link_sinrs and
+    link_rates are called from scratch at every phase.
+
     Links stay active for their recorded spans and the concurrent set
     shrinks as they finish. A phase of n slots at a fixed active set moves a
     link from x to x + n * g, with g its per-slot grain. Under strict
@@ -268,28 +280,216 @@ def _replay_pairing(pairing, model, strict: bool):
     dt = model.slot_duration
     links = [(l.tx, l.rx) for l in pairing.links]
     spans = {(l.tx, l.rx): l.slots for l in pairing.links}
-    into = {l[1]: l for l in reversed(links)}  # the first link into a node
-    feeder_of = {l: into[l[0]] for l in links if l[0] in into} if strict else {}
-    delivered = {l: 0.0 for l in links}
+    span = np.array([spans[l] for l in links], dtype=np.int64)
+    into = {rx: m for m, (_, rx) in reversed(list(enumerate(links)))}
+    hops = [(m, into[tx]) for m, (tx, _) in enumerate(links) if tx in into] \
+        if strict else []
+    hop, feeder = np.array(hops, dtype=np.int64).reshape(-1, 2).T
+    phase = (model.phases(links) if isinstance(model, V2VBudget)
+             else _from_scratch(model, links))
+    delivered = np.zeros(len(links))
     elapsed = 0
-    active = [l for l in links if spans[l] > elapsed]
-    while active:
-        sinrs = model.link_sinrs(active)
-        for l, s in zip(active, sinrs):
-            if s < floor:
-                return delivered, (l, s, elapsed)
-        nxt = min(spans[l] for l in active)
+    active = np.flatnonzero(span > elapsed)
+    finished = np.flatnonzero(span <= elapsed)  # never on the air
+    while active.size:
+        sinrs, rates = phase(active, finished)
+        weak = sinrs < floor
+        if weak.any():
+            k = int(weak.argmax())
+            return (dict(zip(links, delivered.tolist())),
+                    (links[active[k]], float(sinrs[k]), elapsed))
+        nxt = int(span[active].min())
         n = nxt - elapsed
-        grain = {l: r * dt for l, r in zip(active, model.link_rates(active, sinrs))}
-        moved = {l: delivered[l] + grain[l] * n for l in active}
-        for l, feeder in feeder_of.items():
-            if l in moved:
-                moved[l] = min(moved[l], delivered[feeder]
-                               + n * grain.get(feeder, 0.0))
-        delivered.update(moved)
+        grain = np.zeros(len(links))
+        grain[active] = rates * dt
+        moved = delivered + grain * n
+        if hop.size:
+            cap = delivered[feeder] + n * grain[feeder]
+            cut = (span[hop] > elapsed) & (cap < moved[hop])
+            moved[hop[cut]] = cap[cut]
+        delivered = moved
         elapsed = nxt
-        active = [l for l in active if spans[l] > elapsed]
-    return delivered, None
+        on = span[active] > elapsed
+        finished, active = active[~on], active[on]
+    return dict(zip(links, delivered.tolist())), None
+
+
+def _from_scratch(model, links):
+    """A replay phase through a rate model: (SINRs, rates) of the active
+    link positions, from link_sinrs and link_rates of the active set."""
+    def phase(active, finished):
+        now = [links[m] for m in active]
+        sinrs = model.link_sinrs(now)
+        return np.array(sinrs, dtype=float), np.array(model.link_rates(now, sinrs),
+                                                      dtype=float)
+    return phase
+
+
+class V2VBudget:
+    """The audit's own V2V link budget, numpy over the vehicle population,
+    computed from the config and the vehicles alone.
+
+    Positions are taken in the slot-0 frame, x = -entry_slot * step and
+    y = (lane - 0.5) * lane_width: all vehicles share one speed, so every
+    distance and angle holds for the whole run. A link's desired power is
+    mainlobe at both ends. Link u interferes at link m's receiver only when
+    u's transmitter is another vehicle within v2v_range of it (np.hypot of
+    the coordinate differences), with the gains of u's beam toward that
+    receiver and of m's receiver beam toward u's transmitter; a co-located
+    peer is at alignment angle 0, and a term at distance 0 is infinite. A
+    receiver that also transmits adds the residual self-interference.
+    """
+
+    def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState]):
+        radio, road = config.radio, config.road
+        self.content_size = road.content_size
+        self.slot_duration = road.slot_duration
+        self.sinr_threshold = radio.sinr_threshold
+        ids = np.array([v.id for v in vehicles], dtype=np.int64)
+        self._x = np.zeros(int(ids.max(initial=0)) + 1)
+        self._y = np.zeros_like(self._x)
+        self._x[ids] = -np.array([float(v.entry_slot) for v in vehicles]) \
+            * (road.slot_duration * road.speed)
+        self._y[ids] = (np.array([v.lane for v in vehicles]) - 0.5) * road.lane_width
+        g = mainlobe_gain(radio)
+        self._c_desired = radio.path_constant * radio.tx_power_vehicle * g * g
+        self._c_itf = radio.mui_factor * radio.path_constant * radio.tx_power_vehicle
+        self._main, self._side = g, radio.sidelobe_gain
+        self._half_beam = radio.beamwidth / 2.0
+        self._tau = radio.pathloss_exponent
+        self._reach = radio.v2v_range
+        self._noise = radio.noise_floor_w
+        self._rsi = radio.si_cancel * radio.tx_power_vehicle
+        self._bandwidth = radio.bandwidth
+
+    def _distance(self, a, b):
+        return np.hypot(self._x[a] - self._x[b], self._y[a] - self._y[b])
+
+    def _gain(self, at, toward, probe):
+        """Gain of the antennas at `at`, aimed at `toward`, toward `probe`."""
+        ax, ay = self._x[toward] - self._x[at], self._y[toward] - self._y[at]
+        bx, by = self._x[probe] - self._x[at], self._y[probe] - self._y[at]
+        norm = np.hypot(ax, ay) * np.hypot(bx, by)
+        cos = np.divide(ax * bx + ay * by, norm, out=np.ones_like(norm),
+                        where=norm != 0.0)
+        theta = np.arccos(np.clip(cos, -1.0, 1.0))
+        return np.where(theta <= self._half_beam, self._main, self._side)
+
+    def desired(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+        """Received power of the links tx -> rx, watts; 0 out of range."""
+        d = self._distance(tx, rx)
+        with np.errstate(divide="ignore"):
+            return np.where((tx != rx) & (d <= self._reach),
+                            self._c_desired * d ** -self._tau, 0.0)
+
+    def interference(self, tx: np.ndarray, rx: np.ndarray):
+        """Every nonzero interference term among the links tx -> rx, as
+        arrays (u, m, term): link u's power at link m's receiver, watts,
+        ordered by m and then u."""
+        pad = 1e-9 * (self._reach + float(np.abs(self._x).max(initial=0.0)))
+        u, m = _within_x(self._x[tx], self._x[rx], self._reach + pad)
+        d = self._distance(tx[u], rx[m])
+        keep = ((d <= self._reach) & (tx[u] != rx[m])
+                & ((tx[u] != tx[m]) | (rx[u] != rx[m])))
+        u, m, d = u[keep], m[keep], d[keep]
+        with np.errstate(divide="ignore"):
+            term = np.where(d == 0.0, np.inf,
+                            self._c_itf * self._gain(tx[u], rx[u], rx[m])
+                            * self._gain(rx[m], tx[m], tx[u]) * d ** -self._tau)
+        order = np.argsort(m, kind="stable")
+        return u[order], m[order], term[order]
+
+    def sinrs_and_rates(self, desired, interference, relay):
+        """SINRs, and Shannon rates in bits/s (0 unless the SINR is
+        positive), of links with these powers, watts; a receiver that
+        `relay`s also hears its own transmitter's residue."""
+        rsi = np.where(relay, self._rsi, 0.0)
+        with np.errstate(invalid="ignore"):
+            sinrs = desired / (self._noise + interference + rsi)
+            return sinrs, np.where(sinrs > 0.0,
+                                   self._bandwidth * np.log2(1.0 + sinrs), 0.0)
+
+    def phases(self, links: list[tuple[int, int]]) -> _PairingBudget:
+        """A replay phase source for the links of one pairing."""
+        return _PairingBudget(self, links)
+
+
+class _PairingBudget:
+    """A pairing's links under a V2VBudget, as a replay phase source.
+
+    Interference terms are kept sparsely, one (victim, interferer, term)
+    entry per interferer in range, listed per victim in link order and per
+    interferer. Each receiver's interference is summed once; at a phase
+    boundary only the receivers that heard a finished transmitter are
+    re-summed, over the interferers still on the air, and only the
+    receivers of a node that stopped transmitting lose the relay's
+    self-interference."""
+
+    def __init__(self, budget: V2VBudget, links: list[tuple[int, int]]):
+        self._budget = budget
+        n = len(links)
+        tx = np.array([l[0] for l in links], dtype=np.int64)
+        rx = np.array([l[1] for l in links], dtype=np.int64)
+        self._desired = budget.desired(tx, rx)
+        u, m, term = budget.interference(tx, rx)
+        self._itf = np.bincount(m, term, minlength=n)
+        self._heard_by: list[list[int]] = [[] for _ in range(n)]
+        self._terms_of: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for ui, mi, t in zip(u.tolist(), m.tolist(), term.tolist()):
+            self._heard_by[ui].append(mi)
+            self._terms_of[mi].append((ui, t))
+        self._alive = [True] * n
+        self._tx = tx.tolist()
+        self._sends: dict[int, int] = {}  # node -> its links still alive
+        self._rx_at: dict[int, list[int]] = {}  # node -> links into it
+        for k, (t, r) in enumerate(links):
+            self._sends[t] = self._sends.get(t, 0) + 1
+            self._rx_at.setdefault(r, []).append(k)
+        self._relay = np.array([r in self._sends for _, r in links], dtype=bool)
+
+    def __call__(self, active: np.ndarray, finished: np.ndarray):
+        """SINRs and rates of the `active` link positions, once the links
+        at `finished` have stopped since the last call."""
+        if finished.size:
+            self._finish(finished.tolist())
+        return self._budget.sinrs_and_rates(
+            self._desired[active], self._itf[active], self._relay[active])
+
+    def _finish(self, finished: list[int]):
+        alive = self._alive
+        for f in finished:
+            alive[f] = False
+        touched = {m for f in finished for m in self._heard_by[f] if alive[m]}
+        for f in finished:
+            node = self._tx[f]
+            self._sends[node] -= 1
+            if not self._sends[node] and node in self._rx_at:
+                self._relay[self._rx_at[node]] = False
+        if touched:
+            ms = sorted(touched)
+            self._itf[ms] = [self._resum(m) for m in ms]
+
+    def _resum(self, m: int) -> float:
+        """Interference at link m's receiver from the links still alive,
+        added in link order."""
+        total = 0.0
+        for u, t in self._terms_of[m]:
+            if self._alive[u]:
+                total += t
+        return total
+
+
+def _within_x(a: np.ndarray, b: np.ndarray, reach: float):
+    """Every index pair (i, j) with |a[i] - b[j]| <= reach: b is sorted
+    once and each a[i] takes a searchsorted window of it. Callers widen
+    `reach` by a rounding margin and then test the exact distance."""
+    order = np.argsort(b, kind="stable")
+    bs = b[order]
+    lo = np.searchsorted(bs, a - reach, side="left")
+    counts = np.searchsorted(bs, a + reach, side="right") - lo
+    i = np.repeat(np.arange(len(a)), counts)
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return i, order[first + np.arange(first.size)]
 
 
 def _check_totals(result, config, vehicles) -> CheckResult:
