@@ -298,7 +298,8 @@ def _replay_pairing(pairing, model, strict: bool):
             k = int(weak.argmax())
             return (dict(zip(links, delivered.tolist())),
                     (links[active[k]], float(sinrs[k]), elapsed))
-        nxt = int(span[active].min())
+        left = span[active]
+        nxt = int(left.min())
         n = nxt - elapsed
         grain = np.zeros(len(links))
         grain[active] = rates * dt
@@ -309,7 +310,7 @@ def _replay_pairing(pairing, model, strict: bool):
             moved[hop[cut]] = cap[cut]
         delivered = moved
         elapsed = nxt
-        on = span[active] > elapsed
+        on = left > elapsed
         finished, active = active[~on], active[on]
     return dict(zip(links, delivered.tolist())), None
 

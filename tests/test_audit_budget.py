@@ -31,12 +31,12 @@ CHECKS = ("coverage", "v2i_qos", "rsu_serial", "v2i_delivery", "source_once",
 
 def _both_replays(config, vehicles, result):
     """Each pairing's replay on the audit's budget and through a physical
-    rate model, as (pairing, (delivered, weak), (delivered, weak))."""
+    rate model, as ((delivered, weak), (delivered, weak))."""
     budget = V2VBudget(config, vehicles)
     model = PhysicalRateModel(config, vehicles)
     strict = result.strict_causality
     for pairing in result.v2v.pairings:
-        yield (pairing, _replay_pairing(pairing, budget, strict),
+        yield (_replay_pairing(pairing, budget, strict),
                _replay_pairing(pairing, model, strict))
 
 
@@ -68,7 +68,7 @@ def test_own_budget_replay_agrees_with_the_rate_model(strict):
         for scheme in ("proposed", "fcfs", "random"):
             result = run_scheme(scheme, PhysicalRateModel(config, vehicles),
                                 seed, strict)
-            for _, own, reference in _both_replays(config, vehicles, result):
+            for own, reference in _both_replays(config, vehicles, result):
                 _assert_agree(own, reference)
                 pairings += 1
     assert pairings >= 60
@@ -149,17 +149,18 @@ def test_budget_matches_scalar_radio_as_links_finish(lanes, arrival, count,
 @pytest.mark.parametrize("scheme", ["proposed", "random"])
 @pytest.mark.parametrize("strict", [False, True])
 def test_co_located_runs_audit_as_before(seed, scheme, strict):
-    """Stock seeds 113 and 195 spawn vehicles in the same lane and slot, and
-    their one-slot links deliver infinite bits. The audit passes them with
-    every check named, raises no numpy warning, and its budget agrees with
-    the rate model on every pairing, infinities included."""
+    """Stock seeds 113 and 195 spawn vehicles in the same lane and slot;
+    most of these runs pair two of them on a one-slot link that delivers
+    infinite bits. The audit passes every run with every check named,
+    raises no numpy warning, and its budget agrees with the rate model on
+    every pairing, infinities included."""
     result, _, report = run_scenario(stock_config(), seed, scheme,
                                      strict_causality=strict, with_audit=True)
     assert report.ok
     assert str(report) == "\n".join(f"PASS {name}" for name in CHECKS)
     config = stock_config()
     vehicles = spawn_vehicles(config, seed)
-    for _, own, reference in _both_replays(config, vehicles, result):
+    for own, reference in _both_replays(config, vehicles, result):
         _assert_agree(own, reference)
 
 
