@@ -5,23 +5,25 @@ recomputes every constraint: coverage and V2I link quality from its own
 geometry arithmetic, and the structural rules of the sharing phase from the
 trace alone. It calls none of the scheduling loops (v2i, v2v, baselines).
 
-The V2V replay is the audit's own arithmetic: V2VBudget computes desired
-power, interference terms and self-interference with numpy from the config
-and the vehicles alone, and re-sums a receiver's interference only when a
-finish touched it. No rate-model code takes part. V2I delivery still goes
-through a rate model: a second PhysicalRateModel by default, built from the
-config. A model passed in (table-driven tests) supplies both, the V2V replay
-then calling its link_sinrs and link_rates from scratch at every phase.
-Failures are data, not exceptions.
+Delivery is replayed on the audit's own arithmetic, numpy from the config
+and the vehicles alone; no rate-model code takes part. V2ITable gives each
+granted slot its V2I rate by radio.v2i_slot_rate's formula, per lane and
+block of slot offsets from entry. V2VBudget computes desired power,
+interference terms and self-interference, and re-sums a receiver's
+interference only when a finish touched it. A model passed in
+(table-driven tests) supplies both instead: V2I through its v2i_rates, and
+the V2V replay through its link_sinrs and link_rates, from scratch at every
+phase. Failures are data, not exceptions.
 
 A relative guard of 1e-12 (REL_GUARD) absorbs float-association noise
-between the scheduler's accumulation order and the recomputation. Its reach
-is bounded: a strict-causality phase is replayed as x + n * g where the
+between the scheduler's arithmetic and the recomputation. Its reach is
+bounded: a strict-causality phase is replayed as x + n * g where the
 scheduler adds g slot by slot, and the two differ by up to about n ulps, so
 the guard covers links of up to about 40,000 slots (stock links take
 1,500-4,000). A longer link may fail the audit spuriously. The audit's own
-V2V rates differ from the scheduler's by a few ulps at most (numpy's power,
-arccos and log2 against the math module's), far inside the guard.
+rates differ from the scheduler's by a few ulps at most (numpy's power,
+hypot, arccos and log2 against the math module's, and the order of its
+products), far inside the guard.
 """
 
 from __future__ import annotations
@@ -31,13 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import SchemeResult
-from .geometry import distance_to_rsu
-from .params import ScenarioConfig
-from .radio import mainlobe_gain, v2i_snr
-from .ratemodel import PhysicalRateModel
+from .params import RadioParams, ScenarioConfig
+from .radio import mainlobe_gain
 from .vehicles import VehicleState
 
 REL_GUARD = 1e-12
+V2I_BLOCK = 2048  # slot offsets per block of V2ITable
+
+# The blocks of the latest V2ITable, and what its rates depend on:
+# (radio, road, rate mode), compared by value.
+_v2i_carry: tuple[tuple | None, dict] = (None, {})
 
 
 @dataclass(frozen=True)
@@ -68,20 +73,20 @@ def audit(result: SchemeResult, config: ScenarioConfig,
           vehicles: list[VehicleState], model=None) -> AuditReport:
     """Check the full constraint set against the trace.
 
-    By default V2I delivery is replayed through a fresh physical model
-    built from the config, and V2V SINR on the audit's own V2VBudget.
-    Table-driven runs pass their `model`, which then supplies both.
+    By default V2I delivery is replayed on the audit's own V2ITable, in the
+    run's rate mode, and V2V SINR on its own V2VBudget; neither reads a rate
+    model. Table-driven runs pass their `model`, which then supplies both.
     """
-    v2v = model
+    v2i = v2v = model
     if model is None:
-        model = PhysicalRateModel(config, vehicles, rate_mode=result.rate_mode)
+        v2i = V2ITable(config, vehicles, result.rate_mode)
         v2v = V2VBudget(config, vehicles)
     coverage, v2i_qos = _check_coverage_and_qos(result, config, vehicles)
     checks = [
         coverage,
         v2i_qos,
         _check_rsu_serial(result),
-        _check_v2i_delivery(result, model),
+        _check_v2i_delivery(result, v2i),
         _check_source_once(result),
         _check_precedence(result),
         _check_two_hop(result),
@@ -94,43 +99,51 @@ def audit(result: SchemeResult, config: ScenarioConfig,
 def _check_coverage_and_qos(result, config, vehicles):
     """Granted slots must lie inside the RSU range (coverage) and meet the
     SNR threshold (v2i_qos). RSU distance over a slot interval is V-shaped
-    and SNR falls with distance, so the interval endpoints bound both; each
-    grant's two edge distances are computed once, for both checks. Each
+    and SNR falls with distance, so the interval endpoints bound both; the
+    edge distances of every grant are computed at once, for both checks. A
+    grant that starts before its vehicle's road entry fails both. Each
     check reports its first failing grant."""
-    limit = config.radio.rsu_range * (1.0 + REL_GUARD)
-    floor = config.radio.sinr_threshold * (1.0 - REL_GUARD)
-    coverage = qos = None
-    for grant in result.selection.grants:
-        if grant.n_slots == 0:
-            continue
-        v = vehicles[grant.vehicle - 1]
-        try:
-            first = distance_to_rsu(v, grant.start_slot, config, midpoint=True)
-            last = distance_to_rsu(v, grant.start_slot + grant.n_slots - 1,
-                                   config, midpoint=True)
-        except ValueError:
-            if coverage is None:
-                coverage = CheckResult("coverage", False,
-                                       f"vehicle {grant.vehicle} granted at slot "
-                                       f"{grant.start_slot} before road entry")
-            if qos is None:
-                qos = CheckResult("v2i_qos", False,
-                                  f"vehicle {grant.vehicle} granted before road entry")
-            continue
-        worst = max(first, last)
-        if coverage is None and (first > limit or last > limit):
-            slot = grant.start_slot if first > limit else grant.start_slot + grant.n_slots - 1
-            coverage = CheckResult("coverage", False,
-                                   f"vehicle {grant.vehicle} granted at slot {slot} "
-                                   f"at distance {worst:.3f} m")
-        if qos is None and v2i_snr(worst, config.radio) < floor:
-            qos = CheckResult("v2i_qos", False,
-                              f"vehicle {grant.vehicle} below threshold at "
-                              f"distance {worst:.3f} m")
-        if coverage is not None and qos is not None:
-            break
-    return (coverage or CheckResult("coverage", True),
-            qos or CheckResult("v2i_qos", True))
+    radio, road = config.radio, config.road
+    vid, first_slot, n = np.array(
+        [(g.vehicle, g.start_slot, g.n_slots) for g in result.selection.grants
+         if g.n_slots > 0], dtype=np.int64).reshape(-1, 3).T
+    lane, entry = np.array(
+        [(vehicles[v - 1].lane, vehicles[v - 1].entry_slot) for v in vid.tolist()],
+        dtype=np.int64).reshape(-1, 2).T
+    last_slot = first_slot + n - 1
+    early = first_slot < entry
+
+    def rsu_distance(t):
+        """geometry.distance_to_rsu at mid-slot t, per grant."""
+        x = (t - entry + 0.5) * road.slot_duration * road.speed
+        return np.hypot(x - road.rsu_longitudinal,
+                        (lane - 0.5) * road.lane_width + road.rsu_lateral_offset)
+
+    first, last = rsu_distance(first_slot), rsu_distance(last_slot)
+    worst = np.maximum(first, last)
+    limit = radio.rsu_range * (1.0 + REL_GUARD)
+    floor = radio.sinr_threshold * (1.0 - REL_GUARD)
+
+    def first_failure(bad):
+        bad = bad | early
+        return int(bad.argmax()) if bad.any() else None
+
+    i = first_failure(worst > limit)
+    if i is None:
+        coverage = CheckResult("coverage", True)
+    else:
+        slot = first_slot[i] if early[i] or first[i] > limit else last_slot[i]
+        where = "before road entry" if early[i] else f"at distance {worst[i]:.3f} m"
+        coverage = CheckResult("coverage", False,
+                               f"vehicle {vid[i]} granted at slot {slot} {where}")
+    i = first_failure(_v2i_snr(worst, radio) < floor)
+    if i is None:
+        qos = CheckResult("v2i_qos", True)
+    else:
+        why = ("granted before road entry" if early[i]
+               else f"below threshold at distance {worst[i]:.3f} m")
+        qos = CheckResult("v2i_qos", False, f"vehicle {vid[i]} {why}")
+    return coverage, qos
 
 
 def _check_rsu_serial(result) -> CheckResult:
@@ -146,7 +159,8 @@ def _check_rsu_serial(result) -> CheckResult:
 
 def _check_v2i_delivery(result, model) -> CheckResult:
     """Every served-and-granted vehicle accumulated the full content over its
-    granted slots, by independent rate recomputation."""
+    granted slots, by independent rate recomputation: `model` is the
+    audit's own V2ITable, or a rate model passed in."""
     target = model.content_size * (1.0 - REL_GUARD)
     dt = model.slot_duration
     got: dict[int, float] = {}
@@ -162,6 +176,90 @@ def _check_v2i_delivery(result, model) -> CheckResult:
                                f"vehicle {vid} delivered {got.get(vid, 0.0):.3e} "
                                f"of {model.content_size:.3e} bits")
     return CheckResult("v2i_delivery", True)
+
+
+class V2ITable:
+    """The audit's own V2I rates: radio.v2i_slot_rate's formula, numpy over
+    the config alone.
+
+    A slot's rate depends only on the vehicle's lane and on the offset
+    k = t - entry_slot, so rates are computed per lane over blocks of
+    V2I_BLOCK consecutive offsets, each on first use. midpoint: the Shannon
+    rate at the mid-slot RSU distance. quadrature: composite Simpson with 8
+    subintervals over the angle to the lane perpendicular, the nine nodes
+    added one by one in radio's order. Out of range, the SNR and so the
+    rate are 0.
+
+    The blocks are carried to the next table of the same radio, road and
+    rate mode, which reads a block the last table holds instead of
+    computing it again. The carry is the audit's own: the audit never reads
+    the scheduler's rates.
+    """
+
+    def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
+                 rate_mode: str):
+        if rate_mode not in ("midpoint", "quadrature"):
+            raise ValueError(f"unknown rate mode {rate_mode!r}")
+        global _v2i_carry
+        self._config = config
+        self._rate_mode = rate_mode
+        self.content_size = config.road.content_size
+        self.slot_duration = config.road.slot_duration
+        self._lane_entry = {v.id: (v.lane, v.entry_slot) for v in vehicles}
+        key = (config.radio, config.road, rate_mode)
+        self._prior = _v2i_carry[1] if _v2i_carry[0] == key else {}
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
+        _v2i_carry = key, self._blocks
+
+    def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:
+        """Rates of vehicle vid over slots [start, start+count), bits/s."""
+        lane, entry = self._lane_entry[vid]
+        b, lo = divmod(start - entry, V2I_BLOCK)
+        last = b + (lo + count - 1) // V2I_BLOCK
+        blocks = [self._block(lane, c) for c in range(b, last + 1)]
+        rates = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return rates[lo:lo + count]
+
+    def _block(self, lane: int, b: int) -> np.ndarray:
+        """Rates at the offsets [b * V2I_BLOCK, (b + 1) * V2I_BLOCK) of
+        `lane`: this table's, else the last table's, else computed."""
+        rates = self._blocks.get((lane, b))
+        if rates is None:
+            rates = self._prior.get((lane, b))
+            if rates is None:
+                k = np.arange(b * V2I_BLOCK, (b + 1) * V2I_BLOCK, dtype=float)
+                rates = self._rates(lane, k)
+                rates.setflags(write=False)
+            self._blocks[lane, b] = rates
+        return rates
+
+    def _rates(self, lane: int, k: np.ndarray) -> np.ndarray:
+        radio, road = self._config.radio, self._config.road
+        d_lr = self._config.lane_offset(lane)
+        if self._rate_mode == "midpoint":
+            x = (k + 0.5) * road.slot_duration * road.speed
+            d = np.hypot(x - road.rsu_longitudinal, d_lr)
+            return radio.bandwidth * np.log2(1.0 + _v2i_snr(d, radio))
+        step = road.slot_duration * road.speed
+        x0 = k * step - road.rsu_longitudinal
+        phi0 = np.arctan(x0 / d_lr)
+        h = (np.arctan((x0 + step) / d_lr) - phi0) / 8
+        total = np.zeros_like(k)
+        for i in range(9):
+            cos = np.cos(phi0 + h * i)
+            integrand = (radio.bandwidth * np.log2(1.0 + _v2i_snr(d_lr / cos, radio))
+                         * d_lr / (road.speed * cos ** 2))
+            total += (1 if i in (0, 8) else 4 if i % 2 else 2) * integrand
+        return total * h / 3.0 / road.slot_duration
+
+
+def _v2i_snr(d: np.ndarray, radio: RadioParams) -> np.ndarray:
+    """radio.v2i_snr of each distance d, meters."""
+    g = mainlobe_gain(radio)
+    with np.errstate(divide="ignore"):
+        snr = (radio.path_constant * radio.tx_power_rsu * g * g
+               * d ** -radio.pathloss_exponent) / radio.noise_floor_w
+    return np.where(d > radio.rsu_range, 0.0, snr)
 
 
 def _check_source_once(result) -> CheckResult:

@@ -11,7 +11,9 @@ V2V geometry is therefore sparse and fixed: each vehicle keeps only its
 neighbours within V2V range, found once by sort-and-sweep, and antenna gains
 are memoised per (antenna, boresight peer, probe) triple. A V2I rate depends
 only on the lane and on the slot offset k = t - entry_slot, so rates are
-memoised per lane in read-only blocks of BLOCK consecutive offsets.
+memoised per lane in read-only blocks of BLOCK consecutive offsets. The memo
+is carried to the next model of the same radio, road and rate mode: that
+model reads a block the last one holds instead of computing it again.
 
 TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
 counts. It is used for desk-scale reference instances and brute-force
@@ -33,6 +35,10 @@ Link = tuple[int, int]  # (tx id, rx id)
 
 BLOCK = 2048  # slot offsets per V2I rate memo block
 SIMPSON = (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)  # 8 subintervals
+
+# The V2I memo of the latest PhysicalRateModel, and what its rates depend on:
+# (radio, road, rate mode), compared by value.
+_carry: tuple[tuple | None, dict] = (None, {})
 
 
 def fd_relays(links: list[Link]) -> set[int]:
@@ -227,8 +233,16 @@ class PhysicalRateModel(RateModel):
             self._dlr[v.id] = config.lane_offset(v.lane)
             self._y[v.id] = (v.lane - 0.5) * road.lane_width
             self._lane_entry[v.id] = (v.lane, v.entry_slot)
-        # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets.
+        # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets;
+        # _prior is the last model's memo when it had the same inputs. A
+        # block is taken from _prior as it is, never copied, so at most two
+        # models' blocks are alive, and a block the last model did not read
+        # is dropped.
+        global _carry
+        key = (radio, road, rate_mode)
+        self._prior = _carry[1] if _carry[0] == key else {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
+        _carry = key, self._blocks
 
         g = mainlobe_gain(radio)
         self._noise = radio.noise_floor_w
@@ -272,10 +286,14 @@ class PhysicalRateModel(RateModel):
 
     def _block(self, lane: int, b: int) -> np.ndarray:
         """Read-only rates, bits/s, of a vehicle in `lane` at the slot
-        offsets [b * BLOCK, (b + 1) * BLOCK) from its entry slot, computed
-        on first use."""
+        offsets [b * BLOCK, (b + 1) * BLOCK) from its entry slot: this
+        model's, else the last model's, else computed."""
         rates = self._blocks.get((lane, b))
         if rates is not None:
+            return rates
+        rates = self._prior.get((lane, b))
+        if rates is not None:
+            self._blocks[lane, b] = rates
             return rates
         radio, road = self.config.radio, self.config.road
         d_lr = self.config.lane_offset(lane)

@@ -1,9 +1,11 @@
-"""The audit's own V2V link budget (audit.V2VBudget).
+"""The audit's own arithmetic: its V2V link budget (audit.V2VBudget) and
+its V2I rates (audit.V2ITable).
 
 The audit replays each pairing's SINRs on arithmetic it owns, re-summing
-only the receivers a finish touched. These tests hold that replay to the
-scalar reference in `radio`, to the rate model's from-scratch replay on real
-pairings, and to the runs whose vehicles co-locate.
+only the receivers a finish touched, and each grant's V2I bits on rates it
+computes itself. These tests hold both to the scalar reference in `radio`
+and to the scheduler's rate model on real runs, and the V2V replay to the
+runs whose vehicles co-locate.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from v2xcast.audit import REL_GUARD, V2VBudget, _replay_pairing, audit
-from v2xcast.baselines import run_scheme
-from v2xcast.geometry import distance, position
+from v2xcast.audit import (REL_GUARD, CheckResult, V2ITable, V2VBudget,
+                           _check_coverage_and_qos, _replay_pairing, audit)
+from v2xcast.baselines import SCHEMES, SchemeResult, run_scheme
+from v2xcast.geometry import coverage_window, distance, distance_to_rsu, position
 from v2xcast.harness import run_scenario
-from v2xcast.radio import ConcurrentSet, DirectionalLink, v2v_sinr
+from v2xcast.radio import (ConcurrentSet, DirectionalLink, v2i_slot_rate,
+                           v2i_snr, v2v_sinr)
 from v2xcast.ratemodel import PhysicalRateModel
-from v2xcast.vehicles import spawn_vehicles
+from v2xcast.v2i import Grant, V2ISelection
+from v2xcast.v2v import V2VSchedule
+from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import default_config, default_radio
 from test_golden import LADDER, stock_config
 
@@ -177,3 +183,188 @@ def test_default_audit_does_not_call_link_sinrs(monkeypatch):
 
     monkeypatch.setattr(PhysicalRateModel, "link_sinrs", refuse)
     assert audit(result, config, vehicles).ok
+
+
+def _table_road(**road):
+    """A road with the RSU set back from the lanes and 2 ms slots (10,000
+    to 20,000 slots per pass, so each pass spans several table blocks),
+    and one vehicle per lane."""
+    config = default_config(**{"slot_duration": 2e-3, "rsu_lateral_offset": 2.5,
+                               **road})
+    return config, [VehicleState(lane, lane, 7 * lane)
+                    for lane in range(1, config.road.lane_count + 1)]
+
+
+def _assert_table_matches_scalar(table, config, vehicles, mode):
+    """Every in-coverage slot of each vehicle against radio.v2i_slot_rate.
+    Quadrature is held to rel=1e-9, as the rate model is: one ulp of
+    arctan moves a rate by up to ~4e-10 relative. Returns the rates by
+    vehicle id."""
+    rel = 1e-12 if mode == "midpoint" else 1e-9
+    got = {}
+    for v in vehicles:
+        w0, w1 = coverage_window(v, config)
+        got[v.id] = table.v2i_rates(v.id, w0, w1 - w0 + 1)
+        want = [v2i_slot_rate(v, t, config, mode=mode) for t in range(w0, w1 + 1)]
+        assert w1 - w0 > 5000
+        np.testing.assert_allclose(got[v.id], want, rtol=rel, atol=0)
+    return got
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
+def test_own_v2i_table_matches_scalar_radio(mode):
+    """Every in-coverage slot of every lane against radio.v2i_slot_rate."""
+    config, vehicles = _table_road()
+    _assert_table_matches_scalar(V2ITable(config, vehicles, mode), config,
+                                 vehicles, mode)
+
+
+def test_own_v2i_table_carried_to_the_next_audit_of_the_config():
+    """A table built right after another of an equal config (a new object)
+    reads the blocks the first one holds: the same arrays."""
+    config, vehicles = _table_road()
+    first = V2ITable(config, vehicles, "quadrature")
+    checked = _assert_table_matches_scalar(first, config, vehicles[:2], "quadrature")
+    second = V2ITable(_table_road()[0], vehicles, "quadrature")
+    for vid, rates in checked.items():
+        w0, w1 = coverage_window(vehicles[vid - 1], config)
+        assert np.array_equal(second.v2i_rates(vid, w0, w1 - w0 + 1), rates)
+    assert second._blocks and all(
+        rates is first._blocks[key] for key, rates in second._blocks.items())
+
+
+@pytest.mark.parametrize("stale", [
+    {"road": {"speed": 25.0}},
+    {"road": {"rsu_lateral_offset": 3.5}},
+    {"mode": "quadrature"},
+    {"mode": "midpoint"},
+])
+def test_own_v2i_table_not_carried_across_inputs(stale):
+    """A table built right after one whose road differs only in speed or
+    only in the RSU's lateral offset, or whose rate mode differs, matches
+    its own scalar reference and not the rates the last table held."""
+    config, vehicles = _table_road()
+    vehicles = vehicles[:2]
+    other = {"midpoint": "quadrature", "quadrature": "midpoint"}
+    mode = other.get(stale.get("mode"), "midpoint")
+    before = V2ITable(_table_road(**stale.get("road", {}))[0], vehicles,
+                      stale.get("mode", mode))
+    held = {}
+    for v in vehicles:
+        w0, w1 = coverage_window(v, config)
+        held[v.id] = before.v2i_rates(v.id, w0, w1 - w0 + 1)
+    checked = _assert_table_matches_scalar(V2ITable(config, vehicles, mode),
+                                           config, vehicles, mode)
+    assert any(not np.array_equal(checked[vid], rates)
+               for vid, rates in held.items())
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
+def test_own_v2i_sums_agree_with_the_rate_model(mode):
+    """On every grant of every scheme over stock seeds 1-20, the audit's
+    table sums the granted slots' rates to within REL_GUARD of the sum of
+    the scheduler's v2i_rates."""
+    config = stock_config()
+    grants = 0
+    for seed in range(1, 21):
+        vehicles = spawn_vehicles(config, seed)
+        for scheme in SCHEMES:
+            model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+            result = run_scheme(scheme, model, seed)
+            table = V2ITable(config, vehicles, mode)
+            for g in result.selection.grants:
+                if g.n_slots == 0:
+                    continue
+                want = float(np.sum(model.v2i_rates(g.vehicle, g.start_slot,
+                                                    g.n_slots)))
+                got = float(np.sum(table.v2i_rates(g.vehicle, g.start_slot,
+                                                   g.n_slots)))
+                assert got == pytest.approx(want, rel=REL_GUARD, abs=0.0)
+                grants += 1
+    assert grants > 1000
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
+def test_default_audit_does_not_call_v2i_rates(monkeypatch, mode):
+    """With no model given, V2I delivery is replayed on the audit's own
+    table: the audit builds no rate model and reads none of its rates."""
+    config = stock_config()
+    vehicles = spawn_vehicles(config, 2)
+    result = run_scheme("proposed",
+                        PhysicalRateModel(config, vehicles, rate_mode=mode), 2)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("rate model used")
+
+    monkeypatch.setattr(PhysicalRateModel, "v2i_rates", refuse)
+    monkeypatch.setattr(PhysicalRateModel, "__init__", refuse)
+    report = audit(result, config, vehicles)
+    assert report.ok
+    assert str(report) == "\n".join(f"PASS {name}" for name in CHECKS)
+
+
+def _scalar_coverage_and_qos(grants, config, vehicles):
+    """The coverage and V2I QoS checks grant by grant, on the scalar
+    geometry and radio functions: the reference for the audit's arrays."""
+    limit = config.radio.rsu_range * (1.0 + REL_GUARD)
+    floor = config.radio.sinr_threshold * (1.0 - REL_GUARD)
+    coverage = qos = None
+    for grant in grants:
+        if grant.n_slots == 0:
+            continue
+        v = vehicles[grant.vehicle - 1]
+        try:
+            first = distance_to_rsu(v, grant.start_slot, config, midpoint=True)
+            last = distance_to_rsu(v, grant.start_slot + grant.n_slots - 1,
+                                   config, midpoint=True)
+        except ValueError:
+            if coverage is None:
+                coverage = CheckResult("coverage", False,
+                                       f"vehicle {grant.vehicle} granted at slot "
+                                       f"{grant.start_slot} before road entry")
+            if qos is None:
+                qos = CheckResult("v2i_qos", False,
+                                  f"vehicle {grant.vehicle} granted before road entry")
+            continue
+        worst = max(first, last)
+        if coverage is None and (first > limit or last > limit):
+            slot = grant.start_slot if first > limit else grant.start_slot + grant.n_slots - 1
+            coverage = CheckResult("coverage", False,
+                                   f"vehicle {grant.vehicle} granted at slot {slot} "
+                                   f"at distance {worst:.3f} m")
+        if qos is None and v2i_snr(worst, config.radio) < floor:
+            qos = CheckResult("v2i_qos", False,
+                              f"vehicle {grant.vehicle} below threshold at "
+                              f"distance {worst:.3f} m")
+    return (coverage or CheckResult("coverage", True),
+            qos or CheckResult("v2i_qos", True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(threshold_m=st.floats(50.0, 199.0), rsu_m=st.floats(0.0, 600.0),
+       seed=st.integers(1, 1000),
+       grants=st.lists(st.tuples(
+        st.integers(1, 20),
+        st.one_of(st.integers(-3000, -1), st.integers(0, 360_000),
+                  st.integers(140_000, 260_000)),
+        st.one_of(st.integers(0, 3), st.integers(0, 120_000))), max_size=12))
+def test_coverage_and_qos_match_the_scalar_checks(threshold_m, rsu_m, seed,
+                                                  grants):
+    """Grants anywhere on the road, before entry included, of any length,
+    with the RSU anywhere from the road's entry (where a grant before entry
+    can be in range) to 600 m along it (coverage then spans offsets of
+    about 200,000 to 400,000 slots from entry): both checks give the pass,
+    the first failing grant and the detail text of the grant-by-grant
+    scalar checks."""
+    config = stock_config(rsu_longitudinal_m=rsu_m)
+    config = dataclasses.replace(config, radio=dataclasses.replace(
+        config.radio, sinr_threshold=v2i_snr(threshold_m, config.radio)))
+    vehicles = spawn_vehicles(stock_config(vehicle_count=20), seed)
+    grants = tuple(Grant(vid, vehicles[vid - 1].entry_slot + k, n)
+                   for vid, k, n in grants)
+    result = SchemeResult("proposed", seed,
+                          V2ISelection(grants, 0, (), (), (), False),
+                          V2VSchedule((), 0, ()), frozenset(), frozenset(),
+                          "midpoint", False)
+    assert (_check_coverage_and_qos(result, config, vehicles)
+            == _scalar_coverage_and_qos(grants, config, vehicles))

@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from v2xcast.baselines import SCHEMES
 from v2xcast.geometry import (Point2D, coverage_window, distance, lane_center_y,
                               position, rsu_point)
 from v2xcast.radio import (ConcurrentSet, DirectionalLink, shannon_rate,
@@ -13,9 +16,11 @@ from v2xcast.radio import (ConcurrentSet, DirectionalLink, shannon_rate,
 from v2xcast.params import RoadConfig, ScenarioConfig
 from v2xcast.ratemodel import (BLOCK, PhysicalRateModel, RateModel,
                                TableRateModel, fd_relays)
+from v2xcast.harness import run_scenario
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import (SIX_PAIR_SLOTS, default_config, default_radio,
                        six_vehicle_instance)
+from test_golden import canonical, stock_config
 
 
 def test_fd_relays_identifies_dual_role_nodes():
@@ -73,6 +78,44 @@ def test_v2i_rates_do_not_depend_on_the_query_window(mode):
                               fresh.v2i_rates(b.id, b.entry_slot + k - 10, 1510)[10:])
 
 
+def _scalar_rate(config, mode, v, t):
+    """radio.v2i_slot_rate; before entry, where the scalar midpoint
+    reference refuses the slot, the mid-slot distance is extrapolated back
+    along the lane."""
+    if t >= v.entry_slot or mode != "midpoint":
+        return v2i_slot_rate(v, t, config, mode=mode)
+    road = config.road
+    x = (t - v.entry_slot + 0.5) * road.slot_duration * road.speed
+    d = distance(Point2D(x, lane_center_y(config, v.lane)), rsu_point(config))
+    return shannon_rate(v2i_snr(d, config.radio), config.radio)
+
+
+def _memo_spans(model, v):
+    """(start, count) queries at the memo's edges for vehicle v."""
+    w0, w1 = model.service_window(v.id)
+    return [(v.entry_slot - BLOCK - 5, 10),        # negative offsets
+            (v.entry_slot - 3, 6),                 # across offset 0
+            (w1 - 2, 40),                          # out of the window
+            (2 * w1 - w0, 5),                      # far past it
+            (v.entry_slot + BLOCK * ((w0 - v.entry_slot) // BLOCK + 2) - 7,
+             BLOCK + 14)]                          # three blocks
+
+
+def _assert_scalar_rates(model, vehicles, mode):
+    """Every _memo_spans query of `model` against _scalar_rate; returns the
+    rates, by (vehicle id, start, count)."""
+    rel = 1e-12 if mode == "midpoint" else 1e-9
+    got = {}
+    for v in vehicles:
+        for start, count in _memo_spans(model, v):
+            rates = got[v.id, start, count] = model.v2i_rates(v.id, start, count)
+            assert rates.shape == (count,)
+            for t, r in zip(range(start, start + count), rates):
+                assert r == pytest.approx(_scalar_rate(model.config, mode, v, t),
+                                          rel=rel)
+    return got
+
+
 @pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
 def test_v2i_rates_memo_edges_match_scalar_radio(mode):
     """Empty queries, offsets before entry, slots past the window and a
@@ -86,33 +129,83 @@ def test_v2i_rates_memo_edges_match_scalar_radio(mode):
     config = default_config(vehicle_count=6)
     vehicles = spawn_vehicles(config, seed=4)
     model = PhysicalRateModel(config, vehicles, rate_mode=mode)
-    radio, road = config.radio, config.road
-    rel = 1e-12 if mode == "midpoint" else 1e-9
-
-    def reference(v, t):
-        if t >= v.entry_slot or mode != "midpoint":
-            return v2i_slot_rate(v, t, config, mode=mode)
-        x = (t - v.entry_slot + 0.5) * road.slot_duration * road.speed
-        d = distance(Point2D(x, lane_center_y(config, v.lane)), rsu_point(config))
-        return shannon_rate(v2i_snr(d, radio), radio)
-
+    radio = config.radio
     for v in vehicles[:2]:
         assert model.v2i_rates(v.id, v.entry_slot, 0).shape == (0,)
+    _assert_scalar_rates(model, vehicles[:2], mode)
+    for v in vehicles[:2]:
         w0, w1 = model.service_window(v.id)
-        spans = [(v.entry_slot - BLOCK - 5, 10),        # negative offsets
-                 (v.entry_slot - 3, 6),                 # across offset 0
-                 (w1 - 2, 40),                          # out of the window
-                 (2 * w1 - w0, 5),                      # far past it
-                 (v.entry_slot + BLOCK * ((w0 - v.entry_slot) // BLOCK + 2) - 7,
-                  BLOCK + 14)]                          # three blocks
-        for start, count in spans:
-            got = model.v2i_rates(v.id, start, count)
-            assert got.shape == (count,)
-            for t, r in zip(range(start, start + count), got):
-                assert r == pytest.approx(reference(v, t), rel=rel)
+        for start, count in _memo_spans(model, v):
+            for t, r in zip(range(start, start + count),
+                            model.v2i_rates(v.id, start, count)):
                 if mode == "midpoint" and model.rsu_distance(v.id, t) > radio.rsu_range:
                     assert r == 0.0
         assert model.v2i_rates(v.id, 2 * w1 - w0, 5).tolist() == [0.0] * 5
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
+def test_v2i_memo_carried_to_the_next_model_of_the_config(mode):
+    """A model built right after another of an equal config (a new object)
+    reads the blocks the first one holds, and returns, bit for bit, the
+    rates checked against the scalar reference: on the memo's edges and
+    across three blocks."""
+    config = default_config(vehicle_count=6)
+    vehicles = spawn_vehicles(config, seed=4)[:2]
+    first = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    checked = _assert_scalar_rates(first, vehicles, mode)
+    second = PhysicalRateModel(default_config(vehicle_count=6), vehicles,
+                               rate_mode=mode)
+    for (vid, start, count), rates in checked.items():
+        assert np.array_equal(second.v2i_rates(vid, start, count), rates)
+    assert second._blocks and all(
+        rates is first._blocks[key] for key, rates in second._blocks.items())
+
+
+@pytest.mark.parametrize("stale", [
+    {"road": {"speed": 25.0}},
+    {"road": {"rsu_lateral_offset": 3.0}},
+    {"mode": "quadrature"},
+    {"mode": "midpoint"},
+])
+def test_v2i_memo_not_carried_across_inputs(stale):
+    """A model built right after one whose config differs only in speed or
+    only in the RSU's lateral offset, or whose rate mode differs, matches
+    its own scalar reference and not the rates the last model held."""
+    config = default_config(vehicle_count=6)
+    vehicles = spawn_vehicles(config, seed=4)[:2]
+    other = {"midpoint": "quadrature", "quadrature": "midpoint"}
+    mode = other.get(stale.get("mode"), "midpoint")
+    before = PhysicalRateModel(
+        dataclasses.replace(config, road=dataclasses.replace(
+            config.road, **stale.get("road", {}))),
+        vehicles, rate_mode=stale.get("mode", mode))
+    windows = RateModel(config, vehicles)  # the spans of `config`, no memo
+    held = {(v.id, start, count): before.v2i_rates(v.id, start, count)
+            for v in vehicles for start, count in _memo_spans(windows, v)}
+    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    checked = _assert_scalar_rates(model, vehicles, mode)
+    assert checked.keys() == held.keys()
+    assert any(not np.array_equal(checked[key], rates)
+               for key, rates in held.items())
+
+
+def test_v2i_memo_drops_blocks_the_last_model_did_not_read():
+    """After three models of one config, a block only the first model read
+    is reachable from neither the carry nor the third model, once the
+    first two are gone; a block every model read is the same array in all
+    three."""
+    config = default_config(vehicle_count=6)
+    vehicles = spawn_vehicles(config, seed=4)
+    v = vehicles[0]
+    w0 = RateModel(config, vehicles).service_window(v.id)[0]
+    models = [PhysicalRateModel(config, vehicles) for _ in range(3)]
+    shared = [m.v2i_rates(v.id, w0, 1).base for m in models]
+    assert shared[0] is shared[1] is shared[2]
+    only_first = weakref.ref(models[0].v2i_rates(v.id, w0 + 5 * BLOCK, 1).base)
+    models[1].v2i_rates(v.id, w0, 1)
+    del models[:2], shared
+    gc.collect()
+    assert only_first() is None
 
 
 def test_v2i_rates_are_read_only():
@@ -347,3 +440,37 @@ def test_table_model_rates_land_exactly_on_slot_counts():
             assert model.in_range(i, j) == (slots is not None)
             assert model.set_feasible([(i, j)]) == (slots is not None)
             assert model.link_slots_free(i, j) == slots
+
+
+def test_runs_do_not_depend_on_the_order_of_configs():
+    """The V2I memo is carried between models, and the audit's V2I table
+    between audits, so a carry key that missed an input of the V2I rate
+    would make a run depend on the runs before it. Stock seeds 1-3, every
+    scheme, both rate modes, audited: each run's canonical text and audit
+    report are the same run in order, in reverse, and interleaved with
+    runs of other configs. Every vehicle enters coverage at the same
+    offsets, so a faster road reads other memo blocks than the stock one;
+    the RSU set back by 1 m, or a weaker RSU transmitter, reads the same
+    blocks at other rates."""
+    stock = stock_config()
+    others = [stock_config(speed_mps=25), stock_config(rsu_lateral_m=1),
+              stock_config(pt_dbm=27)]
+    matrix = [(seed, scheme, mode) for mode in ("midpoint", "quadrature")
+              for seed in (1, 2, 3) for scheme in SCHEMES]
+
+    def text(config, run):
+        seed, scheme, mode = run
+        result, report, audit_report = run_scenario(
+            config, seed, scheme, rate_mode=mode, with_audit=True)
+        assert audit_report.ok
+        return canonical(result, report) + str(audit_report)
+
+    in_order = [text(stock, run) for run in matrix]
+    reverse = [text(stock, run) for run in reversed(matrix)][::-1]
+    interleaved = []
+    for k, run in enumerate(matrix):
+        other = text(others[k % len(others)], run)
+        interleaved.append(text(stock, run))
+        assert other != interleaved[-1]
+    assert in_order == reverse
+    assert in_order == interleaved
