@@ -5,15 +5,17 @@ recomputes every constraint: coverage and V2I link quality from its own
 geometry arithmetic, and the structural rules of the sharing phase from the
 trace alone. It calls none of the scheduling loops (v2i, v2v, baselines).
 
-Delivery is replayed on the audit's own arithmetic, numpy from the config
-and the vehicles alone; no rate-model code takes part. V2ITable gives each
-granted slot its V2I rate by radio.v2i_slot_rate's formula, per lane and
-block of slot offsets from entry. V2VBudget computes desired power,
-interference terms and self-interference, and re-sums a receiver's
-interference only when a finish touched it. A model passed in
-(table-driven tests) supplies both instead: V2I through its v2i_rates, and
-the V2V replay through its link_sinrs and link_rates, from scratch at every
-phase. Failures are data, not exceptions.
+V2V delivery is replayed on the audit's own arithmetic: V2VBudget computes
+desired power, interference terms and self-interference with numpy from the
+config and the vehicles alone, and re-sums a receiver's interference only
+when a finish touched it; no rate-model code takes part. V2I delivery goes
+through a second physical rate model, AuditRateModel, built from the config.
+Its V2I memo is carried between audits of one config apart from the
+scheduler's, so the audit recomputes each rate block once per config and
+never reads the scheduler's rate arrays. A model passed in (table-driven
+tests) supplies both instead: V2I through its v2i_rates, and the V2V replay
+through its link_sinrs and link_rates, from scratch at every phase.
+Failures are data, not exceptions.
 
 A relative guard of 1e-12 (REL_GUARD) absorbs float-association noise
 between the scheduler's arithmetic and the recomputation. Its reach is
@@ -21,9 +23,9 @@ bounded: a strict-causality phase is replayed as x + n * g where the
 scheduler adds g slot by slot, and the two differ by up to about n ulps, so
 the guard covers links of up to about 40,000 slots (stock links take
 1,500-4,000). A longer link may fail the audit spuriously. The audit's own
-rates differ from the scheduler's by a few ulps at most (numpy's power,
-hypot, arccos and log2 against the math module's, and the order of its
-products), far inside the guard.
+V2V rates, and its coverage distances, differ from the scheduler's by a few
+ulps at most (numpy's power, hypot, arccos and log2 against the math
+module's), far inside the guard.
 """
 
 from __future__ import annotations
@@ -35,14 +37,16 @@ import numpy as np
 from .baselines import SchemeResult
 from .params import RadioParams, ScenarioConfig
 from .radio import mainlobe_gain
+from .ratemodel import PhysicalRateModel
 from .vehicles import VehicleState
 
 REL_GUARD = 1e-12
-V2I_BLOCK = 2048  # slot offsets per block of V2ITable
 
-# The blocks of the latest V2ITable, and what its rates depend on:
-# (radio, road, rate mode), compared by value.
-_v2i_carry: tuple[tuple | None, dict] = (None, {})
+
+class AuditRateModel(PhysicalRateModel):
+    """The audit's second physical model, for V2I delivery. As its own
+    class it carries its V2I memo only to the next audit's model of the same
+    config, never to or from the scheduler's models."""
 
 
 @dataclass(frozen=True)
@@ -73,13 +77,14 @@ def audit(result: SchemeResult, config: ScenarioConfig,
           vehicles: list[VehicleState], model=None) -> AuditReport:
     """Check the full constraint set against the trace.
 
-    By default V2I delivery is replayed on the audit's own V2ITable, in the
-    run's rate mode, and V2V SINR on its own V2VBudget; neither reads a rate
-    model. Table-driven runs pass their `model`, which then supplies both.
+    By default V2I delivery is replayed through an AuditRateModel built
+    from the config in the run's rate mode, and V2V SINR on the audit's own
+    V2VBudget. Table-driven runs pass their `model`, which then supplies
+    both.
     """
     v2i = v2v = model
     if model is None:
-        v2i = V2ITable(config, vehicles, result.rate_mode)
+        v2i = AuditRateModel(config, vehicles, rate_mode=result.rate_mode)
         v2v = V2VBudget(config, vehicles)
     coverage, v2i_qos = _check_coverage_and_qos(result, config, vehicles)
     checks = [
@@ -160,7 +165,7 @@ def _check_rsu_serial(result) -> CheckResult:
 def _check_v2i_delivery(result, model) -> CheckResult:
     """Every served-and-granted vehicle accumulated the full content over its
     granted slots, by independent rate recomputation: `model` is the
-    audit's own V2ITable, or a rate model passed in."""
+    audit's own AuditRateModel, or a rate model passed in."""
     target = model.content_size * (1.0 - REL_GUARD)
     dt = model.slot_duration
     got: dict[int, float] = {}
@@ -176,81 +181,6 @@ def _check_v2i_delivery(result, model) -> CheckResult:
                                f"vehicle {vid} delivered {got.get(vid, 0.0):.3e} "
                                f"of {model.content_size:.3e} bits")
     return CheckResult("v2i_delivery", True)
-
-
-class V2ITable:
-    """The audit's own V2I rates: radio.v2i_slot_rate's formula, numpy over
-    the config alone.
-
-    A slot's rate depends only on the vehicle's lane and on the offset
-    k = t - entry_slot, so rates are computed per lane over blocks of
-    V2I_BLOCK consecutive offsets, each on first use. midpoint: the Shannon
-    rate at the mid-slot RSU distance. quadrature: composite Simpson with 8
-    subintervals over the angle to the lane perpendicular, the nine nodes
-    added one by one in radio's order. Out of range, the SNR and so the
-    rate are 0.
-
-    The blocks are carried to the next table of the same radio, road and
-    rate mode, which reads a block the last table holds instead of
-    computing it again. The carry is the audit's own: the audit never reads
-    the scheduler's rates.
-    """
-
-    def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
-                 rate_mode: str):
-        if rate_mode not in ("midpoint", "quadrature"):
-            raise ValueError(f"unknown rate mode {rate_mode!r}")
-        global _v2i_carry
-        self._config = config
-        self._rate_mode = rate_mode
-        self.content_size = config.road.content_size
-        self.slot_duration = config.road.slot_duration
-        self._lane_entry = {v.id: (v.lane, v.entry_slot) for v in vehicles}
-        key = (config.radio, config.road, rate_mode)
-        self._prior = _v2i_carry[1] if _v2i_carry[0] == key else {}
-        self._blocks: dict[tuple[int, int], np.ndarray] = {}
-        _v2i_carry = key, self._blocks
-
-    def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:
-        """Rates of vehicle vid over slots [start, start+count), bits/s."""
-        lane, entry = self._lane_entry[vid]
-        b, lo = divmod(start - entry, V2I_BLOCK)
-        last = b + (lo + count - 1) // V2I_BLOCK
-        blocks = [self._block(lane, c) for c in range(b, last + 1)]
-        rates = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        return rates[lo:lo + count]
-
-    def _block(self, lane: int, b: int) -> np.ndarray:
-        """Rates at the offsets [b * V2I_BLOCK, (b + 1) * V2I_BLOCK) of
-        `lane`: this table's, else the last table's, else computed."""
-        rates = self._blocks.get((lane, b))
-        if rates is None:
-            rates = self._prior.get((lane, b))
-            if rates is None:
-                k = np.arange(b * V2I_BLOCK, (b + 1) * V2I_BLOCK, dtype=float)
-                rates = self._rates(lane, k)
-                rates.setflags(write=False)
-            self._blocks[lane, b] = rates
-        return rates
-
-    def _rates(self, lane: int, k: np.ndarray) -> np.ndarray:
-        radio, road = self._config.radio, self._config.road
-        d_lr = self._config.lane_offset(lane)
-        if self._rate_mode == "midpoint":
-            x = (k + 0.5) * road.slot_duration * road.speed
-            d = np.hypot(x - road.rsu_longitudinal, d_lr)
-            return radio.bandwidth * np.log2(1.0 + _v2i_snr(d, radio))
-        step = road.slot_duration * road.speed
-        x0 = k * step - road.rsu_longitudinal
-        phi0 = np.arctan(x0 / d_lr)
-        h = (np.arctan((x0 + step) / d_lr) - phi0) / 8
-        total = np.zeros_like(k)
-        for i in range(9):
-            cos = np.cos(phi0 + h * i)
-            integrand = (radio.bandwidth * np.log2(1.0 + _v2i_snr(d_lr / cos, radio))
-                         * d_lr / (road.speed * cos ** 2))
-            total += (1 if i in (0, 8) else 4 if i % 2 else 2) * integrand
-        return total * h / 3.0 / road.slot_duration
 
 
 def _v2i_snr(d: np.ndarray, radio: RadioParams) -> np.ndarray:

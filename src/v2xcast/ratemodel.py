@@ -12,8 +12,10 @@ neighbours within V2V range, found once by sort-and-sweep, and antenna gains
 are memoised per (antenna, boresight peer, probe) triple. A V2I rate depends
 only on the lane and on the slot offset k = t - entry_slot, so rates are
 memoised per lane in read-only blocks of BLOCK consecutive offsets. The memo
-is carried to the next model of the same radio, road and rate mode: that
-model reads a block the last one holds instead of computing it again.
+is carried to the next model of the same class, radio, road and rate mode:
+that model reads a block the last one holds instead of computing it again.
+Each class keeps a carry of its own, so a subclass's models never read the
+blocks of a plain PhysicalRateModel, nor it theirs.
 
 TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
 counts. It is used for desk-scale reference instances and brute-force
@@ -36,9 +38,9 @@ Link = tuple[int, int]  # (tx id, rx id)
 BLOCK = 2048  # slot offsets per V2I rate memo block
 SIMPSON = (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)  # 8 subintervals
 
-# The V2I memo of the latest PhysicalRateModel, and what its rates depend on:
-# (radio, road, rate mode), compared by value.
-_carry: tuple[tuple | None, dict] = (None, {})
+# Per model class, the V2I memo of its latest model, and what its rates
+# depend on: (radio, road, rate mode), compared by value.
+_carries: dict[type, tuple[tuple, dict]] = {}
 
 
 def fd_relays(links: list[Link]) -> set[int]:
@@ -234,15 +236,15 @@ class PhysicalRateModel(RateModel):
             self._y[v.id] = (v.lane - 0.5) * road.lane_width
             self._lane_entry[v.id] = (v.lane, v.entry_slot)
         # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets;
-        # _prior is the last model's memo when it had the same inputs. A
-        # block is taken from _prior as it is, never copied, so at most two
-        # models' blocks are alive, and a block the last model did not read
-        # is dropped.
-        global _carry
+        # _prior is the memo of the last model of this class when it had
+        # the same inputs. A block is taken from _prior as it is, never
+        # copied, so at most two models' blocks are alive per class, and a
+        # block the last model did not read is dropped.
         key = (radio, road, rate_mode)
-        self._prior = _carry[1] if _carry[0] == key else {}
+        held_key, held = _carries.get(type(self), (None, {}))
+        self._prior = held if held_key == key else {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
-        _carry = key, self._blocks
+        _carries[type(self)] = key, self._blocks
 
         g = mainlobe_gain(radio)
         self._noise = radio.noise_floor_w

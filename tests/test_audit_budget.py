@@ -1,11 +1,10 @@
-"""The audit's own arithmetic: its V2V link budget (audit.V2VBudget) and
-its V2I rates (audit.V2ITable).
+"""The audit's own arithmetic: its V2V link budget (audit.V2VBudget), and
+the V2I rate memo its AuditRateModel keeps apart from the scheduler's.
 
 The audit replays each pairing's SINRs on arithmetic it owns, re-summing
-only the receivers a finish touched, and each grant's V2I bits on rates it
-computes itself. These tests hold both to the scalar reference in `radio`
-and to the scheduler's rate model on real runs, and the V2V replay to the
-runs whose vehicles co-locate.
+only the receivers a finish touched. These tests hold the budget to the
+scalar reference in `radio` and to the scheduler's rate model on real runs,
+and the V2V replay to the runs whose vehicles co-locate.
 """
 
 from __future__ import annotations
@@ -17,17 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from v2xcast.audit import (REL_GUARD, CheckResult, V2ITable, V2VBudget,
+from v2xcast.audit import (REL_GUARD, AuditRateModel, CheckResult, V2VBudget,
                            _check_coverage_and_qos, _replay_pairing, audit)
-from v2xcast.baselines import SCHEMES, SchemeResult, run_scheme
-from v2xcast.geometry import coverage_window, distance, distance_to_rsu, position
+from v2xcast.baselines import SchemeResult, run_scheme
+from v2xcast.geometry import distance, distance_to_rsu, position
 from v2xcast.harness import run_scenario
-from v2xcast.radio import (ConcurrentSet, DirectionalLink, v2i_slot_rate,
-                           v2i_snr, v2v_sinr)
+from v2xcast.radio import ConcurrentSet, DirectionalLink, v2i_snr, v2v_sinr
+from v2xcast import ratemodel
 from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.v2i import Grant, V2ISelection
 from v2xcast.v2v import V2VSchedule
-from v2xcast.vehicles import VehicleState, spawn_vehicles
+from v2xcast.vehicles import spawn_vehicles
 from instances import default_config, default_radio
 from test_golden import LADDER, stock_config
 
@@ -185,122 +184,30 @@ def test_default_audit_does_not_call_link_sinrs(monkeypatch):
     assert audit(result, config, vehicles).ok
 
 
-def _table_road(**road):
-    """A road with the RSU set back from the lanes and 2 ms slots (10,000
-    to 20,000 slots per pass, so each pass spans several table blocks),
-    and one vehicle per lane."""
-    config = default_config(**{"slot_duration": 2e-3, "rsu_lateral_offset": 2.5,
-                               **road})
-    return config, [VehicleState(lane, lane, 7 * lane)
-                    for lane in range(1, config.road.lane_count + 1)]
-
-
-def _assert_table_matches_scalar(table, config, vehicles, mode):
-    """Every in-coverage slot of each vehicle against radio.v2i_slot_rate.
-    Quadrature is held to rel=1e-9, as the rate model is: one ulp of
-    arctan moves a rate by up to ~4e-10 relative. Returns the rates by
-    vehicle id."""
-    rel = 1e-12 if mode == "midpoint" else 1e-9
-    got = {}
-    for v in vehicles:
-        w0, w1 = coverage_window(v, config)
-        got[v.id] = table.v2i_rates(v.id, w0, w1 - w0 + 1)
-        want = [v2i_slot_rate(v, t, config, mode=mode) for t in range(w0, w1 + 1)]
-        assert w1 - w0 > 5000
-        np.testing.assert_allclose(got[v.id], want, rtol=rel, atol=0)
-    return got
-
-
 @pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
-def test_own_v2i_table_matches_scalar_radio(mode):
-    """Every in-coverage slot of every lane against radio.v2i_slot_rate."""
-    config, vehicles = _table_road()
-    _assert_table_matches_scalar(V2ITable(config, vehicles, mode), config,
-                                 vehicles, mode)
-
-
-def test_own_v2i_table_carried_to_the_next_audit_of_the_config():
-    """A table built right after another of an equal config (a new object)
-    reads the blocks the first one holds: the same arrays."""
-    config, vehicles = _table_road()
-    first = V2ITable(config, vehicles, "quadrature")
-    checked = _assert_table_matches_scalar(first, config, vehicles[:2], "quadrature")
-    second = V2ITable(_table_road()[0], vehicles, "quadrature")
-    for vid, rates in checked.items():
-        w0, w1 = coverage_window(vehicles[vid - 1], config)
-        assert np.array_equal(second.v2i_rates(vid, w0, w1 - w0 + 1), rates)
-    assert second._blocks and all(
-        rates is first._blocks[key] for key, rates in second._blocks.items())
-
-
-@pytest.mark.parametrize("stale", [
-    {"road": {"speed": 25.0}},
-    {"road": {"rsu_lateral_offset": 3.5}},
-    {"mode": "quadrature"},
-    {"mode": "midpoint"},
-])
-def test_own_v2i_table_not_carried_across_inputs(stale):
-    """A table built right after one whose road differs only in speed or
-    only in the RSU's lateral offset, or whose rate mode differs, matches
-    its own scalar reference and not the rates the last table held."""
-    config, vehicles = _table_road()
-    vehicles = vehicles[:2]
-    other = {"midpoint": "quadrature", "quadrature": "midpoint"}
-    mode = other.get(stale.get("mode"), "midpoint")
-    before = V2ITable(_table_road(**stale.get("road", {}))[0], vehicles,
-                      stale.get("mode", mode))
-    held = {}
-    for v in vehicles:
-        w0, w1 = coverage_window(v, config)
-        held[v.id] = before.v2i_rates(v.id, w0, w1 - w0 + 1)
-    checked = _assert_table_matches_scalar(V2ITable(config, vehicles, mode),
-                                           config, vehicles, mode)
-    assert any(not np.array_equal(checked[vid], rates)
-               for vid, rates in held.items())
-
-
-@pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
-def test_own_v2i_sums_agree_with_the_rate_model(mode):
-    """On every grant of every scheme over stock seeds 1-20, the audit's
-    table sums the granted slots' rates to within REL_GUARD of the sum of
-    the scheduler's v2i_rates."""
-    config = stock_config()
-    grants = 0
-    for seed in range(1, 21):
-        vehicles = spawn_vehicles(config, seed)
-        for scheme in SCHEMES:
-            model = PhysicalRateModel(config, vehicles, rate_mode=mode)
-            result = run_scheme(scheme, model, seed)
-            table = V2ITable(config, vehicles, mode)
-            for g in result.selection.grants:
-                if g.n_slots == 0:
-                    continue
-                want = float(np.sum(model.v2i_rates(g.vehicle, g.start_slot,
-                                                    g.n_slots)))
-                got = float(np.sum(table.v2i_rates(g.vehicle, g.start_slot,
-                                                   g.n_slots)))
-                assert got == pytest.approx(want, rel=REL_GUARD, abs=0.0)
-                grants += 1
-    assert grants > 1000
-
-
-@pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
-def test_default_audit_does_not_call_v2i_rates(monkeypatch, mode):
-    """With no model given, V2I delivery is replayed on the audit's own
-    table: the audit builds no rate model and reads none of its rates."""
+def test_audit_carries_a_v2i_memo_apart_from_the_schedulers(mode):
+    """The audit's model reads none of the scheduler's rate arrays, though
+    they hold the same rates, and the next audit of an equal config (a new
+    object) reads the blocks the last audit's model holds; the next
+    scheduler's model reads the last scheduler's, not the audit's."""
     config = stock_config()
     vehicles = spawn_vehicles(config, 2)
-    result = run_scheme("proposed",
-                        PhysicalRateModel(config, vehicles, rate_mode=mode), 2)
+    scheduler = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    result = run_scheme("proposed", scheduler, 2)
+    assert audit(result, config, vehicles).ok
+    held = dict(ratemodel._carries[AuditRateModel][1])
+    assert held
+    for key, rates in held.items():
+        assert not any(rates is other for other in scheduler._blocks.values())
+        if key in scheduler._blocks:
+            assert np.array_equal(rates, scheduler._blocks[key])
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("rate model used")
-
-    monkeypatch.setattr(PhysicalRateModel, "v2i_rates", refuse)
-    monkeypatch.setattr(PhysicalRateModel, "__init__", refuse)
-    report = audit(result, config, vehicles)
-    assert report.ok
-    assert str(report) == "\n".join(f"PASS {name}" for name in CHECKS)
+    again = stock_config()
+    assert again is not config
+    assert audit(result, again, vehicles).ok
+    _, blocks = ratemodel._carries[AuditRateModel]
+    assert blocks and all(rates is held[key] for key, rates in blocks.items())
+    assert PhysicalRateModel(again, vehicles, rate_mode=mode)._prior is scheduler._blocks
 
 
 def _scalar_coverage_and_qos(grants, config, vehicles):
