@@ -15,7 +15,10 @@ memoised per lane in read-only blocks of BLOCK consecutive offsets. The memo
 is carried to the next model of the same class, radio, road and rate mode:
 that model reads a block the last one holds instead of computing it again.
 Each class keeps a carry of its own, so a subclass's models never read the
-blocks of a plain PhysicalRateModel, nor it theirs.
+blocks of a plain PhysicalRateModel, nor it theirs. The V2V SINR formula,
+the interference term and the by-transmitter index are each written once:
+link_sinrs sums every receiver afresh through them, and admits and
+rates_after_finish keep or reuse sums of the same terms in the same order.
 
 TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
 counts. It is used for desk-scale reference instances and brute-force
@@ -368,36 +371,8 @@ class PhysicalRateModel(RateModel):
             return g
 
     def link_sinrs(self, links: list[Link]) -> list[float]:
-        """Receiver SINR per link when all of them transmit concurrently.
-
-        A link interferes only at the receivers that are neighbours of its
-        transmitter. Interferers are taken in the order of `links`, so each
-        receiver adds the same terms in the same order as a scan of every
-        link would."""
-        victims: dict[int, list[int]] = {}  # receiver -> indices of its links
-        for m, (_, rx) in enumerate(links):
-            victims.setdefault(rx, []).append(m)
-        itf = [0.0] * len(links)
-        for utx, urx in links:
-            for rx, (d, _, _) in self._near[utx].items():
-                for m in victims.get(rx, ()):
-                    tx = links[m][0]
-                    if tx == utx and rx == urx:
-                        continue
-                    if d == 0.0:
-                        itf[m] = math.inf
-                        continue
-                    gt = self._gain(utx, urx, rx)
-                    gr = self._gain(rx, tx, utx)
-                    itf[m] += self._c_itf * gt * gr * d ** (-self._tau)
-        relays = fd_relays(links)
-        out = []
-        for (tx, rx), interference in zip(links, itf):
-            pair = self._near[rx].get(tx)
-            rsi = self._rsi if rx in relays else 0.0
-            out.append(0.0 if pair is None
-                       else pair[1] / (self._noise + interference + rsi))
-        return out
+        """Receiver SINR per link when all of them transmit concurrently."""
+        return self._sinrs(links, links)
 
     def link_rates(self, links: list[Link], sinrs=None) -> list[float]:
         w = self.config.radio.bandwidth
@@ -407,19 +382,21 @@ class PhysicalRateModel(RateModel):
 
     # ---- V2V, incremental ----
     #
-    # link_sinrs adds each receiver's interference terms in link order. A
-    # term depends only on the interfering link and the receiver's link, so
-    # a running sum kept in that order, plus a term added last, is the
-    # float link_sinrs gives, and a sum whose terms did not change can be
-    # reused as it is. The methods below use that to touch only the links
-    # near a change; link_sinrs stays the from-scratch reference.
+    # A receiver's interference adds one term per link whose transmitter it
+    # hears, in link order (_interference). A term depends only on the
+    # interfering link and the receiver's link, so a running sum kept in
+    # that order, plus a term added last, is the float a fresh sum gives,
+    # and a sum whose terms did not change can be reused as it is.
+    # link_sinrs sums every receiver afresh (_sinrs); admits and
+    # rates_after_finish use the running sums to touch only the links near
+    # a change. The test oracle in tests/oracle.py sums them its own way.
 
     def peers(self, vid: int):
         return self._near[vid].keys()
 
     def _term(self, utx: int, urx: int, tx: int, rx: int) -> float:
-        """link_sinrs's interference term of link (utx, urx) at the receiver
-        of link (tx, rx), a neighbour of utx."""
+        """The interference term of link (utx, urx) at the receiver of link
+        (tx, rx), a neighbour of utx."""
         d = self._near[utx][rx][0]
         if d == 0.0:
             return math.inf
@@ -434,13 +411,23 @@ class PhysicalRateModel(RateModel):
 
     def _interference(self, links: list[Link], by_tx: dict, link: Link) -> float:
         """Interference at link's receiver from `links`, whose indices by
-        transmitter are `by_tx`, added in list order as link_sinrs does."""
+        transmitter are `by_tx`, added in list order."""
         tx, rx = link
         total = 0.0
         for u in sorted(m for t in self._near[rx] for m in by_tx.get(t, ())):
             if links[u] != link:
                 total += self._term(*links[u], tx, rx)
         return total
+
+    def _sinrs(self, links: list[Link], of: list[Link]) -> list[float]:
+        """The SINRs of the links `of` while every link of `links`
+        transmits, each receiver's interference summed afresh."""
+        by_tx: dict[int, list[int]] = {}
+        for m, (tx, _) in enumerate(links):
+            by_tx.setdefault(tx, []).append(m)
+        relays = fd_relays(links)
+        return [self._sinr(l, self._interference(links, by_tx, l), l[1] in relays)
+                for l in of]
 
     def _join(self, fold: _Fold, link: Link):
         """What `link` joining the folded set changes: the new interference
@@ -505,19 +492,15 @@ class PhysicalRateModel(RateModel):
 
     def rates_after_finish(self, links: list[Link], rates: dict,
                            finished: list[Link]) -> list[float]:
-        """Only the receivers that heard a finished transmitter, or that
-        stopped relaying, get a new rate, summed afresh in link order; every
-        other rate is reused."""
-        relays = fd_relays(links)
-        stale = fd_relays(links + finished) - relays
+        """Only the receivers that heard a finished transmitter, or were
+        one and so may have stopped relaying, get a new rate, summed afresh
+        in link order; every other rate is reused."""
+        stale = set()
         for tx, _ in finished:
+            stale.add(tx)
             stale.update(self._near[tx])
-        by_tx: dict[int, list[int]] = {}
-        for m, (tx, _) in enumerate(links):
-            by_tx.setdefault(tx, []).append(m)
         fresh = [l for l in links if l[1] in stale]
-        sinrs = [self._sinr(l, self._interference(links, by_tx, l), l[1] in relays)
-                 for l in fresh]
+        sinrs = self._sinrs(links, fresh)
         rates = {**rates, **dict(zip(fresh, self.link_rates(fresh, sinrs)))}
         return [rates[l] for l in links]
 

@@ -139,7 +139,9 @@ def run_pairing(model, links: list[Link], start_slot: int, index: int,
     strict_causality additionally caps what a relay forwards at what it
     has received so far, which serializes unequal-rate chains honestly. A
     relay hop is a link whose transmitter also receives in the pairing, and
-    its feeder is the first link into that transmitter. Each slot then adds,
+    its feeder is the first link into that transmitter; a relay hop must be
+    listed after its feeder, as build_pairing commits them, else
+    ValueError. Each slot then adds,
     in commit order, min(rate * dt, feeder - relay) to a relay hop, so a
     relay sees its feeder's same-slot arrivals before forwarding
     (pass-through within a slot). Those per-slot sums are kept float for
@@ -156,11 +158,9 @@ def run_pairing(model, links: list[Link], start_slot: int, index: int,
     m = {l: 0 for l in links}
     into = {l[1]: l for l in reversed(links)}  # the first link into a node
     feeder_of = {l: into[l[0]] for l in links if l[0] in into}
-
-    # A span runs relays after their feeders; links out of that order step
-    # one slot at a time, where a relay sees its feeder's previous slot.
     order = {l: i for i, l in enumerate(links)}
-    chunk = CHUNK if all(order[f] < order[l] for l, f in feeder_of.items()) else 1
+    if any(order[f] >= order[l] for l, f in feeder_of.items()):
+        raise ValueError("a relay hop is listed before its feeder")
     rates: dict = {}
     elapsed = 0
     while active and elapsed <= model.horizon - start_slot:
@@ -179,7 +179,7 @@ def run_pairing(model, links: list[Link], start_slot: int, index: int,
         if strict_causality:
             left = model.horizon - start_slot - elapsed + 1
             step = _strict_span(active, rates, delivered, feeder_of, dt,
-                                d_target, min(chunk, left))
+                                d_target, min(CHUNK, left))
         else:
             step = min(
                 max(1, math.ceil((d_target - delivered[l]) / (rates[l] * dt)))

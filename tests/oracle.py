@@ -1,11 +1,17 @@
-"""Exhaustive schedule-structure reference for small table-driven instances.
+"""Test-only references that share no arithmetic with the code they check.
 
-Searches every RSU grant subset, every source-to-receiver chain assignment,
-and every pairing decomposition, under the same structural rules the
-schedulers obey: chains of at most two links, node-disjoint links within a
-pairing, each vehicle sourcing at most once overall, receivers becoming
-sources only after they receive. Rates are table slot counts, so a pairing
-costs the longest of its links. Never calls scheduler code.
+optimal_total_slots is an exhaustive schedule-structure reference for small
+table-driven instances. It searches every RSU grant subset, every
+source-to-receiver chain assignment, and every pairing decomposition, under
+the same structural rules the schedulers obey: chains of at most two links,
+node-disjoint links within a pairing, each vehicle sourcing at most once
+overall, receivers becoming sources only after they receive. Rates are table
+slot counts, so a pairing costs the longest of its links. It never calls
+scheduler code.
+
+oracle_link_sinrs is PhysicalRateModel's concurrent-link SINR computed by a
+scan of its own, interferer by interferer, over the model's fixed geometry
+and antenna gains; the model's SINR helpers must give its floats bit for bit.
 """
 
 from __future__ import annotations
@@ -70,3 +76,37 @@ def optimal_total_slots(n: int, v2i_slots: dict, pair_slots: dict) -> int:
             best = min(best, t_v2i + t_v2v)
     assert best < math.inf  # granting everyone always works
     return int(best)
+
+
+def oracle_link_sinrs(model, links):
+    """Receiver SINR per link of a PhysicalRateModel when all of them
+    transmit concurrently.
+
+    A link interferes only at the receivers that are neighbours of its
+    transmitter. Interferers are taken in the order of `links`, so each
+    receiver adds the same terms in the same order as a scan of every
+    link would."""
+    victims = {}  # receiver -> indices of its links
+    for m, (_, rx) in enumerate(links):
+        victims.setdefault(rx, []).append(m)
+    itf = [0.0] * len(links)
+    for utx, urx in links:
+        for rx, (d, _, _) in model._near[utx].items():
+            for m in victims.get(rx, ()):
+                tx = links[m][0]
+                if tx == utx and rx == urx:
+                    continue
+                if d == 0.0:
+                    itf[m] = math.inf
+                    continue
+                gt = model._gain(utx, urx, rx)
+                gr = model._gain(rx, tx, utx)
+                itf[m] += model._c_itf * gt * gr * d ** (-model._tau)
+    relays = {tx for tx, _ in links} & {rx for _, rx in links}
+    out = []
+    for (tx, rx), interference in zip(links, itf):
+        pair = model._near[rx].get(tx)
+        rsi = model._rsi if rx in relays else 0.0
+        out.append(0.0 if pair is None
+                   else pair[1] / (model._noise + interference + rsi))
+    return out

@@ -171,7 +171,7 @@ def test_co_located_runs_audit_as_before(seed, scheme, strict):
 
 def test_default_audit_does_not_call_link_sinrs(monkeypatch):
     """With no model given, the V2V replay runs on the audit's budget: the
-    scheduler's from-scratch reference is never consulted."""
+    scheduler's link_sinrs is never consulted."""
     config = stock_config(**LADDER)
     vehicles = spawn_vehicles(config, 1)
     result = run_scheme("proposed", PhysicalRateModel(config, vehicles), 1)

@@ -2,11 +2,13 @@
 
 PhysicalRateModel.admits keeps each committed link's interference as a
 running sum, and rates_after_finish reuses every rate a finish did not
-change. Both must give link_sinrs's floats, not close ones: admits only
-answers a boolean, which would hide a last-ulp error, so these tests also
-read the sums it keeps. best_first_hop, servable and next_service_slot scan
-peers, entry order and window arrays instead of all of v_b; the old scans
-are kept here as their oracles.
+change. Both, and link_sinrs, must give the floats of oracle_link_sinrs, a
+from-scratch scan kept in tests/oracle.py that shares none of the model's
+SINR helpers, not close ones: admits only answers a boolean, which would
+hide a last-ulp error, so these tests also read the sums it keeps.
+best_first_hop, servable and next_service_slot scan peers, entry order and
+window arrays instead of all of v_b; the old scans are kept here as their
+oracles.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ from v2xcast.v2i import next_service_slot, servable
 from v2xcast.v2v import best_first_hop, conflict
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import default_config, default_radio
+from oracle import oracle_link_sinrs
 from test_golden import LADDER, stock_config
 
 
@@ -42,15 +45,17 @@ def fold_sinrs(model, committed, candidate):
 
 def assert_admits_exact(model, committed, candidate):
     links = committed + [candidate]
-    ref = model.link_sinrs(links)
-    assert model.admits(committed, candidate) == model.set_feasible(links)
+    ref = oracle_link_sinrs(model, links)
+    assert model.admits(committed, candidate) == \
+        all(s >= model.sinr_threshold for s in ref)
     assert np.array_equal(fold_sinrs(model, committed, candidate), ref,
                           equal_nan=True), (committed, candidate)
 
 
 def assert_rerate_exact(model, active, rates, finished):
     got = model.rates_after_finish(active, rates, finished)
-    assert got == model.link_rates(active), (active, finished)
+    want = model.link_rates(active, oracle_link_sinrs(model, active))
+    assert got == want, (active, finished)
     return got
 
 
@@ -142,14 +147,18 @@ def check_shrinks(model, links, groups):
 def test_incremental_interference_matches_link_sinrs(si_cancel, data):
     """Every prefix, candidate and shrink of a link set built greedily from
     every in-range link of a dense hand-built population, co-located
-    vehicles included, gives link_sinrs's SINRs and link_rates's rates bit
-    for bit."""
+    vehicles included, gives the oracle's SINRs and the rates of those bit
+    for bit; so does link_sinrs on every prefix and on all in-range links
+    at once."""
     model = drawn_model(data, 30, si_cancel=si_cancel)
     near = [(i, j) for i in model.ids for j in model.peers(i)]
     order = data.draw(st.permutations(near), label="order")
     forced = set(data.draw(st.lists(st.integers(0, max(0, len(order) - 1)),
                                     max_size=3), label="forced"))
     committed = check_pairing_build(model, order, forced)
+    for links in [order] + [committed[:k] for k in range(len(committed) + 1)]:
+        assert np.array_equal(model.link_sinrs(links),
+                              oracle_link_sinrs(model, links), equal_nan=True)
     finish = data.draw(st.permutations(committed), label="finish")
     cuts = sorted(set(data.draw(st.lists(st.integers(1, max(1, len(finish))),
                                          max_size=len(finish)), label="cuts")))
@@ -186,7 +195,7 @@ def test_colocated_peers_match_link_sinrs():
     for k in range(len(links) + 1):
         for cand in [(1, 2), (3, 4), (5, 1), (2, 5), (4, 3), (5, 3)]:
             assert_admits_exact(model, links[:k], cand)
-    assert math.isnan(model.link_sinrs([(1, 2), (1, 5)])[0])  # inf / inf
+    assert math.isnan(oracle_link_sinrs(model, [(1, 2), (1, 5)])[0])  # inf / inf
     assert_admits_exact(model, [(1, 2)], (1, 5))
     assert_admits_exact(model, [(1, 2)], (2, 1))
     check_shrinks(model, links, [[(3, 4)], [(1, 2)]])

@@ -363,15 +363,15 @@ def test_strict_span_advance_matches_per_slot_loop(chains, start, budget, crowde
     assert pairing.duration == max(m.values())
 
 
-def test_strict_relay_listed_before_its_feeder_matches_per_slot_loop():
-    # Out of commit order the relay sees its feeder's previous slot, so the
-    # pairing steps one slot at a time, as the loop always did.
-    model, links, flags = _chain_pairing([(60, 25), (40, 90)], 10 ** 6, True)
-    links, flags = links[::-1], flags[::-1]
-    pairing = run_pairing(model, links, 0, 1, strict_causality=True)
-    m, delivered = _per_slot_strict(model, links, flags, 0)
-    assert [(l.slots, l.delivered) for l in pairing.links] == [
-        (m[l], delivered[l]) for l in links]
+def test_relay_listed_before_its_feeder_is_refused():
+    """build_pairing commits a relay hop right after its feeder; a link list
+    out of that order is refused, not simulated, in either mode."""
+    model, links, _ = _chain_pairing([(60, 25), (40, 90)], 10 ** 6, True)
+    for strict in (False, True):
+        for out_of_order in (links[::-1], [links[1], links[0]]):
+            with pytest.raises(ValueError, match="listed before its feeder"):
+                run_pairing(model, out_of_order, 0, 1, strict_causality=strict)
+        assert run_pairing(model, links, 0, 1, strict_causality=strict).duration > 0
 
 
 def _step_loop(x, g, feed):
