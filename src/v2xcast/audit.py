@@ -7,8 +7,8 @@ trace alone. It calls none of the scheduling loops (v2i, v2v, baselines).
 
 V2V delivery is replayed on the audit's own arithmetic: V2VBudget computes
 desired power, interference terms and self-interference with numpy from the
-config and the vehicles alone, and re-sums a receiver's interference only
-when a finish touched it; no rate-model code takes part. V2I delivery goes
+config and the vehicles alone, and sums every phase's interference from the
+pairing's term table; no rate-model code takes part. V2I delivery goes
 through a second physical rate model, AuditRateModel, built from the config.
 Its V2I memo is carried between audits of one config apart from the
 scheduler's, so the audit recomputes each rate block once per config and
@@ -287,9 +287,9 @@ def _replay_pairing(pairing, model, strict: bool):
     order, and the first (link, SINR, slot) below the threshold, or None
     (then the bits are not replayed further).
 
-    `model` is the audit's own V2VBudget, whose phases re-sum only the
-    receivers a finish touched, or a rate model, whose link_sinrs and
-    link_rates are called from scratch at every phase.
+    `model` is the audit's own V2VBudget, which sums every phase from the
+    pairing's term table, or a rate model, whose link_sinrs and link_rates
+    are called from scratch at every phase.
 
     Links stay active for their recorded spans and the concurrent set
     shrinks as they finish. A phase of n slots at a fixed active set moves a
@@ -317,10 +317,9 @@ def _replay_pairing(pairing, model, strict: bool):
              else _from_scratch(model, links))
     delivered = np.zeros(len(links))
     elapsed = 0
-    active = np.flatnonzero(span > elapsed)
-    finished = np.flatnonzero(span <= elapsed)  # never on the air
+    active = np.flatnonzero(span > elapsed)  # a 0-slot link is never on the air
     while active.size:
-        sinrs, rates = phase(active, finished)
+        sinrs, rates = phase(active)
         weak = sinrs < floor
         if weak.any():
             k = int(weak.argmax())
@@ -338,15 +337,14 @@ def _replay_pairing(pairing, model, strict: bool):
             moved[hop[cut]] = cap[cut]
         delivered = moved
         elapsed = nxt
-        on = left > elapsed
-        finished, active = active[~on], active[on]
+        active = active[left > elapsed]
     return dict(zip(links, delivered.tolist())), None
 
 
 def _from_scratch(model, links):
     """A replay phase through a rate model: (SINRs, rates) of the active
     link positions, from link_sinrs and link_rates of the active set."""
-    def phase(active, finished):
+    def phase(active):
         now = [links[m] for m in active]
         sinrs = model.link_sinrs(now)
         return np.array(sinrs, dtype=float), np.array(model.link_rates(now, sinrs),
@@ -367,6 +365,8 @@ class V2VBudget:
     receiver and of m's receiver beam toward u's transmitter; a co-located
     peer is at alignment angle 0, and a term at distance 0 is infinite. A
     receiver that also transmits adds the residual self-interference.
+    Each pairing's terms are found once, as a table of (interferer, victim,
+    term) entries, and every phase is summed from that table.
     """
 
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState]):
@@ -438,74 +438,27 @@ class V2VBudget:
             return sinrs, np.where(sinrs > 0.0,
                                    self._bandwidth * np.log2(1.0 + sinrs), 0.0)
 
-    def phases(self, links: list[tuple[int, int]]) -> _PairingBudget:
-        """A replay phase source for the links of one pairing."""
-        return _PairingBudget(self, links)
-
-
-class _PairingBudget:
-    """A pairing's links under a V2VBudget, as a replay phase source.
-
-    Interference terms are kept sparsely, one (victim, interferer, term)
-    entry per interferer in range, listed per victim in link order and per
-    interferer. Each receiver's interference is summed once; at a phase
-    boundary only the receivers that heard a finished transmitter are
-    re-summed, over the interferers still on the air, and only the
-    receivers of a node that stopped transmitting lose the relay's
-    self-interference."""
-
-    def __init__(self, budget: V2VBudget, links: list[tuple[int, int]]):
-        self._budget = budget
+    def phases(self, links: list[tuple[int, int]]):
+        """A replay phase source for the links of one pairing: a function of
+        the active link positions alone, giving their SINRs and rates. A
+        receiver relays while its node transmits on an active link."""
         n = len(links)
         tx = np.array([l[0] for l in links], dtype=np.int64)
         rx = np.array([l[1] for l in links], dtype=np.int64)
-        self._desired = budget.desired(tx, rx)
-        u, m, term = budget.interference(tx, rx)
-        self._itf = np.bincount(m, term, minlength=n)
-        self._heard_by: list[list[int]] = [[] for _ in range(n)]
-        self._terms_of: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for ui, mi, t in zip(u.tolist(), m.tolist(), term.tolist()):
-            self._heard_by[ui].append(mi)
-            self._terms_of[mi].append((ui, t))
-        self._alive = [True] * n
-        self._tx = tx.tolist()
-        self._sends: dict[int, int] = {}  # node -> its links still alive
-        self._rx_at: dict[int, list[int]] = {}  # node -> links into it
-        for k, (t, r) in enumerate(links):
-            self._sends[t] = self._sends.get(t, 0) + 1
-            self._rx_at.setdefault(r, []).append(k)
-        self._relay = np.array([r in self._sends for _, r in links], dtype=bool)
+        desired = self.desired(tx, rx)
+        u, m, term = self.interference(tx, rx)
 
-    def __call__(self, active: np.ndarray, finished: np.ndarray):
-        """SINRs and rates of the `active` link positions, once the links
-        at `finished` have stopped since the last call."""
-        if finished.size:
-            self._finish(finished.tolist())
-        return self._budget.sinrs_and_rates(
-            self._desired[active], self._itf[active], self._relay[active])
-
-    def _finish(self, finished: list[int]):
-        alive = self._alive
-        for f in finished:
-            alive[f] = False
-        touched = {m for f in finished for m in self._heard_by[f] if alive[m]}
-        for f in finished:
-            node = self._tx[f]
-            self._sends[node] -= 1
-            if not self._sends[node] and node in self._rx_at:
-                self._relay[self._rx_at[node]] = False
-        if touched:
-            ms = sorted(touched)
-            self._itf[ms] = [self._resum(m) for m in ms]
-
-    def _resum(self, m: int) -> float:
-        """Interference at link m's receiver from the links still alive,
-        added in link order."""
-        total = 0.0
-        for u, t in self._terms_of[m]:
-            if self._alive[u]:
-                total += t
-        return total
+        def phase(active: np.ndarray):
+            on = np.zeros(n, dtype=bool)
+            on[active] = True
+            heard = on[u]
+            # Same floats as a loop: each receiver's live terms, in link order, from 0.0.
+            itf = np.bincount(m[heard], term[heard], minlength=n)
+            sending = np.zeros(len(self._x), dtype=bool)
+            sending[tx[active]] = True
+            return self.sinrs_and_rates(desired[active], itf[active],
+                                        sending[rx[active]])
+        return phase
 
 
 def _within_x(a: np.ndarray, b: np.ndarray, reach: float):

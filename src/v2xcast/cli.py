@@ -15,7 +15,7 @@ import sys
 from .baselines import SCHEMES
 from .harness import (SIMULATE_COLUMNS, report_row, run_scenario,
                       sweep_to_csv, write_csv)
-from .params import ConfigError, config_from_raw, parse_config_text
+from .params import ConfigError, config_from_raw, parse_config_text, parse_value
 
 
 def _load_raw(path: str) -> dict:
@@ -74,9 +74,8 @@ def main(argv=None) -> int:
                 return 2
             return 0
         # sweep
-        int_axes = {"lane_count", "vehicle_count", "horizon_slots"}
-        cast = int if args.axis in int_axes else float
-        values = [cast(v) for v in args.values.split(",") if v.strip() != ""]
+        values = [parse_value(args.axis, v) for v in args.values.split(",")
+                  if v.strip() != ""]
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
         csv_text = sweep_to_csv(raw, args.axis, values, schemes,
                                 args.replicas, args.base_seed)

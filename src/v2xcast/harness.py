@@ -63,9 +63,15 @@ def sweep(raw_config: dict, axis: str, values: list, schemes: list[str],
     if axis == "seed":
         raise ConfigError("cannot sweep over seed: replica r runs with seed "
                           "base_seed + r; vary --base-seed and --replicas instead")
+    if not values:
+        raise ConfigError("values is empty: give at least one value to sweep")
+    if not schemes:
+        raise ConfigError("schemes is empty: give at least one scheme to run")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if replicas < 1:
+        raise ConfigError(f"replicas must be >= 1, got {replicas}")
     rows = []
     for value in values:
         raw = dict(raw_config)

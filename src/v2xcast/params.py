@@ -187,6 +187,15 @@ CONFIG_KEYS = (
 _INT_KEYS = {"lane_count", "vehicle_count", "horizon_slots", "seed"}
 
 
+def parse_value(key: str, text: str):
+    """The value of `key` from its text: int for the integer keys, float
+    otherwise; anything else is a ConfigError naming the key."""
+    try:
+        return int(text) if key in _INT_KEYS else float(text)
+    except ValueError:
+        raise ConfigError(f"bad value for {key}: {text!r}") from None
+
+
 def parse_config_text(text: str) -> dict:
     """Parse key=value lines into a raw dict. Blank lines and # comments allowed."""
     raw = {}
@@ -203,9 +212,9 @@ def parse_config_text(text: str) -> dict:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            raw[key] = int(value) if key in _INT_KEYS else float(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
+            raw[key] = parse_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     missing = [k for k in CONFIG_KEYS if k not in raw]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")

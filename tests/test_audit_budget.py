@@ -1,8 +1,8 @@
 """The audit's own arithmetic: its V2V link budget (audit.V2VBudget), and
 the V2I rate memo its AuditRateModel keeps apart from the scheduler's.
 
-The audit replays each pairing's SINRs on arithmetic it owns, re-summing
-only the receivers a finish touched. These tests hold the budget to the
+The audit replays each pairing's SINRs on arithmetic it owns, summing every
+phase from the pairing's term table. These tests hold the budget to the
 scalar reference in `radio` and to the scheduler's rate model on real runs,
 and the V2V replay to the runs whose vehicles co-locate.
 """
@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from v2xcast.audit import (REL_GUARD, AuditRateModel, CheckResult, V2VBudget,
-                           _check_coverage_and_qos, _replay_pairing, audit)
+                           _check_coverage_and_qos, _from_scratch, _replay_pairing,
+                           audit)
 from v2xcast.baselines import SchemeResult, run_scheme
 from v2xcast.geometry import distance, distance_to_rsu, position
 from v2xcast.harness import run_scenario
@@ -135,8 +136,7 @@ def test_budget_matches_scalar_radio_as_links_finish(lanes, arrival, count,
     active = list(range(len(links)))
     finished: list[int] = []
     while active:
-        sinrs, rates = phase(np.array(active, dtype=np.int64),
-                             np.array(finished, dtype=np.int64))
+        sinrs, rates = phase(np.array(active, dtype=np.int64))
         cset = ConcurrentSet(tuple(DirectionalLink(links[m][0], links[m][1],
                                                    pos[links[m][0]], pos[links[m][1]])
                                    for m in active))
@@ -147,6 +147,33 @@ def test_budget_matches_scalar_radio_as_links_finish(lanes, arrival, count,
         cut = data.draw(st.integers(1, len(active)))
         finished = data.draw(st.permutations(active))[:cut]
         active = [m for m in active if m not in finished]
+
+
+def test_phase_source_depends_only_on_the_active_set():
+    """On a real 400-vehicle pairing, one phase source asked about active
+    sets that shrink, then grow back and repeat gives each set, bit for
+    bit, what a fresh source gives it, and within REL_GUARD what the rate
+    model gives it from scratch."""
+    config = stock_config(**LADDER)
+    vehicles = spawn_vehicles(config, 1)
+    result = run_scheme("proposed", PhysicalRateModel(config, vehicles), 1)
+    pairing = max(result.v2v.pairings, key=lambda p: len(p.links))
+    links = [(l.tx, l.rx) for l in pairing.links]
+    n = len(links)
+    assert n > 100
+    budget = V2VBudget(config, vehicles)
+    phase = budget.phases(links)
+    reference = _from_scratch(PhysicalRateModel(config, vehicles), links)
+    order = np.random.default_rng(1).permutation(n)
+    shrinking = [np.sort(order[k:]) for k in (0, n // 4, n // 2, n - 3)]
+    for active in shrinking + [shrinking[1], shrinking[1], shrinking[-1]]:
+        sinrs, rates = phase(active)
+        fresh_sinrs, fresh_rates = budget.phases(links)(active)
+        assert sinrs.tolist() == fresh_sinrs.tolist()
+        assert rates.tolist() == fresh_rates.tolist()
+        want_sinrs, want_rates = reference(active)
+        assert sinrs.tolist() == pytest.approx(want_sinrs.tolist(), rel=REL_GUARD)
+        assert rates.tolist() == pytest.approx(want_rates.tolist(), rel=REL_GUARD)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

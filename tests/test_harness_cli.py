@@ -202,3 +202,43 @@ def test_cli_extreme_float_value_runs_or_fails_in_one_line(key, value):
     lines = err.getvalue().splitlines()
     assert code == 0 or (code == 1 and len(lines) == 1
                          and lines[0].startswith("error:")), (code, lines)
+
+
+
+def test_cli_sweep_value_of_the_wrong_type_names_its_key(tmp_path):
+    """A sweep value is parsed by the config file's per-key rule, so both
+    name the key the value was meant for."""
+    cfg = _write_small_config(tmp_path)
+    out = tmp_path / "out.csv"
+    proc = _cli("sweep", "--config", str(cfg), "--axis", "lane_count",
+                "--values", "3,2.5", "--schemes", "proposed",
+                "--replicas", "1", "--base-seed", "1", "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (1, "error: bad value for lane_count: '2.5'\n")
+    assert not out.exists()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text().replace("lane_count=5", "lane_count=2.5"),
+                   encoding="utf-8")
+    proc = _cli("simulate", "--config", str(bad), "--scheme", "proposed", "--seed", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line ")
+    assert proc.stderr.endswith(": bad value for lane_count: '2.5'\n")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--replicas", "-2", "error: replicas must be >= 1, got -2"),
+    ("--values", ",", "error: values is empty"),
+    ("--schemes", ",", "error: schemes is empty"),
+])
+def test_cli_sweep_with_nothing_to_run_fails_in_one_line(tmp_path, flag, value, message):
+    """A sweep that would run nothing is a configuration error naming the
+    argument, not a header-only CSV."""
+    cfg = _write_small_config(tmp_path)
+    out = tmp_path / "out.csv"
+    args = {"--config": str(cfg), "--axis": "content_gbit", "--values": "1",
+            "--schemes": "proposed", "--replicas": "1", "--base-seed": "1",
+            "--out": str(out)}
+    args[flag] = value
+    proc = _cli("sweep", *(x for kv in args.items() for x in kv))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
