@@ -61,15 +61,13 @@ def _serve_in_order(model, spans, partial: bool) -> V2ISelection:
     ends the run, reports such leftovers as incomplete."""
     clock = 0
     grants, served = [], []
+    w_first, w_last = (w.tolist() for w in model.window_bounds())
     for vid, first, last in spans:
-        win = model.service_window(vid)
-        if win is None:
-            continue
-        start, end = max(first, clock, win[0]), min(last, win[1])
+        start, end = max(first, clock, w_first[vid]), min(last, w_last[vid])
         if start > end:
             continue
-        n, bits = model.download(vid, start, end)
-        if bits >= model.content_size:
+        n, complete = model.download(vid, start, end)
+        if complete:
             served.append(vid)
         elif not partial:
             continue

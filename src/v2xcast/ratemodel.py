@@ -8,17 +8,20 @@ population, with caching that exploits two facts of the scenario: all
 vehicles share one speed, so pairwise distances and angles never change, and
 the RSU geometry per vehicle is a closed-form function of the slot index.
 V2V geometry is therefore sparse and fixed: each vehicle keeps only its
-neighbours within V2V range, found once by sort-and-sweep, and antenna gains
-are memoised per (antenna, boresight peer, probe) triple. A V2I rate depends
-only on the lane and on the slot offset k = t - entry_slot, so rates are
-memoised per lane in read-only blocks of BLOCK consecutive offsets. The memo
-is carried to the next model of the same class, radio, road and rate mode:
-that model reads a block the last one holds instead of computing it again.
-Each class keeps a carry of its own, so a subclass's models never read the
-blocks of a plain PhysicalRateModel, nor it theirs. The V2V SINR formula,
-the interference term and the by-transmitter index are each written once:
-link_sinrs sums every receiver afresh through them, and admits and
-rates_after_finish keep or reuse sums of the same terms in the same order.
+neighbours within V2V range, found by sort-and-sweep on the first V2V query,
+and antenna gains are memoised per (antenna, boresight peer, probe) triple.
+A V2I rate depends only on the lane and on the slot offset k = t -
+entry_slot, so rates are memoised per lane in read-only blocks of BLOCK
+consecutive offsets. The memo is carried to the next model of the same
+class, radio, road and rate mode: that model reads a block the last one
+holds instead of computing it again. Each class keeps a carry of its own, so
+a subclass's models never read the blocks of a plain PhysicalRateModel, nor
+it theirs. download reads a per-lane prefix sum over a run of those blocks,
+where an error bound shows the answer equals RateModel.download's. The V2V
+SINR formula, the interference term and the by-transmitter index are each
+written once: link_sinrs sums every receiver afresh through them, and admits
+and rates_after_finish keep or reuse sums of the same terms in the same
+order.
 
 TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
 counts. It is used for desk-scale reference instances and brute-force
@@ -28,6 +31,7 @@ comparisons where the schedule structure, not the radio, is under test.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -158,18 +162,25 @@ class RateModel:
             self._bounds = first, last
         return self._bounds
 
-    def download(self, vid: int, start: int, end: int) -> tuple[int, float]:
-        """Slots from `start` until the content has arrived, and the bits
-        those slots carry; when slots [start, end] fall short, all of them
-        and their bits. Rates are unimodal over the pass, so the lower of
-        the two end rates bounds the rest: while it is positive, no more
-        slots are scanned than a download at that rate would take."""
-        dt, need, span = self.slot_duration, self.content_size, end - start + 1
-        r_min = min(self.v2i_rates(vid, start, 1)[0], self.v2i_rates(vid, end, 1)[0])
-        cap = min(span, int(math.ceil(need / (r_min * dt))) + 2) if r_min > 0 else span
-        cum = np.cumsum(self.v2i_rates(vid, start, cap)) * dt
-        n = min(int(np.searchsorted(cum, need, side="left")) + 1, cap)
-        return n, float(cum[n - 1])
+    def _scan_length(self, r_start: float, r_end: float, span: int) -> int:
+        """How many of `span` slots download looks at, from the rates of its
+        first and last slot. Rates are unimodal over the pass, so the lower
+        end rate bounds the rest: while it is positive, no more slots are
+        scanned than a download at that rate would take."""
+        r_min, dt = min(r_start, r_end), self.slot_duration
+        return min(span, int(math.ceil(self.content_size / (r_min * dt))) + 2) \
+            if r_min > 0 else span
+
+    def download(self, vid: int, start: int, end: int) -> tuple[int, bool]:
+        """Slots from `start` until the content has arrived, and True; when
+        slots [start, end] fall short, the scanned slots and False. The bits
+        of n slots are their rates' running sum from `start`, times the slot
+        duration: the reference every model's download must equal."""
+        cap = self._scan_length(self.v2i_rates(vid, start, 1)[0],
+                                self.v2i_rates(vid, end, 1)[0], end - start + 1)
+        cum = np.cumsum(self.v2i_rates(vid, start, cap)) * self.slot_duration
+        n = min(int(np.searchsorted(cum, self.content_size, side="left")) + 1, cap)
+        return n, bool(cum[n - 1] >= self.content_size)
 
     def slots_to_download(self, vid: int, start: int) -> int | None:
         """Smallest slot count to accumulate the content from `start`, with
@@ -179,8 +190,8 @@ class RateModel:
             return None
         if self.content_size <= 0:
             return 0
-        n, bits = self.download(vid, start, win[1])
-        return n if bits >= self.content_size else None
+        n, complete = self.download(vid, start, win[1])
+        return n if complete else None
 
     # ---- V2V ----
 
@@ -248,6 +259,7 @@ class PhysicalRateModel(RateModel):
         self._prior = held if held_key == key else {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         _carries[type(self)] = key, self._blocks
+        self._prefixes: dict[int, tuple[int, np.ndarray]] = {}  # see _prefix
 
         g = mainlobe_gain(radio)
         self._noise = radio.noise_floor_w
@@ -261,21 +273,26 @@ class PhysicalRateModel(RateModel):
         r_qos = (self._c_rsu / (self._noise * radio.sinr_threshold)) ** (1.0 / self._tau)
         self._serve_radius = min(radio.rsu_range, r_qos)
 
-        # _x0 holds virtual positions at slot 0; only differences matter and
-        # they are constant over time, so V2V geometry is computed once, for
-        # the pairs within V2V range only. _near[i] maps each neighbour j of
-        # vehicle i to (distance, received power, interference-free rate).
+        self._gains: dict[tuple[int, int, int], float] = {}
+        self._fold = _Fold()
+
+    @cached_property
+    def _near(self) -> list[dict[int, tuple[float, float, float]]]:
+        """_near[i] maps each neighbour j of vehicle i to (distance, received
+        power, interference-free rate). _x0 holds virtual positions at slot
+        0; only differences matter and they are constant over time, so V2V
+        geometry is computed once, on the first V2V query, for the pairs
+        within V2V range only."""
+        radio = self.config.radio
         a, b, dist = near_pairs(self._x0[1:], self._y[1:], radio.v2v_range)
         with np.errstate(divide="ignore"):
             pr = self._c_veh * dist ** (-self._tau)
         rate = radio.bandwidth * np.log2(1.0 + pr / self._noise)
-        self._near: list[dict[int, tuple[float, float, float]]] = [
-            {} for _ in range(n + 1)]
+        near: list[dict] = [{} for _ in range(len(self._x0))]
         for i, j, *pair in zip((a + 1).tolist(), (b + 1).tolist(),
                                dist.tolist(), pr.tolist(), rate.tolist()):
-            self._near[i][j] = self._near[j][i] = tuple(pair)
-        self._gains: dict[tuple[int, int, int], float] = {}
-        self._fold = _Fold()
+            near[i][j] = near[j][i] = tuple(pair)
+        return near
 
     # ---- V2I ----
 
@@ -338,6 +355,85 @@ class PhysicalRateModel(RateModel):
         rates = np.concatenate([self._block(lane, c) for c in range(b, last + 1)])
         rates.setflags(write=False)
         return rates[lo:lo + count]
+
+    def _prefix(self, lane: int, k0: int, k1: int) -> tuple[int, np.ndarray]:
+        """The lane's prefix table P and its first offset o, covering the
+        offsets [k0, k1]: P[i] is the running sum, from 0.0 in offset order,
+        of the memo's rates at offsets [o, o + i). It grows past its end by
+        continuing the accumulate from its last value, the floats a cumsum
+        over the whole run gives, and is rebuilt from k0's block when it
+        does not hold k0."""
+        o, table = self._prefixes.get(lane, (0, np.zeros(1)))
+        end = o + len(table) - 1  # first offset not covered
+        if not o <= k0 < end:
+            o = end = k0 - k0 % BLOCK
+            table = np.zeros(1)
+        if k1 >= end:
+            rates = [self._block(lane, b) for b in range(end // BLOCK, k1 // BLOCK + 1)]
+            table = np.concatenate(
+                (table[:-1], np.cumsum(np.concatenate([table[-1:], *rates]))))
+            self._prefixes[lane] = o, table
+        return o, table
+
+    def download(self, vid: int, start: int, end: int) -> tuple[int, bool]:
+        """RateModel.download's answer, read off the lane's prefix table.
+
+        Over the same scan length cap (its end rates read from the memo, the
+        floats v2i_rates returns), a searchsorted on the table guesses the
+        slot count j, and the guess stands only where the certificate below
+        shows that RateModel.download's running sum gives the same answer;
+        else that reference decides. With u = 2**-53, N the table's rate
+        count and T its last value, each table entry is a recursive sum of
+        at most N non-negative rates, within gamma_N * T of the exact sum
+        (gamma_N = N u / (1 - N u), Higham, Accuracy and Stability of
+        Numerical Algorithms, 4.2); so is the reference's running sum of j
+        <= N of them. The difference of two entries, and each product by
+        the slot duration dt, round by a further u. The table's bits of j
+        slots, fl(D_j dt), and the reference's therefore differ by at most
+        (3 gamma_N + 5u) T dt to first order, and Delta = 4 (N + 2) u
+        (T dt + need) bounds that with room for the second-order terms and
+        the rounding of need +- Delta. If fl(D_j dt) >= need + Delta and
+        fl(D_(j-1) dt) < need - Delta, the reference's sum, non-decreasing
+        in j, first reaches need at j; if fl(D_cap dt) < need - Delta, it
+        never does within cap. A table whose last value is not finite, and
+        a guess inside Delta of need, go to the reference."""
+        lane, entry = self._lane_entry[vid]
+        s, e = start - entry, end - entry
+        cap = self._scan_length(self._block(lane, s // BLOCK)[s % BLOCK],
+                                self._block(lane, e // BLOCK)[e % BLOCK], e - s + 1)
+        o, table = self._prefix(lane, s, s + cap - 1)
+        top, dt, need = float(table[-1]), self.slot_duration, self.content_size
+        if math.isfinite(top):
+            i = s - o
+            base = float(table[i])
+            j = int(table[i + 1:i + cap + 1].searchsorted(base + need / dt)) + 1
+            delta = 4 * (len(table) + 1) * 2.0 ** -53 * (top * dt + need)
+            if j > cap and (float(table[i + cap]) - base) * dt < need - delta:
+                return cap, False
+            if j <= cap and (float(table[i + j]) - base) * dt >= need + delta \
+                    and (float(table[i + j - 1]) - base) * dt < need - delta:
+                return j, True
+        return RateModel.download(self, vid, start, end)
+
+    def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """RateModel.window_bounds, with service_window's formula (that of
+        geometry.coverage_window, clipped to the horizon) taken over every
+        vehicle at once: the same float operations per element."""
+        if self._bounds is None:
+            road, radius, d_lr = self.config.road, self._serve_radius, self._dlr
+            entry = np.array([0] + [e for _, e in self._lane_entry[1:]], dtype=np.int64)
+            reach = d_lr < radius
+            half_chord = np.sqrt(np.where(reach, radius * radius - d_lr * d_lr, 0.0))
+            lo = entry - 0.5 + (road.rsu_longitudinal - half_chord) / self._step
+            hi = entry - 0.5 + (road.rsu_longitudinal + half_chord) / self._step
+            first = np.maximum(entry, np.ceil(lo)).astype(np.int64)
+            last = np.minimum(np.floor(hi), self.horizon - 1).astype(np.int64)
+            never = ~reach | (last < first)
+            never[0] = True
+            first[never] = 0
+            last[never] = np.iinfo(np.int64).min
+            self._bounds = first, last
+        return self._bounds
 
     # ---- V2V ----
 

@@ -12,11 +12,13 @@ test_golden.FCFS_SHARES on seeds 1-20 in both rate modes, where fcfs forms
 pairings and serial-tdma keeps partial grants (120 runs), plus random and
 proposed at test_golden.RANDOM_RETRIES on seeds 1-30 with strict causality
 off and on, where random's pairing builder draws again after an empty
-pairing (120 runs): 1,852 runs.
+pairing (120 runs), plus serial-tdma and fcfs at 1,600 vehicles
+(horizon_slots=16,000,000) on seeds 1-2 in both rate modes, where the RSU's
+in-order loop serves every vehicle (8 runs): 1,860 runs.
 
 The first line is the hash over every run. One line per run group follows
-(stock, strict, ladder, shares, retries: the five parts above, in that
-order), so a mismatch points at the group that moved.
+(stock, strict, ladder, shares, retries, rsu: the six parts above, in
+that order), so a mismatch points at the group that moved.
 
     PYTHONPATH=src python tests/identity.py [--jobs J]
 
@@ -44,6 +46,9 @@ RSU_SCHEMES = ("fcfs", "serial-tdma", "noncoop")
 SHARES_SEEDS = range(1, 21)
 RETRY_SCHEMES = ("random", "proposed")
 RETRY_SEEDS = range(1, 31)
+RSU = {"vehicle_count": 1600, "horizon_slots": 16_000_000}
+RSU_SEEDS = (1, 2)
+SERIAL_SCHEMES = ("serial-tdma", "fcfs")
 
 
 def runs():
@@ -67,6 +72,10 @@ def runs():
         for scheme in RETRY_SCHEMES:
             for strict in (False, True):
                 yield "retries", (seed, scheme, "midpoint", strict, RANDOM_RETRIES)
+    for mode in MODES:
+        for seed in RSU_SEEDS:
+            for scheme in SERIAL_SCHEMES:
+                yield "rsu", (seed, scheme, mode, False, RSU)
 
 
 def run_text(run) -> bytes:

@@ -13,7 +13,7 @@ from v2xcast.geometry import (Point2D, coverage_window, distance, lane_center_y,
                               position, rsu_point)
 from v2xcast.radio import (ConcurrentSet, DirectionalLink, shannon_rate,
                            v2i_slot_rate, v2i_snr, v2v_sinr)
-from v2xcast.params import RoadConfig, ScenarioConfig
+from v2xcast.params import RoadConfig, ScenarioConfig, validate
 from v2xcast.ratemodel import (BLOCK, PhysicalRateModel, RateModel,
                                TableRateModel, fd_relays)
 from v2xcast.harness import run_scenario
@@ -311,10 +311,10 @@ def test_constant_rate_stub_derives_every_query():
     assert stub.link_slots_free(1, 2) == 2084
     assert stub.link_slots_free(1, 1) is None
     assert stub.set_feasible([(1, 2)]) and not stub.set_feasible([(1, 2), (1, 1)])
-    n, bits = stub.download(1, 0, 99)           # too short a span
-    assert n == 100 and bits < 3e9
-    n, bits = stub.download(1, 0, 9999)
-    assert n == stub.slots_to_download(1, 0) == 2084 and bits >= 3e9
+    n, complete = stub.download(1, 0, 99)       # too short a span
+    assert n == 100 and not complete
+    n, complete = stub.download(1, 0, 9999)
+    assert n == stub.slots_to_download(1, 0) == 2084 and complete
 
 
 def test_slots_to_download_constant_rate_oracle():
@@ -351,6 +351,174 @@ def test_physical_slots_match_bruteforce_accumulation():
             rates = model.v2i_rates(v.id, start, m)
             assert float(np.sum(rates)) * config.road.slot_duration >= 3e9
             assert float(np.sum(rates[:-1])) * config.road.slot_duration < 3e9
+
+
+def _download_with_spy(model, vid, start, end):
+    """model.download's answer, and whether it handed the call to
+    RateModel.download, the reference."""
+    reference, calls = RateModel.download, []
+
+    def spy(self, *args):
+        calls.append(args)
+        return reference(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RateModel, "download", spy)
+        got = model.download(vid, start, end)
+    return got, bool(calls)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(["midpoint", "quadrature"]),
+       lanes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       gaps=st.lists(st.integers(0, 400_000), min_size=4, max_size=4),
+       exponent=st.floats(5.0, 11.5),
+       spans=st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 1.0),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=12))
+def test_prefix_download_equals_the_reference(mode, lanes, gaps, exponent, spans):
+    """PhysicalRateModel.download against RateModel.download on one model:
+    random lanes, entries, content sizes, starts, and ends up to the end of
+    the window (noncoop's stretches end before it). Each answer is the
+    reference's, read off the prefix table, never from the fallback; the
+    queries in drawn order grow and rebuild the tables."""
+    config = default_config(vehicle_count=len(lanes), content_size=10.0 ** exponent,
+                            horizon=10 ** 7)
+    entries = np.cumsum(gaps[:len(lanes)]).tolist()
+    vehicles = [VehicleState(i, lane, e)
+                for i, (lane, e) in enumerate(zip(lanes, entries), start=1)]
+    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    for pick, a, b in spans:
+        vid = 1 + pick % len(vehicles)
+        w0, w1 = model.service_window(vid)
+        start = w0 + int(a * (w1 - w0))
+        end = start + int(b * (w1 - start))
+        got, fell_back = _download_with_spy(model, vid, start, end)
+        assert got == RateModel.download(model, vid, start, end)
+        assert not fell_back
+
+
+class _ConstantMemo(PhysicalRateModel):
+    """A physical model whose memo holds one rate, 2**33 bits/s, at every
+    offset, except `spikes`: offset -> rate. Sums of up to 2**20 such rates
+    are exact."""
+
+    RATE = 2.0 ** 33
+    spikes: dict = {}
+
+    def _block(self, lane, b):
+        rates = np.full(BLOCK, self.RATE)
+        for k, r in self.spikes.items():
+            if k // BLOCK == b:
+                rates[k % BLOCK] = r
+        rates.setflags(write=False)
+        return rates
+
+
+def _constant_memo_model(content_size, spikes=None):
+    config = default_config(vehicle_count=1, content_size=content_size)
+    model = _ConstantMemo(config, [VehicleState(1, 1, 0)])
+    model.spikes = spikes or {}
+    return model
+
+
+def test_download_falls_back_when_the_crossing_is_inside_delta():
+    """Content of exactly 700 slots at a constant rate: the table's bits
+    of 700 slots equal the content, inside the certificate's Delta, so the
+    guess is refused and the reference decides; 699.5 slots' worth is
+    decided by the table."""
+    dt = default_config().road.slot_duration
+    whole = float(np.cumsum(np.full(700, _ConstantMemo.RATE))[-1] * dt)
+    model = _constant_memo_model(whole)
+    start = 3 * BLOCK + 100
+    got, fell_back = _download_with_spy(model, 1, start, start + 5000)
+    assert fell_back
+    assert got == RateModel.download(model, 1, start, start + 5000) == (700, True)
+    model = _constant_memo_model(699.5 * _ConstantMemo.RATE * dt)
+    got, fell_back = _download_with_spy(model, 1, start, start + 5000)
+    assert not fell_back and got == (700, True)
+
+
+@pytest.mark.parametrize("spike", [math.inf, math.nan])
+def test_download_falls_back_on_a_table_that_is_not_finite(spike):
+    """A rate that is not finite past the scanned slots, but in the block
+    the table reads, leaves the table's last value not finite: the
+    reference decides, and its answer stands."""
+    dt = default_config().road.slot_duration
+    start = 3 * BLOCK + 100
+    content = 99.5 * _ConstantMemo.RATE * dt
+    model = _constant_memo_model(content, {4 * BLOCK - 1: spike})
+    got, fell_back = _download_with_spy(model, 1, start, start + 500)
+    assert fell_back and not math.isfinite(model._prefixes[1][1][-1])
+    assert got == RateModel.download(model, 1, start, start + 500) == (100, True)
+    got, fell_back = _download_with_spy(_constant_memo_model(content), 1,
+                                        start, start + 500)
+    assert not fell_back and got == (100, True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(["midpoint", "quadrature"]),
+       threshold_db=st.floats(20.0, 72.0), lateral=st.floats(0.0, 150.0),
+       lanes=st.integers(1, 6), lane_width=st.floats(2.0, 8.0),
+       rsu_x=st.floats(0.0, 2000.0), arrival=st.floats(0.5, 50.0),
+       count=st.integers(1, 60), horizon=st.integers(1, 3_000_000),
+       seed=st.integers(1, 1000))
+def test_window_arrays_equal_service_window(mode, threshold_db, lateral, lanes,
+                                            lane_width, rsu_x, arrival, count,
+                                            horizon, seed):
+    """PhysicalRateModel.window_bounds against service_window per vehicle
+    on random valid configs: windows clipped by the horizon, vehicles that
+    enter after it, and lanes beyond the QoS radius that are never served."""
+    assume(lateral + (lanes - 0.5) * lane_width < 200.0)
+    road = RoadConfig(lane_count=lanes, lane_width=lane_width, rsu_longitudinal=rsu_x,
+                      rsu_lateral_offset=lateral, arrival_rate=arrival,
+                      vehicle_count=count, horizon=horizon)
+    config = validate(ScenarioConfig(default_radio(sinr_threshold=10 ** (threshold_db / 10)),
+                                     road))
+    vehicles = spawn_vehicles(config, seed)
+    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    first, last = model.window_bounds()
+    ref = RateModel.window_bounds(PhysicalRateModel(config, vehicles, rate_mode=mode))
+    assert first.tolist() == ref[0].tolist() and last.tolist() == ref[1].tolist()
+    for v in vehicles:
+        win = model.service_window(v.id)
+        got = None if last[v.id] == np.iinfo(np.int64).min else (first[v.id], last[v.id])
+        assert got == win
+
+
+def test_window_arrays_cover_clipped_and_unservable_vehicles():
+    """The window test's cases, pinned: one config where the horizon clips
+    a window, a vehicle enters after the horizon, and a lane lies beyond
+    the QoS radius."""
+    road = RoadConfig(lane_count=5, rsu_lateral_offset=40.0, vehicle_count=40,
+                      arrival_rate=5.0, horizon=250_000)
+    config = validate(ScenarioConfig(default_radio(sinr_threshold=10 ** 6.1), road))
+    vehicles = spawn_vehicles(config, 3)
+    model = PhysicalRateModel(config, vehicles)
+    first, last = model.window_bounds()
+    windows = [model.service_window(v.id) for v in vehicles]
+    full = [coverage_window(v, config, radius=model._serve_radius) for v in vehicles]
+    assert any(w is None and f is None for w, f in zip(windows, full))  # QoS radius
+    assert any(w is None and f is not None for w, f in zip(windows, full))  # too late
+    assert any(w is not None and w != f for w, f in zip(windows, full))  # clipped
+    for v, win in zip(vehicles, windows):
+        got = None if last[v.id] == np.iinfo(np.int64).min else (first[v.id], last[v.id])
+        assert got == win
+
+
+def test_window_arrays_serve_no_lane_beyond_the_radius():
+    """A lane beyond the serving radius has no window, also where the two
+    ends of the coverage formula meet on a whole slot: a 1 m step and an
+    RSU half a slot off the grid."""
+    road = RoadConfig(slot_duration=1 / 16, speed=16.0, rsu_longitudinal=500.5,
+                      rsu_lateral_offset=40.0, arrival_rate=0.5, vehicle_count=20,
+                      horizon=10 ** 6)
+    config = validate(ScenarioConfig(default_radio(sinr_threshold=10 ** 6.1), road))
+    vehicles = spawn_vehicles(config, 1)
+    model = PhysicalRateModel(config, vehicles)
+    first, last = model.window_bounds()
+    beyond = [v for v in vehicles if config.lane_offset(v.lane) >= model._serve_radius]
+    assert beyond and all(model.service_window(v.id) is None for v in beyond)
+    assert all(last[v.id] == np.iinfo(np.int64).min for v in beyond)
 
 
 def test_rate_free_symmetry_and_range_gate():
