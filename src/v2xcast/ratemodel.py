@@ -19,9 +19,11 @@ a subclass's models never read the blocks of a plain PhysicalRateModel, nor
 it theirs. download reads a per-lane prefix sum over a run of those blocks,
 where an error bound shows the answer equals RateModel.download's. The V2V
 SINR formula, the interference term and the by-transmitter index are each
-written once: link_sinrs sums every receiver afresh through them, and admits
-and rates_after_finish keep or reuse sums of the same terms in the same
-order.
+written once: link_sinrs sums every receiver afresh through them; admits
+keeps running sums of the same terms in the same order; and
+rates_after_finish keeps a pairing's shrinking link set, indexed by
+transmitter and receiver, from one finish to the next, and sums afresh only
+the receivers near a finished transmitter.
 
 TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
 counts. It is used for desk-scale reference instances and brute-force
@@ -144,8 +146,10 @@ class RateModel:
         slots: the vehicles entered by slot t are the first
         bisect_right(slots, t) ids. Built once."""
         if self._entry_order is None:
-            order = sorted(self.ids, key=lambda vid: self._entry[vid])
-            self._entry_order = order, [int(self._entry[vid]) for vid in order]
+            entry = np.array([self._entry[vid] for vid in self.ids], dtype=np.int64)
+            order = np.argsort(entry, kind="stable")
+            self._entry_order = (np.array(self.ids)[order].tolist(),
+                                 entry[order].tolist())
         return self._entry_order
 
     def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +228,7 @@ class RateModel:
                            finished: list[Link]) -> list[float]:
         """link_rates(links), where `links` is what is left of a concurrent
         set once its `finished` links stopped, and `rates` maps every link
-        of that set to its link_rates rate."""
+        of that set (and maybe others) to its link_rates rate in it."""
         return self.link_rates(links)
 
 
@@ -275,6 +279,7 @@ class PhysicalRateModel(RateModel):
 
         self._gains: dict[tuple[int, int, int], float] = {}
         self._fold = _Fold()
+        self._shrink: _Shrink | None = None
 
     @cached_property
     def _near(self) -> list[dict[int, tuple[float, float, float]]]:
@@ -483,9 +488,10 @@ class PhysicalRateModel(RateModel):
     # interfering link and the receiver's link, so a running sum kept in
     # that order, plus a term added last, is the float a fresh sum gives,
     # and a sum whose terms did not change can be reused as it is.
-    # link_sinrs sums every receiver afresh (_sinrs); admits and
-    # rates_after_finish use the running sums to touch only the links near
-    # a change. The test oracle in tests/oracle.py sums them its own way.
+    # link_sinrs sums every receiver afresh (_sinrs); admits keeps the
+    # running sums, and rates_after_finish an index of the shrinking set
+    # (_Shrink), to touch only the links near a change. The test oracle in
+    # tests/oracle.py sums them its own way.
 
     def peers(self, vid: int):
         return self._near[vid].keys()
@@ -518,9 +524,7 @@ class PhysicalRateModel(RateModel):
     def _sinrs(self, links: list[Link], of: list[Link]) -> list[float]:
         """The SINRs of the links `of` while every link of `links`
         transmits, each receiver's interference summed afresh."""
-        by_tx: dict[int, list[int]] = {}
-        for m, (tx, _) in enumerate(links):
-            by_tx.setdefault(tx, []).append(m)
+        by_tx = _index(links, 0)
         relays = fd_relays(links)
         return [self._sinr(l, self._interference(links, by_tx, l), l[1] in relays)
                 for l in of]
@@ -590,15 +594,27 @@ class PhysicalRateModel(RateModel):
                            finished: list[Link]) -> list[float]:
         """Only the receivers that heard a finished transmitter, or were
         one and so may have stopped relaying, get a new rate, summed afresh
-        in link order; every other rate is reused."""
+        in link order; every other rate is reused.
+
+        The model keeps the set it last answered for (_Shrink). When that
+        set, less `finished`, is `links`, as between the finishes of one
+        pairing, only the finished links are taken out of it; else it
+        starts over from `links` and `rates`. Either way the kept index
+        finds the stale receivers, and a receiver relays while it still
+        transmits."""
+        kept = self._shrink
+        if kept is None or not kept.drop(finished, links):
+            kept = self._shrink = _Shrink(links, rates)
         stale = set()
         for tx, _ in finished:
             stale.add(tx)
             stale.update(self._near[tx])
-        fresh = [l for l in links if l[1] in stale]
-        sinrs = self._sinrs(links, fresh)
-        rates = {**rates, **dict(zip(fresh, self.link_rates(fresh, sinrs)))}
-        return [rates[l] for l in links]
+        fresh = list({m for n in stale for m in kept.by_rx.get(n, ())})
+        of = [kept.links[m] for m in fresh]
+        sinrs = [self._sinr(l, self._interference(kept.links, kept.by_tx, l),
+                            bool(kept.by_tx.get(l[1]))) for l in of]
+        kept.rate[fresh] = self.link_rates(of, sinrs)
+        return kept.rate[kept.live].tolist()
 
 
 class _Fold:
@@ -614,6 +630,43 @@ class _Fold:
         self.by_rx: dict[int, list[int]] = {}
         self.relays: set[int] = set()
         self.weak: set[int] = set()
+
+
+class _Shrink:
+    """PhysicalRateModel.rates_after_finish's state for one shrinking link
+    set: the links it started from, by position; which of them are still in
+    the set, and their rates; and the positions still in the set by
+    transmitter and by receiver, in link order."""
+
+    def __init__(self, links: list[Link], rates: dict):
+        self.links = list(links)
+        self.of = np.fromiter(self.links, dtype=object, count=len(self.links))
+        self.live = np.ones(len(self.links), dtype=bool)
+        self.rate = np.array([rates[l] for l in self.links], dtype=float)
+        self.at = {l: m for m, l in enumerate(self.links)}
+        self.by_tx = _index(self.links, 0)
+        self.by_rx = _index(self.links, 1)
+
+    def drop(self, finished: list[Link], links: list[Link]) -> bool:
+        """Take the `finished` links out of the set; True when they were all
+        in it and what is left is `links`, else the state is spent."""
+        for l in finished:
+            m = self.at.get(l)
+            if m is None or not self.live[m]:
+                return False
+            self.live[m] = False
+            self.by_tx[l[0]].remove(m)
+            self.by_rx[l[1]].remove(m)
+        return self.of[self.live].tolist() == links
+
+
+def _index(links: list[Link], end: int) -> dict[int, list[int]]:
+    """The positions of `links` by transmitter (end 0) or receiver (end 1),
+    in list order."""
+    index: dict[int, list[int]] = {}
+    for m, link in enumerate(links):
+        index.setdefault(link[end], []).append(m)
+    return index
 
 
 class TableRateModel(RateModel):

@@ -5,10 +5,12 @@ Each pairing is a conflict-free set of directional links transmitted
 simultaneously: every available source proposes its best receiver, proposals
 commit in ascending order of their slot demand, and each committed first hop
 may attach one full-duplex second hop at its receiver. A pairing then runs
-slot by slot until every link has delivered the full content; interference
-drops as links finish, so surviving links speed up. Under strict causality a
-relay hop forwards only bits it has received; those per-slot sums are
-computed a span of slots at a time, float for float as a slot loop would.
+until every link has delivered the full content; interference drops as
+links finish, so surviving links speed up. Its state is held in arrays
+indexed by link position, and the slots between two finishes are advanced
+as one span. Under strict causality a relay hop forwards only bits it has
+received; those per-slot sums are computed a span of slots at a time, float
+for float as a slot loop would.
 
 The pairing's structure holds by construction: build_pairing commits a
 first hop only from a source yet to transmit to a vehicle still waiting, and
@@ -20,7 +22,6 @@ receiver, its own included, below the SINR threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,100 +133,109 @@ def run_pairing(model, links: list[Link], start_slot: int, index: int,
                 strict_causality: bool = False) -> Pairing:
     """Simulate a pairing to completion and return its schedule.
 
-    Rates are recomputed whenever the active set changes: model.link_rates
-    for the whole set at first, then model.rates_after_finish, which may
-    reuse the rates no finish changed. Between changes the geometry is
-    static, so whole spans of identical slots are advanced at once.
-    strict_causality additionally caps what a relay forwards at what it
-    has received so far, which serializes unequal-rate chains honestly. A
-    relay hop is a link whose transmitter also receives in the pairing, and
-    its feeder is the first link into that transmitter; a relay hop must be
-    listed after its feeder, as build_pairing commits them, else
-    ValueError. Each slot then adds,
-    in commit order, min(rate * dt, feeder - relay) to a relay hop, so a
-    relay sees its feeder's same-slot arrivals before forwarding
-    (pass-through within a slot). Those per-slot sums are kept float for
-    float, but advanced a span at a time by _strict_span, which sums every
-    link uncapped and caps each relay hop at its feeder in place, checking
-    every element against that step. The simulation stops
-    once it has run past the slots left before the horizon; the pairing it
-    returns then overruns the slot budget.
+    The pairing's state lives in arrays indexed by link position: bits
+    delivered, per-slot grain (rate times slot duration) and slot count,
+    with the positions still active in commit order. Rates are recomputed
+    whenever the active set changes: model.link_rates for the whole set at
+    first, then model.rates_after_finish, which may reuse the rates no
+    finish changed; a rate that is not positive (NaN included) aborts with
+    RuntimeError. Between changes the geometry is static, so whole spans of
+    identical slots are advanced at once. A relaxed span lasts until the
+    first slot by which some link's missing bits fit at its grain (one
+    ceil and one min over the active links), and adds grain * slots to every
+    active link. strict_causality additionally caps what a relay forwards
+    at what it has received so far, which serializes unequal-rate chains
+    honestly. A relay hop is a link whose transmitter also receives in the
+    pairing, and its feeder is the first link into that transmitter; a
+    relay hop must be listed after its feeder, as build_pairing commits
+    them, else ValueError. Each slot then adds, in commit order,
+    min(grain, feeder - relay) to a relay hop, so a relay sees its feeder's
+    same-slot arrivals before forwarding (pass-through within a slot).
+    Those per-slot sums are kept float for float, but advanced a span at a
+    time by _strict_span. The simulation stops once it has run past the
+    slots left before the horizon; the pairing it returns then overruns the
+    slot budget.
     """
-    d_target = model.content_size
-    dt = model.slot_duration
-    active = list(links)
-    delivered = {l: 0.0 for l in links}
-    m = {l: 0 for l in links}
-    into = {l[1]: l for l in reversed(links)}  # the first link into a node
-    feeder_of = {l: into[l[0]] for l in links if l[0] in into}
-    order = {l: i for i, l in enumerate(links)}
-    if any(order[f] >= order[l] for l, f in feeder_of.items()):
+    d_target, dt = model.content_size, model.slot_duration
+    into = {rx: m for m, (_, rx) in reversed(list(enumerate(links)))}
+    feeder = np.array([into.get(tx, -1) for tx, _ in links], dtype=np.int64)
+    if (feeder >= np.arange(len(links))).any():
         raise ValueError("a relay hop is listed before its feeder")
-    rates: dict = {}
+    link_of = np.fromiter(links, dtype=object, count=len(links))
+    delivered = np.zeros(len(links))
+    grain = np.zeros(len(links))
+    slots = np.zeros(len(links), dtype=np.int64)
+    active = np.arange(len(links))
+    done = active[:0]   # the positions the last span finished
+    rates = None        # link -> rate, as rates_after_finish reads them
     elapsed = 0
-    while active and elapsed <= model.horizon - start_slot:
-        if len(rates) != len(active):  # active only ever shrinks
-            if rates:
-                finished = [l for l in rates if delivered[l] >= d_target]
-                new = model.rates_after_finish(active, rates, finished)
+    while active.size and elapsed <= model.horizon - start_slot:
+        if rates is None or done.size:
+            now = link_of[active].tolist()
+            if rates is None:
+                rates, new = {}, model.link_rates(now)
             else:
-                new = model.link_rates(active)
-            rates = dict(zip(active, new))
-            for l in active:
-                if rates[l] <= 0.0:
-                    raise RuntimeError(
-                        f"active link {l} starved (zero rate); pairing "
-                        f"feasibility gate is inconsistent")
+                new = model.rates_after_finish(now, rates, link_of[done].tolist())
+            rates.update(zip(now, new))
+            new = np.array(new, dtype=float)
+            starved = ~(new > 0.0)
+            if starved.any():
+                k = int(starved.argmax())
+                raise RuntimeError(
+                    f"active link {now[k]} starved (rate {float(new[k])}); "
+                    f"pairing feasibility gate is inconsistent")
+            grain[active] = new * dt
         if strict_causality:
             left = model.horizon - start_slot - elapsed + 1
-            step = _strict_span(active, rates, delivered, feeder_of, dt,
-                                d_target, min(CHUNK, left))
+            step = _strict_span(active, grain, delivered, feeder, d_target,
+                                min(CHUNK, left))
         else:
-            step = min(
-                max(1, math.ceil((d_target - delivered[l]) / (rates[l] * dt)))
-                for l in active)
-            for l in active:
-                delivered[l] += rates[l] * dt * step
-        for l in active:
-            m[l] += step
+            g = grain[active]
+            step = max(1, int(np.ceil((d_target - delivered[active]) / g).min()))
+            delivered[active] += g * step
+        slots[active] += step
         elapsed += step
-        active = [l for l in active if delivered[l] < d_target]
+        held = delivered[active] >= d_target
+        done, active = active[held], active[~held]
     return Pairing(index, start_slot,
-                   tuple(LinkSchedule(l[0], l[1], l in feeder_of, m[l],
-                                      delivered[l]) for l in links),
-                   max(m.values()))
+                   tuple(LinkSchedule(tx, rx, relay, m, x) for (tx, rx), relay, m, x
+                         in zip(links, (feeder >= 0).tolist(), slots.tolist(),
+                                delivered.tolist())),
+                   int(slots.max()))
 
 
-def _strict_span(active, rates, delivered, feeder_of, dt, d_target,
-                 n: int) -> int:
-    """Advance a fixed active set by up to n strict-causality slots and
+def _strict_span(active, grain, delivered, feeder, d_target, n: int) -> int:
+    """Advance the active positions by up to n strict-causality slots and
     return the slots taken: n, or fewer when a link gets the content first.
     delivered is moved to the end of the span.
 
-    Every link's path starts uncapped, np.add.accumulate over [x, g, g,
-    ...], which adds left to right as the slot loop's += does. Links are
-    walked in commit order, so an active feeder already has its path over
-    the span when its relay hop is reached, and _cap then caps the relay
-    hop's path at it in place. The span ends at the first slot after which
-    some link holds the content.
+    Row r of an (active, n + 1) matrix is active link r's path over the
+    span. All rows start uncapped, one np.add.accumulate along the rows
+    over [x, g, g, ...], which adds left to right as the slot loop's +=
+    does; then each relay row, in commit order, is capped in place by _cap
+    at its feeder's row (an active feeder sits in an earlier row, already
+    final) or at a finished feeder's delivered bits; then one search finds
+    the first slot after which some row holds the content.
     """
-    # No plain link needs many more slots than its missing bits over g.
-    n = min([n] + [math.ceil((d_target - delivered[l]) / (rates[l] * dt)) + 1
-                   for l in active if l not in feeder_of])
-    paths = {}
-    for l in active:
-        g = rates[l] * dt
-        path = np.full(n + 1, g)
-        path[0] = delivered[l]
-        np.add.accumulate(path, out=path)
-        f = feeder_of.get(l)
-        if f is not None:
-            _cap(path, g, paths[f][1:n + 1] if f in paths
-                 else np.full(n, delivered[f]))
-        n = min(n, int(np.searchsorted(path, d_target)))  # paths never fall
-        paths[l] = path
-    for l in active:
-        delivered[l] = float(paths[l][n])
+    g, fed = grain[active], feeder[active]
+    plain = fed < 0
+    if plain.any():  # no plain link needs many more slots than its missing bits over g
+        n = min(n, int(np.ceil((d_target - delivered[active[plain]])
+                               / g[plain]).min()) + 1)
+    row = np.full(len(delivered), -1)
+    row[active] = np.arange(active.size)
+    paths = np.empty((active.size, n + 1))
+    paths[:, 0] = delivered[active]
+    paths[:, 1:] = g[:, None]
+    np.add.accumulate(paths, axis=1, out=paths)
+    relays = np.flatnonzero(~plain)
+    for r, f, j, gr in zip(relays.tolist(), fed[relays].tolist(),
+                           row[fed[relays]].tolist(), g[relays].tolist()):
+        _cap(paths[r], gr, paths[j, 1:] if j >= 0 else np.full(n, delivered[f]))
+    held = paths[:, n] >= d_target  # paths never fall
+    if held.any():
+        n = int((paths[held] < d_target).sum(axis=1).min())
+    delivered[active] = paths[:, n]
     return n
 
 
@@ -245,7 +255,7 @@ def _cap(path: np.ndarray, g: float, feed: np.ndarray) -> None:
         np.minimum(rest, feed[t:], out=rest)
         head = path[t:-1]
         step = head + np.minimum(g, np.maximum(0.0, feed[t:] - head))
-        bad = np.flatnonzero(step != rest)
+        bad = (step != rest).nonzero()[0]
         if not bad.size:
             return
         t += int(bad[0]) + 1

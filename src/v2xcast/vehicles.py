@@ -35,9 +35,6 @@ def spawn_vehicles(config: ScenarioConfig, seed: int) -> list[VehicleState]:
     lanes = rng.integers(1, road.lane_count + 1, size=road.vehicle_count)
     arrival_s = np.cumsum(gaps)
     entry_slots = np.floor(arrival_s / road.slot_duration + 0.5).astype(np.int64)
-    order = sorted(range(road.vehicle_count),
-                   key=lambda idx: (int(entry_slots[idx]), int(lanes[idx])))
-    return [
-        VehicleState(id=vid, lane=int(lanes[idx]), entry_slot=int(entry_slots[idx]))
-        for vid, idx in enumerate(order, start=1)
-    ]
+    order = np.lexsort((lanes, entry_slots))  # stable: ties keep draw order
+    return list(map(VehicleState, range(1, road.vehicle_count + 1),
+                    lanes[order].tolist(), entry_slots[order].tolist()))

@@ -14,11 +14,13 @@ proposed at test_golden.RANDOM_RETRIES on seeds 1-30 with strict causality
 off and on, where random's pairing builder draws again after an empty
 pairing (120 runs), plus serial-tdma and fcfs at 1,600 vehicles
 (horizon_slots=16,000,000) on seeds 1-2 in both rate modes, where the RSU's
-in-order loop serves every vehicle (8 runs): 1,860 runs.
+in-order loop serves every vehicle (8 runs), plus proposed and random at
+1,600 vehicles on seed 1 with strict causality off and on, the only runs
+here whose pairings exceed about 190 links, up to 727 (4 runs): 1,864 runs.
 
 The first line is the hash over every run. One line per run group follows
-(stock, strict, ladder, shares, retries, rsu: the six parts above, in
-that order), so a mismatch points at the group that moved.
+(stock, strict, ladder, shares, retries, rsu, pairing: the seven parts
+above, in that order), so a mismatch points at the group that moved.
 
     PYTHONPATH=src python tests/identity.py [--jobs J]
 
@@ -49,6 +51,8 @@ RETRY_SEEDS = range(1, 31)
 RSU = {"vehicle_count": 1600, "horizon_slots": 16_000_000}
 RSU_SEEDS = (1, 2)
 SERIAL_SCHEMES = ("serial-tdma", "fcfs")
+PAIRING_SCHEMES = ("proposed", "random")
+PAIRING_SEEDS = (1,)
 
 
 def runs():
@@ -76,6 +80,10 @@ def runs():
         for seed in RSU_SEEDS:
             for scheme in SERIAL_SCHEMES:
                 yield "rsu", (seed, scheme, mode, False, RSU)
+    for seed in PAIRING_SEEDS:
+        for scheme in PAIRING_SCHEMES:
+            for strict in (False, True):
+                yield "pairing", (seed, scheme, "midpoint", strict, RSU)
 
 
 def run_text(run) -> bytes:

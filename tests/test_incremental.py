@@ -237,6 +237,38 @@ def test_scheduler_pairings_are_exact(overrides, seed):
         assert colocated
 
 
+def shrink_calls(model, pairing):
+    """The re-rates of a pairing whose links finish in order of their
+    traced slot counts, ties together: (active, rates, finished) per
+    finish, with the oracle's rates of the set before it."""
+    links = [(l.tx, l.rx) for l in pairing.links]
+    calls, active = [], links
+    for slots in sorted({l.slots for l in pairing.links})[:-1]:
+        rates = dict(zip(active, model.link_rates(
+            active, oracle_link_sinrs(model, active))))
+        finished = [(l.tx, l.rx) for l in pairing.links if l.slots == slots]
+        active = [l for l in active if l not in finished]
+        calls.append((active, rates, finished))
+    return calls
+
+
+def test_rerate_state_follows_its_arguments():
+    """One model re-rates two pairings, proposed's and random's first on
+    the same population, interleaved, and then replays one pairing out of
+    order and twice over: rates_after_finish keeps the set it last answered
+    for, and each answer must still be the oracle's."""
+    config = stock_config()
+    model = PhysicalRateModel(config, spawn_vehicles(config, 1))
+    a, b = (shrink_calls(model, run_scheme(scheme, model, 1).v2v.pairings[0])
+            for scheme in ("proposed", "random"))
+    assert len(a) > 4 and len(b) > 4 and a[0][0] != b[0][0]
+    for pair in zip(a, b):
+        for call in pair:
+            assert_rerate_exact(model, *call)
+    for call in a[:1] + a[2:4] + a[1:2] + a[1:3] + a[4:]:
+        assert_rerate_exact(model, *call)
+
+
 # ---- scans ----
 
 def scan_cases(model, data):

@@ -220,6 +220,22 @@ def test_run_pairing_starvation_aborts():
         run_pairing(StarvingModel(), [(1, 2)], 0, 1)
 
 
+def test_run_pairing_nan_rate_aborts():
+    """A NaN rate fails `rate > 0` as a zero one does, and names its link,
+    in either mode."""
+    class NaNModel:
+        content_size = 1e9
+        slot_duration = 1e-4
+        horizon = 10 ** 6
+
+        def link_rates(self, links):
+            return [1e9 if link == (1, 2) else math.nan for link in links]
+
+    for strict in (False, True):
+        with pytest.raises(RuntimeError, match=r"link \(3, 4\) starved"):
+            run_pairing(NaNModel(), [(1, 2), (3, 4)], 0, 1, strict_causality=strict)
+
+
 def test_strict_causality_serializes_fast_second_hop():
     config = default_config(vehicle_count=3)
     vehicles = _vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
@@ -355,6 +371,60 @@ def test_strict_span_advance_matches_per_slot_loop(chains, start, budget, crowde
     model, links, flags = _chain_pairing(chains, start + budget, crowded)
     pairing = run_pairing(model, links, start, 1, strict_causality=True)
     m, delivered = _per_slot_strict(model, links, flags, start)
+    assert [(l.tx, l.rx) for l in pairing.links] == links
+    assert [l.relay_hop for l in pairing.links] == flags
+    assert [l.slots for l in pairing.links] == [m[l] for l in links]
+    assert [l.delivered for l in pairing.links] == [delivered[l] for l in links]
+    assert all(type(l.delivered) is float for l in pairing.links)
+    assert pairing.duration == max(m.values())
+
+
+def _per_slot_relaxed(model, links, start_slot):
+    """The relaxed slot loop, one slot per iteration: between changes of
+    the active set every link gains rate * dt * k after k slots, and the
+    span ends at the first slot k by which some link's missing bits over
+    rate * dt are at most k. The oracle that run_pairing's one ceil and one
+    min must match, float for float."""
+    d_target, dt = model.content_size, model.slot_duration
+    active = list(links)
+    delivered = {l: 0.0 for l in links}
+    m = {l: 0 for l in links}
+    rates: dict = {}
+    elapsed = 0
+    while active and elapsed <= model.horizon - start_slot:
+        if len(rates) != len(active):
+            rates = dict(zip(active, model.link_rates(active)))
+        k = 1
+        while all((d_target - delivered[l]) / (rates[l] * dt) > k for l in active):
+            k += 1
+        for l in active:
+            delivered[l] += rates[l] * dt * k
+            m[l] += k
+        elapsed += k
+        active = [l for l in active if delivered[l] < d_target]
+    return m, delivered
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chains=st.lists(  # relay slot count: none, any, or 0 for the feeder's
+           st.tuples(_SLOTS, st.none() | _SLOTS | st.just(0)).map(
+               lambda c: (c[0], c[0] if c[1] == 0 else c[1])),
+           min_size=1, max_size=4),
+       start=st.integers(0, 50),
+       budget=st.just(10 ** 6) | st.integers(1, 8 * CHUNK),
+       crowded=st.booleans())
+@example(chains=[(3000, 1000)], start=0, budget=10 ** 6, crowded=False)  # faster relay
+@example(chains=[(2500, 2500), (900, None)], start=0, budget=10 ** 6,
+         crowded=True)                                                  # equal rates
+@example(chains=[(5000, 4000), (300, 200)], start=900, budget=100,
+         crowded=False)                                                 # horizon cut
+def test_relaxed_span_advance_matches_per_slot_loop(chains, start, budget, crowded):
+    """Random chains on table rates, relaxed, against the per-slot loop:
+    relay hops run at their own rate, and a horizon (start + budget) stops
+    the pairing at the first span that starts past it."""
+    model, links, flags = _chain_pairing(chains, start + budget, crowded)
+    pairing = run_pairing(model, links, start, 1)
+    m, delivered = _per_slot_relaxed(model, links, start)
     assert [(l.tx, l.rx) for l in pairing.links] == links
     assert [l.relay_hop for l in pairing.links] == flags
     assert [l.slots for l in pairing.links] == [m[l] for l in links]
