@@ -21,7 +21,7 @@ from .params import (ConfigError, RadioParams, RoadConfig, ScenarioConfig,
 from .radio import (ConcurrentSet, DirectionalLink, antenna_gain,
                     mainlobe_gain, v2i_slot_rate, v2i_snr, v2v_interference,
                     v2v_rate, v2v_received_power, v2v_sinr)
-from .ratemodel import PhysicalRateModel, RateModel, TableRateModel, fd_relays
+from .ratemodel import PhysicalRateModel, RateModel, TableRateModel
 from .v2i import (ChainEstimate, Grant, UtilityEval, V2ISelection,
                   select_v2i_paths, two_hop_estimate)
 from .v2v import (LinkSchedule, Pairing, V2VSchedule, best_first_hop,

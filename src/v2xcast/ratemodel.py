@@ -18,12 +18,11 @@ holds instead of computing it again. Each class keeps a carry of its own, so
 a subclass's models never read the blocks of a plain PhysicalRateModel, nor
 it theirs. download reads a per-lane prefix sum over a run of those blocks,
 where an error bound shows the answer equals RateModel.download's. The V2V
-SINR formula, the interference term and the by-transmitter index are each
-written once: link_sinrs sums every receiver afresh through them; admits
-keeps running sums of the same terms in the same order; and
-rates_after_finish keeps a pairing's shrinking link set, indexed by
-transmitter and receiver, from one finish to the next, and sums afresh only
-the receivers near a finished transmitter.
+SINR formula, the interference term and the scan for the interferers a
+receiver hears are each written once: link_sinrs sums every receiver afresh
+through them; admits keeps running sums of the same terms in the same
+order; and phases finds a pairing's terms once, sums every phase from them
+in the same order, and reuses each rate whose SINR did not move.
 
 TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
 counts. It is used for desk-scale reference instances and brute-force
@@ -50,13 +49,6 @@ SIMPSON = (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)  # 8 subintervals
 # Per model class, the V2I memo of its latest model, and what its rates
 # depend on: (radio, road, rate mode), compared by value.
 _carries: dict[type, tuple[tuple, dict]] = {}
-
-
-def fd_relays(links: list[Link]) -> set[int]:
-    """Nodes that both receive and transmit within a concurrent set."""
-    txs = {tx for tx, _ in links}
-    rxs = {rx for _, rx in links}
-    return txs & rxs
 
 
 def near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
@@ -102,8 +94,8 @@ class RateModel:
     slot_duration, horizon, sinr_threshold and rate_mode, and the entry
     slots by id, _entry, are set here. Every other query is derived below
     from the primitives, once for every model. A model may answer the
-    scheduler's hot queries (peers, admits, rates_after_finish) faster, but
-    with the same values the derived versions give.
+    scheduler's hot queries (peers, admits, phases) faster, but with the
+    same values the derived versions give.
     """
 
     rate_mode = "midpoint"
@@ -224,12 +216,16 @@ class RateModel:
         the SINR threshold: set_feasible(committed + [link])."""
         return self.set_feasible(committed + [link])
 
-    def rates_after_finish(self, links: list[Link], rates: dict,
-                           finished: list[Link]) -> list[float]:
-        """link_rates(links), where `links` is what is left of a concurrent
-        set once its `finished` links stopped, and `rates` maps every link
-        of that set (and maybe others) to its link_rates rate in it."""
-        return self.link_rates(links)
+    def phases(self, links: list[Link]):
+        """The phases of a pairing: a function of the active positions of
+        `links`, an integer array, that gives their SINRs and rates, as
+        float arrays, while those links transmit concurrently."""
+        def phase(active: np.ndarray):
+            now = [links[m] for m in active]
+            sinrs = self.link_sinrs(now)
+            return (np.array(sinrs, dtype=float),
+                    np.array(self.link_rates(now, sinrs), dtype=float))
+        return phase
 
 
 class PhysicalRateModel(RateModel):
@@ -279,7 +275,6 @@ class PhysicalRateModel(RateModel):
 
         self._gains: dict[tuple[int, int, int], float] = {}
         self._fold = _Fold()
-        self._shrink: _Shrink | None = None
 
     @cached_property
     def _near(self) -> list[dict[int, tuple[float, float, float]]]:
@@ -472,8 +467,12 @@ class PhysicalRateModel(RateModel):
             return g
 
     def link_sinrs(self, links: list[Link]) -> list[float]:
-        """Receiver SINR per link when all of them transmit concurrently."""
-        return self._sinrs(links, links)
+        """Receiver SINR per link when all of them transmit concurrently,
+        each receiver's interference summed afresh; a receiver relays when
+        its node transmits on a link of the set."""
+        by_tx = _index(links)
+        return [self._sinr(l, self._interference(links, by_tx, l), l[1] in by_tx)
+                for l in links]
 
     def link_rates(self, links: list[Link], sinrs=None) -> list[float]:
         w = self.config.radio.bandwidth
@@ -488,10 +487,10 @@ class PhysicalRateModel(RateModel):
     # interfering link and the receiver's link, so a running sum kept in
     # that order, plus a term added last, is the float a fresh sum gives,
     # and a sum whose terms did not change can be reused as it is.
-    # link_sinrs sums every receiver afresh (_sinrs); admits keeps the
-    # running sums, and rates_after_finish an index of the shrinking set
-    # (_Shrink), to touch only the links near a change. The test oracle in
-    # tests/oracle.py sums them its own way.
+    # link_sinrs sums every receiver afresh; admits keeps the running sums,
+    # to touch only the links near a change; phases keeps a pairing's terms
+    # and sums them again, in that order, for each active set. The test
+    # oracle in tests/oracle.py sums them its own way.
 
     def peers(self, vid: int):
         return self._near[vid].keys()
@@ -511,23 +510,21 @@ class PhysicalRateModel(RateModel):
         rsi = self._rsi if relay else 0.0
         return 0.0 if pair is None else pair[1] / (self._noise + interference + rsi)
 
-    def _interference(self, links: list[Link], by_tx: dict, link: Link) -> float:
-        """Interference at link's receiver from `links`, whose indices by
-        transmitter are `by_tx`, added in list order."""
-        tx, rx = link
-        total = 0.0
-        for u in sorted(m for t in self._near[rx] for m in by_tx.get(t, ())):
-            if links[u] != link:
-                total += self._term(*links[u], tx, rx)
-        return total
+    def _heard(self, links: list[Link], by_tx: dict, link: Link) -> list[int]:
+        """The positions of `links`, in list order, whose transmitter
+        neighbours link's receiver; link itself left out. `by_tx` indexes
+        `links` by transmitter."""
+        rx = link[1]
+        return [u for u in sorted(m for t in self._near[rx] for m in by_tx.get(t, ()))
+                if links[u] != link]
 
-    def _sinrs(self, links: list[Link], of: list[Link]) -> list[float]:
-        """The SINRs of the links `of` while every link of `links`
-        transmits, each receiver's interference summed afresh."""
-        by_tx = _index(links, 0)
-        relays = fd_relays(links)
-        return [self._sinr(l, self._interference(links, by_tx, l), l[1] in relays)
-                for l in of]
+    def _interference(self, links: list[Link], by_tx: dict, link: Link) -> float:
+        """Interference at link's receiver from `links`, added in list
+        order."""
+        total = 0.0
+        for u in self._heard(links, by_tx, link):
+            total += self._term(*links[u], *link)
+        return total
 
     def _join(self, fold: _Fold, link: Link):
         """What `link` joining the folded set changes: the new interference
@@ -590,31 +587,43 @@ class PhysicalRateModel(RateModel):
         changed, relays = self._join(fold, link)
         return next(self._weak(fold, link, changed, relays), None) is None
 
-    def rates_after_finish(self, links: list[Link], rates: dict,
-                           finished: list[Link]) -> list[float]:
-        """Only the receivers that heard a finished transmitter, or were
-        one and so may have stopped relaying, get a new rate, summed afresh
-        in link order; every other rate is reused.
+    def phases(self, links: list[Link]):
+        """RateModel.phases, from the pairing's (interferer, victim, term)
+        table, found once through the scan link_sinrs makes.
 
-        The model keeps the set it last answered for (_Shrink). When that
-        set, less `finished`, is `links`, as between the finishes of one
-        pairing, only the finished links are taken out of it; else it
-        starts over from `links` and `rates`. Either way the kept index
-        finds the stale receivers, and a receiver relays while it still
-        transmits."""
-        kept = self._shrink
-        if kept is None or not kept.drop(finished, links):
-            kept = self._shrink = _Shrink(links, rates)
-        stale = set()
-        for tx, _ in finished:
-            stale.add(tx)
-            stale.update(self._near[tx])
-        fresh = list({m for n in stale for m in kept.by_rx.get(n, ())})
-        of = [kept.links[m] for m in fresh]
-        sinrs = [self._sinr(l, self._interference(kept.links, kept.by_tx, l),
-                            bool(kept.by_tx.get(l[1]))) for l in of]
-        kept.rate[fresh] = self.link_rates(of, sinrs)
-        return kept.rate[kept.live].tolist()
+        A phase sums each receiver's terms whose interferer is on the air
+        with one np.bincount, which adds in table order, link order per
+        receiver, from 0.0: _interference's floats. The SINRs are then
+        _sinr's formula elementwise, a receiver relaying while a link from
+        its node is on the air. A rate is link_rates of its SINR, so the
+        function keeps each position's last SINR and rate, and calls
+        link_rates only for the active positions whose SINR moved."""
+        n, by_tx = len(links), _index(links)
+        table = [(u, v, self._term(*links[u], *link)) for v, link in enumerate(links)
+                 for u in self._heard(links, by_tx, link)]
+        u, v = np.array([e[:2] for e in table], dtype=np.int64).reshape(-1, 2).T
+        term = np.array([e[2] for e in table])
+        # (position, position of a link its receiver transmits on)
+        hub, out = np.array([(m, t) for m, (_, rx) in enumerate(links)
+                             for t in by_tx.get(rx, ())], dtype=np.int64).reshape(-1, 2).T
+        desired = np.array([self._near[rx].get(tx, (0.0, 0.0))[1] for tx, rx in links])
+        kept_sinr, kept_rate = np.full(n, np.nan), np.zeros(n)
+
+        def phase(active: np.ndarray):
+            on = np.zeros(n, dtype=bool)
+            on[active] = True
+            heard = on[u]
+            itf = np.bincount(v[heard], term[heard], minlength=n)
+            rsi = np.zeros(n)
+            rsi[hub[on[out]]] = self._rsi
+            with np.errstate(invalid="ignore"):
+                now = desired / (self._noise + itf + rsi)
+            fresh = np.flatnonzero(on & (now != kept_sinr))
+            kept_sinr[fresh] = sinrs = now[fresh]
+            kept_rate[fresh] = self.link_rates([links[m] for m in fresh.tolist()],
+                                               sinrs.tolist())
+            return now[active], kept_rate[active]
+        return phase
 
 
 class _Fold:
@@ -632,40 +641,11 @@ class _Fold:
         self.weak: set[int] = set()
 
 
-class _Shrink:
-    """PhysicalRateModel.rates_after_finish's state for one shrinking link
-    set: the links it started from, by position; which of them are still in
-    the set, and their rates; and the positions still in the set by
-    transmitter and by receiver, in link order."""
-
-    def __init__(self, links: list[Link], rates: dict):
-        self.links = list(links)
-        self.of = np.fromiter(self.links, dtype=object, count=len(self.links))
-        self.live = np.ones(len(self.links), dtype=bool)
-        self.rate = np.array([rates[l] for l in self.links], dtype=float)
-        self.at = {l: m for m, l in enumerate(self.links)}
-        self.by_tx = _index(self.links, 0)
-        self.by_rx = _index(self.links, 1)
-
-    def drop(self, finished: list[Link], links: list[Link]) -> bool:
-        """Take the `finished` links out of the set; True when they were all
-        in it and what is left is `links`, else the state is spent."""
-        for l in finished:
-            m = self.at.get(l)
-            if m is None or not self.live[m]:
-                return False
-            self.live[m] = False
-            self.by_tx[l[0]].remove(m)
-            self.by_rx[l[1]].remove(m)
-        return self.of[self.live].tolist() == links
-
-
-def _index(links: list[Link], end: int) -> dict[int, list[int]]:
-    """The positions of `links` by transmitter (end 0) or receiver (end 1),
-    in list order."""
+def _index(links: list[Link]) -> dict[int, list[int]]:
+    """The positions of `links` by transmitter, in list order."""
     index: dict[int, list[int]] = {}
     for m, link in enumerate(links):
-        index.setdefault(link[end], []).append(m)
+        index.setdefault(link[0], []).append(m)
     return index
 
 

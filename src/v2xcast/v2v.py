@@ -135,10 +135,9 @@ def run_pairing(model, links: list[Link], start_slot: int, index: int,
 
     The pairing's state lives in arrays indexed by link position: bits
     delivered, per-slot grain (rate times slot duration) and slot count,
-    with the positions still active in commit order. Rates are recomputed
-    whenever the active set changes: model.link_rates for the whole set at
-    first, then model.rates_after_finish, which may reuse the rates no
-    finish changed; a rate that is not positive (NaN included) aborts with
+    with the positions still active in commit order. Rates come from the
+    pairing's phase function, model.phases(links), at the start and after
+    every finish; a rate that is not positive (NaN included) aborts with
     RuntimeError. Between changes the geometry is static, so whole spans of
     identical slots are advanced at once. A relaxed span lasts until the
     first slot by which some link's missing bits fit at its grain (one
@@ -161,30 +160,23 @@ def run_pairing(model, links: list[Link], start_slot: int, index: int,
     feeder = np.array([into.get(tx, -1) for tx, _ in links], dtype=np.int64)
     if (feeder >= np.arange(len(links))).any():
         raise ValueError("a relay hop is listed before its feeder")
-    link_of = np.fromiter(links, dtype=object, count=len(links))
+    phase = model.phases(links)
     delivered = np.zeros(len(links))
     grain = np.zeros(len(links))
     slots = np.zeros(len(links), dtype=np.int64)
     active = np.arange(len(links))
-    done = active[:0]   # the positions the last span finished
-    rates = None        # link -> rate, as rates_after_finish reads them
+    rerate = True
     elapsed = 0
     while active.size and elapsed <= model.horizon - start_slot:
-        if rates is None or done.size:
-            now = link_of[active].tolist()
-            if rates is None:
-                rates, new = {}, model.link_rates(now)
-            else:
-                new = model.rates_after_finish(now, rates, link_of[done].tolist())
-            rates.update(zip(now, new))
-            new = np.array(new, dtype=float)
-            starved = ~(new > 0.0)
+        if rerate:
+            _, rates = phase(active)
+            starved = ~(rates > 0.0)
             if starved.any():
                 k = int(starved.argmax())
                 raise RuntimeError(
-                    f"active link {now[k]} starved (rate {float(new[k])}); "
-                    f"pairing feasibility gate is inconsistent")
-            grain[active] = new * dt
+                    f"active link {links[active[k]]} starved (rate "
+                    f"{float(rates[k])}); pairing feasibility gate is inconsistent")
+            grain[active] = rates * dt
         if strict_causality:
             left = model.horizon - start_slot - elapsed + 1
             step = _strict_span(active, grain, delivered, feeder, d_target,
@@ -196,7 +188,8 @@ def run_pairing(model, links: list[Link], start_slot: int, index: int,
         slots[active] += step
         elapsed += step
         held = delivered[active] >= d_target
-        done, active = active[held], active[~held]
+        rerate = bool(held.any())
+        active = active[~held]
     return Pairing(index, start_slot,
                    tuple(LinkSchedule(tx, rx, relay, m, x) for (tx, rx), relay, m, x
                          in zip(links, (feeder >= 0).tolist(), slots.tolist(),

@@ -17,14 +17,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from v2xcast.audit import (REL_GUARD, AuditRateModel, CheckResult, V2VBudget,
-                           _check_coverage_and_qos, _from_scratch, _replay_pairing,
-                           audit)
+                           _check_coverage_and_qos, _replay_pairing, audit)
 from v2xcast.baselines import SchemeResult, run_scheme
 from v2xcast.geometry import distance, distance_to_rsu, position
 from v2xcast.harness import run_scenario
 from v2xcast.radio import ConcurrentSet, DirectionalLink, v2i_snr, v2v_sinr
 from v2xcast import ratemodel
-from v2xcast.ratemodel import PhysicalRateModel
+from v2xcast.ratemodel import PhysicalRateModel, RateModel
 from v2xcast.v2i import Grant, V2ISelection
 from v2xcast.v2v import V2VSchedule
 from v2xcast.vehicles import spawn_vehicles
@@ -64,8 +63,8 @@ def _assert_agree(own, reference):
 def test_own_budget_replay_agrees_with_the_rate_model(strict):
     """On real pairings (stock seeds 1-20 and the 400-vehicle ladder rung,
     proposed, fcfs and random) the audit's budget and the rate model's
-    from-scratch link_sinrs give the same weak result and every delivered
-    value within REL_GUARD."""
+    phases give the same weak result and every delivered value within
+    REL_GUARD."""
     runs = [({}, seed) for seed in range(1, 21)] + [(LADDER, 1)]
     pairings = 0
     for overrides, seed in runs:
@@ -163,7 +162,7 @@ def test_phase_source_depends_only_on_the_active_set():
     assert n > 100
     budget = V2VBudget(config, vehicles)
     phase = budget.phases(links)
-    reference = _from_scratch(PhysicalRateModel(config, vehicles), links)
+    reference = RateModel.phases(PhysicalRateModel(config, vehicles), links)
     order = np.random.default_rng(1).permutation(n)
     shrinking = [np.sort(order[k:]) for k in (0, n // 4, n // 2, n - 3)]
     for active in shrinking + [shrinking[1], shrinking[1], shrinking[-1]]:

@@ -10,7 +10,10 @@ whose pairing builder has to retry after an unlucky draw. The `ladder` group
 runs 400 vehicles, whose pairings of ~180 links leave most interferers out
 of V2V range. The `rsu-only` group runs serial-tdma and noncoop on the
 crowded, large-file config of `paths`, where serial-tdma's window closes
-mid-download 6-14 times per run and the vehicle keeps its partial grant. A
+mid-download 6-14 times per run and the vehicle keeps its partial grant.
+The `pairing-1600` group runs proposed and random at 1,600 vehicles with
+strict causality off and on, whose pairings of up to 727 links are the
+largest any run here simulates and replays. A
 refactor that is meant to leave behaviour unchanged must leave every digest
 unchanged; a change that alters a schedule on purpose records the new
 digests here and says why.
@@ -36,6 +39,7 @@ FCFS_SHARES = {"arrival_rate_per_s": 6, "content_gbit": 6,
                "horizon_slots": 5_000_000}
 RANDOM_RETRIES = {"sinr_threshold_db": 64}
 LADDER = {"vehicle_count": 400, "horizon_slots": 4_000_000}
+CROWD = {"vehicle_count": 1600, "horizon_slots": 16_000_000}
 
 RUNS = {  # group -> (seed, scheme, run_scenario keywords, config overrides)
     "midpoint": [(seed, scheme, {}, {}) for seed in range(1, 7)
@@ -54,6 +58,9 @@ RUNS = {  # group -> (seed, scheme, run_scenario keywords, config overrides)
                for strict in (False, True)] + [(1, "random", {}, LADDER)],
     "rsu-only": [(seed, scheme, {}, FCFS_SHARES) for seed in (1, 2, 3)
                  for scheme in ("serial-tdma", "noncoop")],
+    "pairing-1600": [(1, scheme, {"strict_causality": strict}, CROWD)
+                     for scheme in ("proposed", "random")
+                     for strict in (False, True)],
 }
 
 DIGESTS = {
@@ -64,6 +71,7 @@ DIGESTS = {
     "paths": "a4938a7f075c1db5768e4608023aa278cd62cb3bf36d0e1d4371e9248d21dffa",
     "ladder": "fc753300e39e099745fc11928ec709a7ab59c85bb5e6a7f65ed12a0fc49577a1",
     "rsu-only": "f54ceef3361a4b6feec526258b56edffdaddda4e5d8db6a22a34d56a1a021511",
+    "pairing-1600": "ad6a1e084618458f2c0cebb32f2af9cba00c9042040037b6f6a5a0cd23fff4da",
 }
 
 # Stock seed 113 spawns two vehicles on one spot: proposed and random then

@@ -1,11 +1,13 @@
 """The scheduler's incremental paths against their from-scratch references.
 
 PhysicalRateModel.admits keeps each committed link's interference as a
-running sum, and rates_after_finish reuses every rate a finish did not
-change. Both, and link_sinrs, must give the floats of oracle_link_sinrs, a
-from-scratch scan kept in tests/oracle.py that shares none of the model's
-SINR helpers, not close ones: admits only answers a boolean, which would
-hide a last-ulp error, so these tests also read the sums it keeps.
+running sum, and a pairing's phases sum a kept term table and reuse every
+rate whose SINR did not move. Both, and link_sinrs, must give the floats of
+oracle_link_sinrs, a from-scratch scan kept in tests/oracle.py that shares
+none of the model's SINR helpers, not close ones: admits only answers a
+boolean, which would hide a last-ulp error, so these tests also read the
+sums it keeps, and the phases are checked on their SINRs as well as their
+rates.
 best_first_hop, servable and next_service_slot scan peers, entry order and
 window arrays instead of all of v_b; the old scans are kept here as their
 oracles.
@@ -52,11 +54,20 @@ def assert_admits_exact(model, committed, candidate):
                           equal_nan=True), (committed, candidate)
 
 
-def assert_rerate_exact(model, active, rates, finished):
-    got = model.rates_after_finish(active, rates, finished)
-    want = model.link_rates(active, oracle_link_sinrs(model, active))
-    assert got == want, (active, finished)
-    return got
+def assert_phase_exact(model, links, active, answer):
+    """A phase's answer (SINRs, rates) for the `active` positions of
+    `links`: the oracle's SINRs bit for bit, and link_rates of those."""
+    now = [links[m] for m in active]
+    want = oracle_link_sinrs(model, now)
+    sinrs, rates = answer
+    assert np.array_equal(sinrs, want, equal_nan=True), (links, active)
+    assert rates.tolist() == model.link_rates(now, want), (links, active)
+    return rates
+
+
+def check_phase(model, phase, links, active):
+    return assert_phase_exact(model, links, active,
+                              phase(np.array(active, dtype=np.int64)))
 
 
 def oracle_best_first_hop(model, source, v_b):
@@ -133,13 +144,13 @@ def check_pairing_build(model, order, forced):
 
 
 def check_shrinks(model, links, groups):
-    """Finish `links` in the given groups, checking every re-rate."""
-    active = list(links)
-    rates = dict(zip(active, model.link_rates(active)))
+    """Finish `links` in the given groups, checking every phase."""
+    phase = model.phases(links)
+    active = list(range(len(links)))
+    check_phase(model, phase, links, active)
     for finished in groups:
-        active = [l for l in active if l not in finished]
-        rates = dict(zip(active, assert_rerate_exact(model, active, rates,
-                                                     finished)))
+        active = [m for m in active if links[m] not in finished]
+        check_phase(model, phase, links, active)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -177,9 +188,10 @@ def test_relay_join_and_finish_refresh_the_feeder():
     assert model.set_feasible([feeder]) and not model.admits([feeder], relay)
     assert_admits_exact(model, [feeder], relay)
     links = [feeder, relay]
-    before = dict(zip(links, model.link_rates(links)))
-    after = assert_rerate_exact(model, [feeder], before, [relay])
-    assert after[0] > before[feeder]        # self-interference is gone
+    phase = model.phases(links)
+    before = check_phase(model, phase, links, [0, 1])
+    after = check_phase(model, phase, links, [0])
+    assert after[0] > before[0]             # self-interference is gone
     check_shrinks(model, links, [[feeder]])
 
 
@@ -204,69 +216,94 @@ def test_colocated_peers_match_link_sinrs():
 @pytest.mark.parametrize("overrides, seed", [
     (LADDER, 1), (LADDER, 2), ({}, 113), ({}, 195)])
 def test_scheduler_pairings_are_exact(overrides, seed):
-    """Every admits call and re-rate the proposed and random schedulers make
+    """Every admits call and phase the proposed and random schedulers make
     on ladder seeds 1-2 and on the stock seeds that co-locate two vehicles,
     checked against the from-scratch references."""
     config = stock_config(**overrides)
-    admits_calls, rerates = [], []
+    admits_calls, pairings = [], []
     for scheme in ("proposed", "random"):
         model = PhysicalRateModel(config, spawn_vehicles(config, seed))
-        admits, after = model.admits, model.rates_after_finish
+        admits, phases = model.admits, model.phases
 
         def recorded_admits(committed, link, admits=admits):
             admits_calls.append((model, list(committed), link))
             return admits(committed, link)
 
-        def recorded_after(links, rates, finished, after=after):
-            rerates.append((model, list(links), dict(rates), list(finished)))
-            return after(links, rates, finished)
+        def recorded_phases(links, phases=phases):
+            phase, answers = phases(links), []
+            pairings.append((model, list(links), answers))
 
-        model.admits, model.rates_after_finish = recorded_admits, recorded_after
+            def recorded(active):
+                sinrs, rates = phase(active)
+                answers.append((active.tolist(), (sinrs.copy(), rates.copy())))
+                return sinrs, rates
+            return recorded
+
+        model.admits, model.phases = recorded_admits, recorded_phases
         run_scheme(scheme, model, seed)
-        del model.admits, model.rates_after_finish
+        del model.admits, model.phases
     joins = colocated = relay_finishes = 0
     for model, committed, link in admits_calls:
         assert_admits_exact(model, committed, link)
         joins += any(rx == link[0] for _, rx in committed)
         colocated += model.rate_free(*link) == math.inf
-    for model, links, rates, finished in rerates:
-        assert_rerate_exact(model, links, rates, finished)
-        relay_finishes += any(rx == tx for tx, _ in finished for _, rx in links)
+    for model, links, answers in pairings:
+        before = set(range(len(links)))
+        for active, answer in answers:
+            assert_phase_exact(model, links, active, answer)
+            finished = {links[m][0] for m in before.difference(active)}
+            relay_finishes += any(links[m][1] in finished for m in active)
+            before = set(active)
     assert joins and relay_finishes
     if seed in (113, 195):
         assert colocated
 
 
-def shrink_calls(model, pairing):
-    """The re-rates of a pairing whose links finish in order of their
-    traced slot counts, ties together: (active, rates, finished) per
-    finish, with the oracle's rates of the set before it."""
-    links = [(l.tx, l.rx) for l in pairing.links]
-    calls, active = [], links
-    for slots in sorted({l.slots for l in pairing.links})[:-1]:
-        rates = dict(zip(active, model.link_rates(
-            active, oracle_link_sinrs(model, active))))
-        finished = [(l.tx, l.rx) for l in pairing.links if l.slots == slots]
-        active = [l for l in active if l not in finished]
-        calls.append((active, rates, finished))
-    return calls
+def grow_back(n, seed):
+    """Active sets of n positions: all but one, so that the first call
+    leaves a position off the air, then sets that shrink from all, grow
+    back by one position and by many, and repeat."""
+    order = np.random.default_rng(seed).permutation(n)
+    shrinking = [np.sort(order[k:]) for k in (0, n // 4, n // 2, n - 3)]
+    back = [np.sort(order[k - 1:]) for k in (n - 3, n // 2)]
+    return [np.sort(order[1:])] + shrinking + back + [
+        shrinking[1], shrinking[1], shrinking[-1], shrinking[0]]
 
 
-def test_rerate_state_follows_its_arguments():
-    """One model re-rates two pairings, proposed's and random's first on
-    the same population, interleaved, and then replays one pairing out of
-    order and twice over: rates_after_finish keeps the set it last answered
-    for, and each answer must still be the oracle's."""
+def test_phases_answer_any_active_set_in_any_order():
+    """One model holds the phase functions of two pairings, proposed's and
+    random's first on the same population, and each is asked in turn about
+    active sets that shrink, grow back and repeat: every answer must be the
+    oracle's."""
     config = stock_config()
     model = PhysicalRateModel(config, spawn_vehicles(config, 1))
-    a, b = (shrink_calls(model, run_scheme(scheme, model, 1).v2v.pairings[0])
-            for scheme in ("proposed", "random"))
-    assert len(a) > 4 and len(b) > 4 and a[0][0] != b[0][0]
-    for pair in zip(a, b):
-        for call in pair:
-            assert_rerate_exact(model, *call)
-    for call in a[:1] + a[2:4] + a[1:2] + a[1:3] + a[4:]:
-        assert_rerate_exact(model, *call)
+    pairings = [[(l.tx, l.rx) for l in run_scheme(scheme, model, 1).v2v.pairings[0].links]
+                for scheme in ("proposed", "random")]
+    assert pairings[0] != pairings[1] and min(map(len, pairings)) > 8
+    phases = [model.phases(links) for links in pairings]
+    for sets in zip(*(grow_back(len(links), 1) for links in pairings)):
+        for links, phase, active in zip(pairings, phases, sets):
+            check_phase(model, phase, links, active)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(si_cancel=st.sampled_from([1e-12, 1e-9]), data=st.data())
+def test_phases_answer_any_active_set_on_hand_built_populations(si_cancel, data):
+    """Chains of one and two hops over a dense hand-built population,
+    co-located vehicles included, asked about active sets that shrink,
+    grow back and repeat: every answer must be the oracle's."""
+    model = drawn_model(data, 30, si_cancel=si_cancel)
+    order = data.draw(st.permutations(model.ids), label="order")
+    links, k = [], 0
+    while k + 1 < len(order):
+        hops = data.draw(st.integers(1, 2), label="hops")
+        chain = order[k:k + hops + 1]
+        links += list(zip(chain, chain[1:]))
+        k += hops + 1
+    links = data.draw(st.permutations(links), label="links")
+    phase = model.phases(links)
+    for active in grow_back(len(links), data.draw(st.integers(0, 99), label="seed")):
+        check_phase(model, phase, links, active)
 
 
 # ---- scans ----

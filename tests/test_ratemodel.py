@@ -14,19 +14,12 @@ from v2xcast.geometry import (Point2D, coverage_window, distance, lane_center_y,
 from v2xcast.radio import (ConcurrentSet, DirectionalLink, shannon_rate,
                            v2i_slot_rate, v2i_snr, v2v_sinr)
 from v2xcast.params import RoadConfig, ScenarioConfig, validate
-from v2xcast.ratemodel import (BLOCK, PhysicalRateModel, RateModel,
-                               TableRateModel, fd_relays)
+from v2xcast.ratemodel import BLOCK, PhysicalRateModel, RateModel, TableRateModel
 from v2xcast.harness import run_scenario
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import (SIX_PAIR_SLOTS, default_config, default_radio,
                        six_vehicle_instance)
 from test_golden import canonical, stock_config
-
-
-def test_fd_relays_identifies_dual_role_nodes():
-    assert fd_relays([(1, 2), (2, 3)]) == {2}
-    assert fd_relays([(1, 2), (3, 4)]) == set()
-    assert fd_relays([]) == set()
 
 
 @pytest.mark.parametrize("mode", ["midpoint", "quadrature"])

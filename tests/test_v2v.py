@@ -213,8 +213,8 @@ def test_run_pairing_starvation_aborts():
         slot_duration = 1e-4
         horizon = 10 ** 6
 
-        def link_rates(self, links):
-            return [0.0 for _ in links]
+        def phases(self, links):
+            return lambda active: (None, np.zeros(len(active)))
 
     with pytest.raises(RuntimeError, match="starved"):
         run_pairing(StarvingModel(), [(1, 2)], 0, 1)
@@ -228,8 +228,9 @@ def test_run_pairing_nan_rate_aborts():
         slot_duration = 1e-4
         horizon = 10 ** 6
 
-        def link_rates(self, links):
-            return [1e9 if link == (1, 2) else math.nan for link in links]
+        def phases(self, links):
+            return lambda active: (None, np.array(
+                [1e9 if links[m] == (1, 2) else math.nan for m in active]))
 
     for strict in (False, True):
         with pytest.raises(RuntimeError, match=r"link \(3, 4\) starved"):
