@@ -91,11 +91,12 @@ class RateModel:
 
     and may set _serve_radius to serve inside less than the RSU range. The
     attributes the schedulers read, config, vehicles, ids, content_size,
-    slot_duration, horizon, sinr_threshold and rate_mode, and the entry
-    slots by id, _entry, are set here. Every other query is derived below
-    from the primitives, once for every model. A model may answer the
-    scheduler's hot queries (peers, admits, phases) faster, but with the
-    same values the derived versions give.
+    slot_duration, horizon, sinr_threshold and rate_mode, and _entry, the
+    entry slots in an integer array indexed by id, are set here. Every other
+    query is derived below from the primitives, once for every model; the
+    V2I ones read service windows from the window_bounds arrays. A model
+    may answer the scheduler's hot queries (peers, admits, phases) faster,
+    but with the same values the derived versions give.
     """
 
     rate_mode = "midpoint"
@@ -105,44 +106,28 @@ class RateModel:
         self.config = config
         self.vehicles = vehicles
         self.ids = [v.id for v in vehicles]
-        self._entry = {v.id: v.entry_slot for v in vehicles}
+        self._entry = np.zeros(max(self.ids) + 1, dtype=np.int64)
+        self._entry[self.ids] = [v.entry_slot for v in vehicles]
         self.content_size = config.road.content_size
         self.slot_duration = config.road.slot_duration
         self.horizon = config.road.horizon
         self.sinr_threshold = config.radio.sinr_threshold
-        self._windows: dict[int, tuple[int, int] | None] = {}
-        self._entry_order: tuple[list[int], list[int]] | None = None
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     # ---- V2I ----
 
     def service_window(self, vid: int) -> tuple[int, int] | None:
         """Slot range where the vehicle is in coverage with adequate SNR,
-        clipped to the horizon. None if the vehicle can never be served."""
-        try:
-            return self._windows[vid]
-        except KeyError:
-            pass
+        clipped to the horizon; None if the vehicle can never be served.
+        The per-vehicle reference for window_bounds, which the queries
+        read."""
         v = self.vehicles[vid - 1]
         assert v.id == vid
         win = coverage_window(v, self.config, radius=self._serve_radius)
-        if win is not None:
-            t_in, t_out = win
-            t_out = min(t_out, self.horizon - 1)
-            win = (t_in, t_out) if t_in <= t_out else None
-        self._windows[vid] = win
-        return win
-
-    def entry_order(self) -> tuple[list[int], list[int]]:
-        """Ids sorted by entry slot (a stable sort of ids), and those entry
-        slots: the vehicles entered by slot t are the first
-        bisect_right(slots, t) ids. Built once."""
-        if self._entry_order is None:
-            entry = np.array([self._entry[vid] for vid in self.ids], dtype=np.int64)
-            order = np.argsort(entry, kind="stable")
-            self._entry_order = (np.array(self.ids)[order].tolist(),
-                                 entry[order].tolist())
-        return self._entry_order
+        if win is None:
+            return None
+        t_in, t_out = win[0], min(win[1], self.horizon - 1)
+        return (t_in, t_out) if t_in <= t_out else None
 
     def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """First and last slot of every service_window, as arrays indexed by
@@ -181,12 +166,13 @@ class RateModel:
     def slots_to_download(self, vid: int, start: int) -> int | None:
         """Smallest slot count to accumulate the content from `start`, with
         every slot inside the serving window; None when impossible."""
-        win = self.service_window(vid)
-        if win is None or not (win[0] <= start <= win[1]):
+        first, last = self.window_bounds()
+        end = int(last[vid])
+        if not first[vid] <= start <= end:
             return None
         if self.content_size <= 0:
             return 0
-        n, complete = self.download(vid, start, win[1])
+        n, complete = self.download(vid, start, end)
         return n if complete else None
 
     # ---- V2V ----
@@ -298,7 +284,8 @@ class PhysicalRateModel(RateModel):
 
     def rsu_distance(self, vid: int, t: int) -> float:
         """Mid-slot RSU distance, meters."""
-        x = (t - self._entry[vid] + 0.5) * self._step - self.config.road.rsu_longitudinal
+        entry = self._lane_entry[vid][1]
+        x = (t - entry + 0.5) * self._step - self.config.road.rsu_longitudinal
         return math.hypot(x, self._dlr[vid])
 
     def _snr_of_distance(self, d: np.ndarray) -> np.ndarray:
@@ -421,7 +408,7 @@ class PhysicalRateModel(RateModel):
         vehicle at once: the same float operations per element."""
         if self._bounds is None:
             road, radius, d_lr = self.config.road, self._serve_radius, self._dlr
-            entry = np.array([0] + [e for _, e in self._lane_entry[1:]], dtype=np.int64)
+            entry = self._entry
             reach = d_lr < radius
             half_chord = np.sqrt(np.where(reach, radius * radius - d_lr * d_lr, 0.0))
             lo = entry - 0.5 + (road.rsu_longitudinal - half_chord) / self._step
@@ -672,7 +659,7 @@ class TableRateModel(RateModel):
 
     def service_window(self, vid: int) -> tuple[int, int] | None:
         if not self._geometric:
-            return (self._entry[vid], self.horizon - 1)
+            return (int(self._entry[vid]), self.horizon - 1)
         return super().service_window(vid)
 
     def rsu_distance(self, vid: int, t: int) -> float:

@@ -13,7 +13,6 @@ vehicle has itself been granted.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,17 +89,19 @@ def two_hop_estimate(model, vid: int, candidates) -> UtilityEval:
 def servable(model, v_b: set[int], clock: int,
              pool: set[int]) -> tuple[set[int], dict[int, int]]:
     """The vehicles of v_b that have entered by `clock`, and the download
-    slots of each one in `pool` that is in service at `clock` and can finish
-    from there inside its window, in id order. The entered vehicles are a
-    prefix of the model's entry order, so no vehicle yet to enter is
-    looked at."""
-    order, entries = model.entry_order()
-    entered = v_b.intersection(order[:bisect_right(entries, clock)])
+    slots of each one in `pool` (a subset of v_b) that is in service at
+    `clock` and can finish from there inside its window, in id order. Both
+    are read off the model's id-indexed arrays, entry slots and window
+    bounds, so only vehicles whose window holds the clock are asked for
+    their download slots. A window never opens before its vehicle enters."""
+    first, last = model.window_bounds()
+    entered = v_b.intersection(np.flatnonzero(model._entry <= clock).tolist())
     slots = {}
-    for vid in sorted(entered & pool):
-        m = model.slots_to_download(vid, clock)  # None outside the window
-        if m is not None:
-            slots[vid] = m
+    for vid in np.flatnonzero((first <= clock) & (clock <= last)).tolist():
+        if vid in pool:
+            m = model.slots_to_download(vid, clock)  # None if it cannot finish
+            if m is not None:
+                slots[vid] = m
     return entered, slots
 
 
@@ -139,11 +140,11 @@ def select_v2i_paths(model, termination: str = "coverage",
                      pick=min_utility) -> V2ISelection:
     """Run the grant-selection loop over the whole vehicle population.
 
-    termination="coverage" stops once granted vehicles plus their recorded
-    chains claim everyone; vehicles already claimed by a chain are left to
-    the sharing phase and are not grant candidates. "literal" instead keeps
-    every ungranted vehicle eligible and stops only once the last-entering
-    vehicle has been granted itself.
+    The pool holds the grant candidates. termination="coverage" takes out
+    of it each granted vehicle and the vehicles its recorded chain claims,
+    which are left to the sharing phase, and stops once the pool is empty.
+    "literal" keeps every ungranted vehicle eligible, so its pool is v_b
+    itself, and stops only once the last-entering vehicle has been granted.
 
     pick(model, v_b, clock, pool) chooses the next grant among the pool,
     with its download slots and tentative chain, or returns None when
@@ -151,22 +152,16 @@ def select_v2i_paths(model, termination: str = "coverage",
     """
     if termination not in ("coverage", "literal"):
         raise ValueError(f"unknown termination rule {termination!r}")
-    ids = set(model.ids)
-    last_id = max(ids)
-    v_b: set[int] = set(ids)
+    literal = termination == "literal"
+    v_b: set[int] = set(model.ids)
+    pool = v_b if literal else set(v_b)
+    last_id = max(v_b)
     grants: list[Grant] = []
     chains: list[ChainEstimate] = []
-    covered: set[int] = set()
     clock = 0
     incomplete = False
 
-    def done() -> bool:
-        if termination == "coverage":
-            return covered >= ids
-        return last_id not in v_b
-
-    while not done():
-        pool = v_b - covered if termination == "coverage" else set(v_b)
+    while (last_id in v_b) if literal else pool:
         winner = pick(model, v_b, clock, pool)
         if winner is None:
             # Idle: jump to the next slot at which any grantable vehicle
@@ -181,7 +176,9 @@ def select_v2i_paths(model, termination: str = "coverage",
         chains.append(ChainEstimate(winner.vehicle, winner.first_hop,
                                     winner.second_hop))
         v_b.discard(winner.vehicle)
-        covered.update({winner.vehicle, winner.first_hop, winner.second_hop} - {None})
+        if not literal:
+            pool.difference_update((winner.vehicle, winner.first_hop,
+                                    winner.second_hop))
         clock += winner.v2i_slots
 
     return V2ISelection(

@@ -16,11 +16,15 @@ pairing (120 runs), plus serial-tdma and fcfs at 1,600 vehicles
 (horizon_slots=16,000,000) on seeds 1-2 in both rate modes, where the RSU's
 in-order loop serves every vehicle (8 runs), plus proposed and random at
 1,600 vehicles on seed 1 with strict causality off and on, the only runs
-here whose pairings exceed about 190 links, up to 727 (4 runs): 1,864 runs.
+here whose pairings exceed about 190 links, up to 727 (4 runs), plus
+proposed under the literal termination rule on stock seeds 1-40 in both
+rate modes with strict causality off and on, and at 400 vehicles on seeds
+1-2, where the grant loop runs until the last vehicle is granted (162 runs):
+2,026 runs.
 
 The first line is the hash over every run. One line per run group follows
-(stock, strict, ladder, shares, retries, rsu, pairing: the seven parts
-above, in that order), so a mismatch points at the group that moved.
+(stock, strict, ladder, shares, retries, rsu, pairing, literal: the eight
+parts above, in that order), so a mismatch points at the group that moved.
 
     PYTHONPATH=src python tests/identity.py [--jobs J]
 
@@ -53,44 +57,52 @@ RSU_SEEDS = (1, 2)
 SERIAL_SCHEMES = ("serial-tdma", "fcfs")
 PAIRING_SCHEMES = ("proposed", "random")
 PAIRING_SEEDS = (1,)
+LITERAL_SEEDS = range(1, 41)
 
 
 def runs():
-    """(group, (seed, scheme, mode, strict, overrides)) in hashing order."""
+    """(group, (seed, scheme, mode, strict, overrides, termination)) in
+    hashing order."""
     for mode in MODES:
         for seed in SEEDS:
             for scheme in SCHEMES:
-                yield "stock", (seed, scheme, mode, False, {})
+                yield "stock", (seed, scheme, mode, False, {}, "coverage")
         for seed in SEEDS:
             for scheme in STRICT_SCHEMES:
-                yield "strict", (seed, scheme, mode, True, {})
+                yield "strict", (seed, scheme, mode, True, {}, "coverage")
     for seed in LADDER_SEEDS:
         for scheme in STRICT_SCHEMES:
             for strict in (False, True):
-                yield "ladder", (seed, scheme, "midpoint", strict, LADDER)
+                yield "ladder", (seed, scheme, "midpoint", strict, LADDER, "coverage")
     for mode in MODES:
         for seed in SHARES_SEEDS:
             for scheme in RSU_SCHEMES:
-                yield "shares", (seed, scheme, mode, False, FCFS_SHARES)
+                yield "shares", (seed, scheme, mode, False, FCFS_SHARES, "coverage")
     for seed in RETRY_SEEDS:
         for scheme in RETRY_SCHEMES:
             for strict in (False, True):
-                yield "retries", (seed, scheme, "midpoint", strict, RANDOM_RETRIES)
+                yield "retries", (seed, scheme, "midpoint", strict, RANDOM_RETRIES, "coverage")
     for mode in MODES:
         for seed in RSU_SEEDS:
             for scheme in SERIAL_SCHEMES:
-                yield "rsu", (seed, scheme, mode, False, RSU)
+                yield "rsu", (seed, scheme, mode, False, RSU, "coverage")
     for seed in PAIRING_SEEDS:
         for scheme in PAIRING_SCHEMES:
             for strict in (False, True):
-                yield "pairing", (seed, scheme, "midpoint", strict, RSU)
+                yield "pairing", (seed, scheme, "midpoint", strict, RSU, "coverage")
+    for mode in MODES:
+        for seed in LITERAL_SEEDS:
+            for strict in (False, True):
+                yield "literal", (seed, "proposed", mode, strict, {}, "literal")
+    for seed in LADDER_SEEDS:
+        yield "literal", (seed, "proposed", "midpoint", False, LADDER, "literal")
 
 
 def run_text(run) -> bytes:
-    seed, scheme, mode, strict, overrides = run
+    seed, scheme, mode, strict, overrides, termination = run
     result, report, audit_report = run_scenario(
         stock_config(**overrides), seed, scheme, rate_mode=mode,
-        strict_causality=strict, with_audit=True)
+        strict_causality=strict, v2i_termination=termination, with_audit=True)
     return (canonical(result, report) + str(audit_report) + "\n").encode()
 
 

@@ -8,9 +8,10 @@ none of the model's SINR helpers, not close ones: admits only answers a
 boolean, which would hide a last-ulp error, so these tests also read the
 sums it keeps, and the phases are checked on their SINRs as well as their
 rates.
-best_first_hop, servable and next_service_slot scan peers, entry order and
-window arrays instead of all of v_b; the old scans are kept here as their
-oracles.
+best_first_hop, servable and next_service_slot scan peers, and the entry
+and window arrays, instead of all of v_b; the old scans are kept here as
+their oracles. servable asks for download slots only where a window holds
+the clock.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from v2xcast.baselines import run_scheme
 from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
-from v2xcast.v2i import next_service_slot, servable
+from v2xcast.v2i import min_utility, next_service_slot, select_v2i_paths, servable
 from v2xcast.v2v import best_first_hop, conflict
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import default_config, default_radio
@@ -349,6 +350,57 @@ def test_scans_match_oracles_on_spawned_populations(seed, lanes, arrival, data):
                             vehicle_count=30)
     model = PhysicalRateModel(config, spawn_vehicles(config, seed))
     assert_scans_match(model, data)
+
+
+def record_asks(model):
+    """The (vid, start) of every slots_to_download call made on `model`
+    from now on, recorded in call order."""
+    asks, ask = [], model.slots_to_download
+
+    def recorded(vid, start):
+        asks.append((vid, start))
+        return ask(vid, start)
+    model.slots_to_download = recorded
+    return asks
+
+
+def assert_asks_in_window(model, asks, clock, pool):
+    """servable's slots_to_download calls at `clock`: one for each vehicle
+    of `pool` whose service_window holds the clock, in id order, and no
+    other."""
+    want = []
+    for vid in sorted(pool):
+        win = model.service_window(vid)
+        if win is not None and win[0] <= clock <= win[1]:
+            want.append((vid, clock))
+    assert asks == want, (clock, sorted(pool))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_servable_asks_only_in_window_pool_vehicles_on_stock_runs(seed):
+    config = stock_config()
+    model = PhysicalRateModel(config, spawn_vehicles(config, seed))
+    asks, picks = record_asks(model), []
+
+    def pick(model, v_b, clock, pool):
+        asks.clear()
+        winner = min_utility(model, v_b, clock, pool)
+        assert_asks_in_window(model, asks, clock, pool)
+        picks.append(len(asks))
+        return winner
+    select_v2i_paths(model, pick=pick)
+    assert sum(picks) > 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_servable_asks_only_in_window_pool_vehicles_on_hand_built_populations(data):
+    model = drawn_model(data, 400)
+    asks = record_asks(model)
+    for v_b, pool, clock in scan_cases(model, data):
+        asks.clear()
+        servable(model, v_b, clock, pool)
+        assert_asks_in_window(model, asks, clock, pool)
 
 
 def test_equal_rate_peers_go_to_the_lower_id():

@@ -1,10 +1,11 @@
 import pytest
 
 from v2xcast.ratemodel import PhysicalRateModel
-from v2xcast.v2i import (evaluate_candidates, select_v2i_paths,
+from v2xcast.v2i import (evaluate_candidates, min_utility, select_v2i_paths,
                          two_hop_estimate)
-from v2xcast.vehicles import VehicleState
+from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import default_config, six_vehicle_instance
+from test_golden import stock_config
 
 
 def _vehicles_at(config, placements):
@@ -136,6 +137,50 @@ def test_literal_termination_grants_until_last_vehicle():
     assert [g.vehicle for g in sel.grants] == [3, 1, 2, 6]
     assert sel.t_v2i == 9
     assert 6 not in sel.v_b
+
+
+def pool_checking_pick(model, termination):
+    """min_utility, checking at every call that the loop hands it the pool
+    of the termination rule written out from scratch: every id less the
+    granted ones and, under coverage, less those their chains claimed; and
+    that the rule has not yet stopped the loop. Returns the pick and a
+    function telling whether the rule would stop it now."""
+    ids, granted, claimed = set(model.ids), set(), set()
+
+    def done():
+        if termination == "coverage":
+            return not ids - granted - claimed
+        return max(ids) in granted
+
+    def pick(model, v_b, clock, pool):
+        assert not done()
+        assert v_b == ids - granted
+        if termination == "coverage":
+            assert pool == ids - granted - claimed
+        else:
+            assert pool == v_b
+        winner = min_utility(model, v_b, clock, pool)
+        if winner is not None:
+            granted.add(winner.vehicle)
+            claimed.update({winner.first_hop, winner.second_hop} - {None})
+        return winner
+    return pick, done
+
+
+def pool_cases():
+    yield six_vehicle_instance()[2]
+    config = stock_config()
+    for seed in range(1, 6):
+        yield PhysicalRateModel(config, spawn_vehicles(config, seed))
+
+
+@pytest.mark.parametrize("termination", ["coverage", "literal"])
+def test_pick_sees_the_pool_of_its_termination_rule(termination):
+    for model in pool_cases():
+        pick, done = pool_checking_pick(model, termination)
+        sel = select_v2i_paths(model, termination, pick=pick)
+        assert sel.incomplete or done()
+        assert sel == select_v2i_paths(model, termination)
 
 
 def test_unknown_termination_rejected():
