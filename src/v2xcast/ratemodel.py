@@ -1,6 +1,6 @@
 """Rate models: the slot-rate and feasibility surface the schedulers consume.
 
-RateModel is the written protocol: each model supplies five primitives, and
+RateModel is the written protocol: each model supplies four primitives, and
 every query the schedulers derive from them is written once, on RateModel.
 
 PhysicalRateModel evaluates the full link-budget math over the vehicle
@@ -36,7 +36,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import coverage_window, distance_to_rsu
 from .params import ScenarioConfig
 from .radio import antenna_gain, mainlobe_gain
 from .vehicles import VehicleState
@@ -75,11 +74,10 @@ def near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
 
 class RateModel:
     """The rate-model protocol, read by both schedulers and the audit. A
-    model supplies five primitives:
+    model supplies four primitives:
 
     v2i_rates(vid, start, count)  per-slot RSU downlink rates for slots
                                   [start, start+count), bits/s
-    rsu_distance(vid, t)          mid-slot RSU distance, meters
     rate_free(i, j)               interference-free V2V rate, bits/s; 0 when
                                   the pair cannot talk
     link_sinrs(links)             receiver SINR per link when all of them
@@ -89,57 +87,68 @@ class RateModel:
                                   sinrs, the link_sinrs(links) a caller
                                   already holds
 
-    and may set _serve_radius to serve inside less than the RSU range. The
-    attributes the schedulers read, config, vehicles, ids, content_size,
-    slot_duration, horizon, sinr_threshold and rate_mode, and _entry, the
-    entry slots in an integer array indexed by id, are set here. Every other
-    query is derived below from the primitives, once for every model; the
-    V2I ones read service windows from the window_bounds arrays. A model
-    may answer the scheduler's hot queries (peers, admits, phases) faster,
-    but with the same values the derived versions give.
+    and may change _serve_radius, the radius served inside, from the RSU
+    range set here. The attributes the schedulers read, config, vehicles,
+    ids, content_size, slot_duration, horizon, sinr_threshold and
+    rate_mode, and _entry, the entry slots in an integer array indexed by
+    id, are set here. Every other query is derived below, once for every
+    model: rsu_distance and the window_bounds arrays from the road geometry
+    and _serve_radius, and the rest from the primitives, the V2I ones
+    reading service windows from the window_bounds arrays. A model may
+    answer the scheduler's hot queries (peers, admits, phases) faster, but
+    with the same values the derived versions give.
     """
 
     rate_mode = "midpoint"
-    _serve_radius: float | None = None  # None means the RSU range
 
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState]):
         self.config = config
         self.vehicles = vehicles
         self.ids = [v.id for v in vehicles]
-        self._entry = np.zeros(max(self.ids) + 1, dtype=np.int64)
-        self._entry[self.ids] = [v.entry_slot for v in vehicles]
         self.content_size = config.road.content_size
         self.slot_duration = config.road.slot_duration
         self.horizon = config.road.horizon
         self.sinr_threshold = config.radio.sinr_threshold
+        self._serve_radius = config.radio.rsu_range
+        self._step = config.road.slot_duration * config.road.speed  # m per slot
+        # Arrays indexed by id; index 0 unused.
+        self._entry = np.zeros(max(self.ids) + 1, dtype=np.int64)
+        self._entry[self.ids] = [v.entry_slot for v in vehicles]
+        self._dlr = np.zeros(len(self._entry))
+        self._dlr[self.ids] = [config.lane_offset(v.lane) for v in vehicles]
+        self._lane_entry: list[tuple[int, int]] = [(0, 0)] * len(self._entry)
+        for v in vehicles:
+            self._lane_entry[v.id] = (v.lane, v.entry_slot)
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     # ---- V2I ----
 
-    def service_window(self, vid: int) -> tuple[int, int] | None:
-        """Slot range where the vehicle is in coverage with adequate SNR,
-        clipped to the horizon; None if the vehicle can never be served.
-        The per-vehicle reference for window_bounds, which the queries
-        read."""
-        v = self.vehicles[vid - 1]
-        assert v.id == vid
-        win = coverage_window(v, self.config, radius=self._serve_radius)
-        if win is None:
-            return None
-        t_in, t_out = win[0], min(win[1], self.horizon - 1)
-        return (t_in, t_out) if t_in <= t_out else None
+    def rsu_distance(self, vid: int, t: int) -> float:
+        """Mid-slot RSU distance, meters."""
+        entry = self._lane_entry[vid][1]
+        x = (t - entry + 0.5) * self._step - self.config.road.rsu_longitudinal
+        return math.hypot(x, self._dlr[vid])
 
     def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """First and last slot of every service_window, as arrays indexed by
-        id; a vehicle that can never be served has a last slot below any
-        clock. Built once."""
+        """First and last slot of every vehicle's service window, as arrays
+        indexed by id: the slots from its entry on whose mid-slot RSU
+        distance is within _serve_radius, clipped to the horizon (the
+        formula of geometry.coverage_window). A vehicle that can never be
+        served has a last slot below any clock. Built once."""
         if self._bounds is None:
-            first = np.zeros(max(self.ids) + 1, dtype=np.int64)
-            last = np.full_like(first, np.iinfo(np.int64).min)
-            for vid in self.ids:
-                win = self.service_window(vid)
-                if win is not None:
-                    first[vid], last[vid] = win
+            road, radius, d_lr = self.config.road, self._serve_radius, self._dlr
+            entry = self._entry
+            reach = d_lr < radius
+            half_chord = np.sqrt(np.where(reach, radius * radius - d_lr * d_lr, 0.0))
+            lo = entry - 0.5 + (road.rsu_longitudinal - half_chord) / self._step
+            hi = entry - 0.5 + (road.rsu_longitudinal + half_chord) / self._step
+            # Clipped before the casts: on a slow road lo passes int64.
+            first = np.clip(np.ceil(lo), entry, self.horizon).astype(np.int64)
+            last = np.minimum(np.floor(hi), self.horizon - 1).astype(np.int64)
+            never = ~reach | (last < first)
+            never[0] = True
+            first[never] = 0
+            last[never] = np.iinfo(np.int64).min
             self._bounds = first, last
         return self._bounds
 
@@ -223,18 +232,10 @@ class PhysicalRateModel(RateModel):
         self.rate_mode = rate_mode
         radio, road = config.radio, config.road
 
-        n = len(vehicles)
-        self._step = road.slot_duration * road.speed  # m of travel per slot
-        # 1-based arrays; index 0 unused.
-        self._x0 = np.zeros(n + 1)
-        self._dlr = np.zeros(n + 1)
-        self._y = np.zeros(n + 1)
-        self._lane_entry: list[tuple[int, int]] = [(0, 0)] * (n + 1)
-        for v in vehicles:
-            self._x0[v.id] = -float(v.entry_slot) * self._step
-            self._dlr[v.id] = config.lane_offset(v.lane)
-            self._y[v.id] = (v.lane - 0.5) * road.lane_width
-            self._lane_entry[v.id] = (v.lane, v.entry_slot)
+        # Positions at slot 0, indexed by id; index 0 unused.
+        self._x0 = -self._entry.astype(float) * self._step
+        self._y = np.zeros(len(self._entry))
+        self._y[self.ids] = [(v.lane - 0.5) * road.lane_width for v in vehicles]
         # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets;
         # _prior is the memo of the last model of this class when it had
         # the same inputs. A block is taken from _prior as it is, never
@@ -255,9 +256,13 @@ class PhysicalRateModel(RateModel):
         self._c_itf = radio.mui_factor * radio.path_constant * radio.tx_power_vehicle
         self._rsi = radio.si_cancel * radio.tx_power_vehicle
 
-        # QoS-feasible radius: SNR(d) >= threshold; serving needs both range and QoS.
-        r_qos = (self._c_rsu / (self._noise * radio.sinr_threshold)) ** (1.0 / self._tau)
-        self._serve_radius = min(radio.rsu_range, r_qos)
+        # QoS-feasible radius: SNR(d) >= threshold; serving needs both range
+        # and QoS. One past the float range does not narrow the RSU range.
+        try:
+            self._serve_radius = min(self._serve_radius, (
+                self._c_rsu / (self._noise * radio.sinr_threshold)) ** (1.0 / self._tau))
+        except OverflowError:
+            pass
 
         self._gains: dict[tuple[int, int, int], float] = {}
         self._fold = _Fold()
@@ -281,12 +286,6 @@ class PhysicalRateModel(RateModel):
         return near
 
     # ---- V2I ----
-
-    def rsu_distance(self, vid: int, t: int) -> float:
-        """Mid-slot RSU distance, meters."""
-        entry = self._lane_entry[vid][1]
-        x = (t - entry + 0.5) * self._step - self.config.road.rsu_longitudinal
-        return math.hypot(x, self._dlr[vid])
 
     def _snr_of_distance(self, d: np.ndarray) -> np.ndarray:
         radio = self.config.radio
@@ -401,26 +400,6 @@ class PhysicalRateModel(RateModel):
                     and (float(table[i + j - 1]) - base) * dt < need - delta:
                 return j, True
         return RateModel.download(self, vid, start, end)
-
-    def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """RateModel.window_bounds, with service_window's formula (that of
-        geometry.coverage_window, clipped to the horizon) taken over every
-        vehicle at once: the same float operations per element."""
-        if self._bounds is None:
-            road, radius, d_lr = self.config.road, self._serve_radius, self._dlr
-            entry = self._entry
-            reach = d_lr < radius
-            half_chord = np.sqrt(np.where(reach, radius * radius - d_lr * d_lr, 0.0))
-            lo = entry - 0.5 + (road.rsu_longitudinal - half_chord) / self._step
-            hi = entry - 0.5 + (road.rsu_longitudinal + half_chord) / self._step
-            first = np.maximum(entry, np.ceil(lo)).astype(np.int64)
-            last = np.minimum(np.floor(hi), self.horizon - 1).astype(np.int64)
-            never = ~reach | (last < first)
-            never[0] = True
-            first[never] = 0
-            last[never] = np.iinfo(np.int64).min
-            self._bounds = first, last
-        return self._bounds
 
     # ---- V2V ----
 
@@ -643,7 +622,9 @@ class TableRateModel(RateModel):
     inside the serving window). pair_slots maps frozenset({i, j}) -> slots for
     a vehicle-to-vehicle transfer; absent pairs are out of range. Rates are
     backed out of the slot counts with a half-slot margin so that integer
-    accumulation lands exactly on the intended count.
+    accumulation lands exactly on the intended count. With
+    geometric_coverage=False the RSU reaches everywhere: a vehicle is served
+    from its entry slot to the horizon, at RSU distance 0.
     """
 
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
@@ -653,19 +634,14 @@ class TableRateModel(RateModel):
         self._v2i_slots = dict(v2i_slots)
         self._pair_slots = {frozenset(k): v for k, v in pair_slots.items()}
         self._geometric = geometric_coverage
+        if not geometric_coverage:
+            self._serve_radius = math.inf
 
     def _rate_for(self, slots: int) -> float:
         return self.content_size / ((slots - 0.5) * self.slot_duration)
 
-    def service_window(self, vid: int) -> tuple[int, int] | None:
-        if not self._geometric:
-            return (int(self._entry[vid]), self.horizon - 1)
-        return super().service_window(vid)
-
     def rsu_distance(self, vid: int, t: int) -> float:
-        if not self._geometric:
-            return 0.0
-        return distance_to_rsu(self.vehicles[vid - 1], t, self.config, midpoint=True)
+        return super().rsu_distance(vid, t) if self._geometric else 0.0
 
     def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:
         return np.full(count, self._rate_for(self._v2i_slots[vid]))

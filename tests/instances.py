@@ -6,12 +6,16 @@ the schedule structure is decided by the topology. The expected outcome is
 two RSU grants (vehicles 1 and 3, five slots total), one four-link sharing
 pairing (1->2, 2->4, 3->5, 5->6) of four slots, and a sixteen-slot serial
 reference schedule.
+
+vehicles_at places hand-built vehicles, and reference_window is the
+per-vehicle service window that the rate models' window arrays must equal.
 """
 
 from __future__ import annotations
 
 import math
 
+from v2xcast.geometry import coverage_window
 from v2xcast.params import RadioParams, RoadConfig, ScenarioConfig, validate
 from v2xcast.ratemodel import TableRateModel
 from v2xcast.vehicles import VehicleState
@@ -40,6 +44,31 @@ def default_radio(**overrides) -> RadioParams:
 def default_config(seed: int = 1, **road_overrides) -> ScenarioConfig:
     road = RoadConfig(**road_overrides)
     return validate(ScenarioConfig(radio=default_radio(), road=road, seed=seed))
+
+
+def vehicles_at(config, placements):
+    """placements: list of (x at slot 0, lane); ids 1.. in list order, which
+    is entry order when x descends."""
+    step = config.road.slot_duration * config.road.speed
+    return [VehicleState(id=vid, lane=lane, entry_slot=round(-x / step))
+            for vid, (x, lane) in enumerate(placements, start=1)]
+
+
+def reference_window(model, vid):
+    """Vehicle vid's service window under `model`, clipped to the horizon;
+    None if it can never be served. Inside the serving radius it is
+    geometry.coverage_window's; an infinite radius, as TableRateModel's
+    without geometric coverage, serves from entry on."""
+    v = model.vehicles[vid - 1]
+    assert v.id == vid
+    if math.isinf(model._serve_radius):
+        win = (v.entry_slot, model.horizon - 1)
+    else:
+        win = coverage_window(v, model.config, radius=model._serve_radius)
+    if win is None:
+        return None
+    t_in, t_out = win[0], min(win[1], model.horizon - 1)
+    return (t_in, t_out) if t_in <= t_out else None
 
 
 # Longitudinal positions at slot 0 and lanes; entry order matches ids.

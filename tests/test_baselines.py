@@ -6,13 +6,8 @@ from v2xcast.baselines import (run_scheme, schedule_fcfs, schedule_noncoop,
                                schedule_serial_tdma)
 from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import default_config, six_vehicle_instance
-
-
-def _vehicles_at(config, placements):
-    step = config.road.slot_duration * config.road.speed
-    return [VehicleState(id=vid, lane=lane, entry_slot=round(-x / step))
-            for vid, (x, lane) in enumerate(placements, start=1)]
+from instances import (default_config, reference_window,
+                       six_vehicle_instance, vehicles_at)
 
 
 def test_fcfs_serves_in_entry_order():
@@ -34,7 +29,7 @@ def test_serial_tdma_reference_instance():
 
 def test_single_vehicle_all_schemes_agree():
     config = default_config(vehicle_count=1)
-    vehicles = _vehicles_at(config, [(0.0, 3)])
+    vehicles = vehicles_at(config, [(0.0, 3)])
     totals = {}
     for scheme in ("proposed", "fcfs", "random", "noncoop", "serial-tdma"):
         model = PhysicalRateModel(config, vehicles)
@@ -83,7 +78,7 @@ def test_noncoop_leaves_bunched_vehicles_unserved():
 def test_noncoop_distance_tie_takes_lower_id():
     # Coincident vehicles (points, no minimum headway) give an exact tie.
     config = default_config(vehicle_count=2)
-    vehicles = _vehicles_at(config, [(505.0, 1), (505.0, 1)])
+    vehicles = vehicles_at(config, [(505.0, 1), (505.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     assert model.rsu_distance(1, 0) == model.rsu_distance(2, 0)
     res = schedule_noncoop(model, seed=0)
@@ -97,7 +92,7 @@ def _naive_noncoop(model):
     remaining = {vid: model.content_size for vid in model.ids}
     v_b = set(model.ids)
     served, grants = set(), []
-    windows = {i: model.service_window(i) for i in model.ids}
+    windows = {i: reference_window(model, i) for i in model.ids}
     for t in range(model.horizon):
         in_cov = [i for i, w in windows.items()
                   if w is not None and w[0] <= t <= w[1]]

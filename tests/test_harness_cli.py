@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2xcast import cli
+from v2xcast.baselines import SCHEMES
 from v2xcast.harness import (SIMULATE_COLUMNS, fmt, run_scenario, sweep,
                              sweep_to_csv)
 from v2xcast.params import ConfigError, load_config
@@ -179,6 +180,36 @@ def test_cli_rate_mode_and_termination_flags(tmp_path):
              "--seed", "2", "--v2i-termination", "literal")
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout != "" and b.stdout != ""
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("key, value", [("speed_mps", 1e-13), ("pathloss_exp", 0.01)])
+def test_cli_stock_config_at_an_edge_value_audits_clean(tmp_path, key, value, scheme):
+    """configs/default.cfg with one valid edge value runs every scheme to a
+    clean audit and exit 0. At 1e-13 m/s a window's first slot, about
+    3e19, is past the int64 range, so no vehicle is ever served; at a
+    path-loss exponent of 0.01 the QoS radius overflows a float, so the
+    RSU range alone bounds the windows."""
+    cfg = _write_small_config(tmp_path, vehicle_count=100, **{key: value})
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["simulate", "--config", str(cfg), "--scheme", scheme,
+                         "--seed", "1", "--audit"])
+    assert (code, err.getvalue()) == (0, "")
+    row = dict(zip(*(line.split(",") for line in out.getvalue().splitlines())))
+    assert (row["unserved"] == "100") == (key == "speed_mps")
+
+
+def test_cli_arrival_slots_past_int64_fail_in_one_line(tmp_path):
+    """slot_ms=1e-16 on the stock config puts arrival slots past the int64
+    range: a configuration error naming slot_ms and arrival_rate_per_s,
+    not a vehicle entering at a negative slot."""
+    cfg = _write_small_config(tmp_path, vehicle_count=100, slot_ms=1e-16)
+    proc = _cli("simulate", "--config", str(cfg), "--scheme", "serial-tdma",
+                "--seed", "1", "--audit")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: arrival slots past the int64 range: slot_ms 1e-16 "
+                           "too short for arrival_rate_per_s 2\n")
 
 
 FLOAT_KEYS = [k for k, v in small_raw().items() if isinstance(v, float)]

@@ -10,8 +10,9 @@ sums it keeps, and the phases are checked on their SINRs as well as their
 rates.
 best_first_hop, servable and next_service_slot scan peers, and the entry
 and window arrays, instead of all of v_b; the old scans are kept here as
-their oracles. servable asks for download slots only where a window holds
-the clock.
+their oracles, which read each vehicle's window from
+instances.reference_window. servable asks for download slots only where a
+window holds the clock.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
 from v2xcast.v2i import min_utility, next_service_slot, select_v2i_paths, servable
 from v2xcast.v2v import best_first_hop, conflict
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import default_config, default_radio
+from instances import default_config, default_radio, reference_window
 from oracle import oracle_link_sinrs
 from test_golden import LADDER, stock_config
 
@@ -84,7 +85,7 @@ def oracle_servable(model, v_b, clock, pool):
     entered = [i for i in sorted(v_b) if model._entry[i] <= clock]
     slots = {}
     for vid in entered:
-        win = model.service_window(vid)
+        win = reference_window(model, vid)
         if vid in pool and win is not None and win[0] <= clock <= win[1]:
             m = model.slots_to_download(vid, clock)
             if m is not None:
@@ -95,7 +96,7 @@ def oracle_servable(model, v_b, clock, pool):
 def oracle_next_service_slot(model, pool, clock):
     upcoming = []
     for vid in pool:
-        win = model.service_window(vid)
+        win = reference_window(model, vid)
         if win is not None and win[1] >= clock:
             upcoming.append(max(win[0], clock + 1))
     if not upcoming:
@@ -366,11 +367,11 @@ def record_asks(model):
 
 def assert_asks_in_window(model, asks, clock, pool):
     """servable's slots_to_download calls at `clock`: one for each vehicle
-    of `pool` whose service_window holds the clock, in id order, and no
+    of `pool` whose reference_window holds the clock, in id order, and no
     other."""
     want = []
     for vid in sorted(pool):
-        win = model.service_window(vid)
+        win = reference_window(model, vid)
         if win is not None and win[0] <= clock <= win[1]:
             want.append((vid, clock))
     assert asks == want, (clock, sorted(pool))

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from v2xcast.baselines import SCHEMES
 from v2xcast.geometry import (Point2D, coverage_window, distance, lane_center_y,
@@ -18,7 +18,7 @@ from v2xcast.ratemodel import BLOCK, PhysicalRateModel, RateModel, TableRateMode
 from v2xcast.harness import run_scenario
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import (SIX_PAIR_SLOTS, default_config, default_radio,
-                       six_vehicle_instance)
+                       reference_window, six_vehicle_instance)
 from test_golden import canonical, stock_config
 
 
@@ -49,7 +49,7 @@ def test_v2i_rates_do_not_depend_on_the_query_window(mode):
     model = PhysicalRateModel(config, vehicles, rate_mode=mode)
     rng = random.Random(5)
     for v in vehicles:
-        w0, w1 = model.service_window(v.id)
+        w0, w1 = reference_window(model, v.id)
         whole = PhysicalRateModel(config, vehicles, rate_mode=mode).v2i_rates(
             v.id, w0, w1 - w0 + 1)
         edge = v.entry_slot + BLOCK * (-(-(w0 - v.entry_slot) // BLOCK) + 3)
@@ -65,7 +65,7 @@ def test_v2i_rates_do_not_depend_on_the_query_window(mode):
     pairs = [vs[:2] for vs in by_lane.values() if len(vs) > 1]
     assert pairs
     for a, b in pairs:
-        k = model.service_window(a.id)[0] - a.entry_slot + 777
+        k = reference_window(model, a.id)[0] - a.entry_slot + 777
         fresh = PhysicalRateModel(config, vehicles, rate_mode=mode)
         assert np.array_equal(model.v2i_rates(a.id, a.entry_slot + k, 1500),
                               fresh.v2i_rates(b.id, b.entry_slot + k - 10, 1510)[10:])
@@ -85,7 +85,7 @@ def _scalar_rate(config, mode, v, t):
 
 def _memo_spans(model, v):
     """(start, count) queries at the memo's edges for vehicle v."""
-    w0, w1 = model.service_window(v.id)
+    w0, w1 = reference_window(model, v.id)
     return [(v.entry_slot - BLOCK - 5, 10),        # negative offsets
             (v.entry_slot - 3, 6),                 # across offset 0
             (w1 - 2, 40),                          # out of the window
@@ -127,7 +127,7 @@ def test_v2i_rates_memo_edges_match_scalar_radio(mode):
         assert model.v2i_rates(v.id, v.entry_slot, 0).shape == (0,)
     _assert_scalar_rates(model, vehicles[:2], mode)
     for v in vehicles[:2]:
-        w0, w1 = model.service_window(v.id)
+        w0, w1 = reference_window(model, v.id)
         for start, count in _memo_spans(model, v):
             for t, r in zip(range(start, start + count),
                             model.v2i_rates(v.id, start, count)):
@@ -190,7 +190,7 @@ def test_v2i_memo_drops_blocks_the_last_model_did_not_read():
     config = default_config(vehicle_count=6)
     vehicles = spawn_vehicles(config, seed=4)
     v = vehicles[0]
-    w0 = RateModel(config, vehicles).service_window(v.id)[0]
+    w0 = reference_window(RateModel(config, vehicles), v.id)[0]
     models = [PhysicalRateModel(config, vehicles) for _ in range(3)]
     shared = [m.v2i_rates(v.id, w0, 1).base for m in models]
     assert shared[0] is shared[1] is shared[2]
@@ -207,7 +207,7 @@ def test_v2i_rates_are_read_only():
     config = default_config(vehicle_count=3)
     vehicles = spawn_vehicles(config, seed=4)
     model = PhysicalRateModel(config, vehicles)
-    w0 = model.service_window(1)[0]
+    w0 = reference_window(model, 1)[0]
     first = float(model.v2i_rates(1, w0, 1)[0])
     for rates in (model.v2i_rates(1, w0, 3), model.v2i_rates(1, w0, 3 * BLOCK)):
         with pytest.raises(ValueError):
@@ -235,17 +235,22 @@ def test_model_link_sinrs_match_scalar_radio():
                 v2v_sinr(d, cset, config.radio), rel=1e-9)
 
 
+def array_window(model, vid):
+    """Vehicle vid's window read off model.window_bounds(), or None."""
+    first, last = model.window_bounds()
+    return None if last[vid] == np.iinfo(np.int64).min else (first[vid], last[vid])
+
+
 def test_service_window_respects_qos_and_horizon():
     config = default_config()
     vehicles = [VehicleState(id=1, lane=3, entry_slot=0)]
     model = PhysicalRateModel(config, vehicles)
-    win = model.service_window(1)
     cov = coverage_window(vehicles[0], config)
     # Stock parameters: SNR at 200 m is ~48 dB >> 20 dB, so QoS never binds.
-    assert win == cov
+    assert array_window(model, 1) == cov
     short = default_config(horizon=cov[0] + 10)
     model2 = PhysicalRateModel(short, vehicles)
-    assert model2.service_window(1) == (cov[0], cov[0] + 9)
+    assert array_window(model2, 1) == (cov[0], cov[0] + 9)
 
 
 def test_service_window_qos_limited():
@@ -257,7 +262,7 @@ def test_service_window_qos_limited():
     config = dataclasses.replace(config, radio=radio)
     vehicles = [VehicleState(id=1, lane=3, entry_slot=0)]
     model = PhysicalRateModel(config, vehicles)
-    win = model.service_window(1)
+    win = array_window(model, 1)
     c = radio.path_constant * radio.tx_power_rsu * 10.9 ** 2
     r_qos = math.sqrt(c / (radio.noise_floor_w * 1e6))
     ref = coverage_window(vehicles[0], config, radius=r_qos)
@@ -283,9 +288,6 @@ class ConstantRateStub(RateModel):
     def v2i_rates(self, vid, start, count):
         return np.full(count, self.rate)
 
-    def rsu_distance(self, vid, t):
-        return 0.0
-
     def rate_free(self, i, j):
         return self.rate if {i, j} == {1, 2} else 0.0
 
@@ -298,7 +300,8 @@ class ConstantRateStub(RateModel):
 
 def test_constant_rate_stub_derives_every_query():
     stub = ConstantRateStub(rate=1.44e10, content=3e9)
-    assert stub.service_window(1)[0] < 0 < stub.service_window(1)[1]
+    assert array_window(stub, 1) == reference_window(stub, 1)
+    assert reference_window(stub, 1)[0] < 0 < reference_window(stub, 1)[1]
     assert stub.in_range(1, 2) and stub.in_range(2, 1)
     assert not stub.in_range(1, 1)
     assert stub.link_slots_free(1, 2) == 2084
@@ -328,7 +331,7 @@ def test_slots_to_download_zero_content():
 
 def test_slots_to_download_window_exhausted():
     stub = ConstantRateStub(rate=1.44e10, content=3e9, horizon=1000)
-    assert stub.service_window(1)[1] == 999
+    assert array_window(stub, 1)[1] == reference_window(stub, 1)[1] == 999
     assert stub.slots_to_download(1, 0) is None        # needs 2084 slots
     assert stub.slots_to_download(1, 1000) is None     # starts past the window
 
@@ -338,7 +341,7 @@ def test_physical_slots_match_bruteforce_accumulation():
     vehicles = spawn_vehicles(config, seed=12)
     model = PhysicalRateModel(config, vehicles)
     for v in vehicles:
-        win = model.service_window(v.id)
+        win = reference_window(model, v.id)
         for start in (win[0], (win[0] + win[1]) // 2):
             m = model.slots_to_download(v.id, start)
             rates = model.v2i_rates(v.id, start, m)
@@ -382,7 +385,7 @@ def test_prefix_download_equals_the_reference(mode, lanes, gaps, exponent, spans
     model = PhysicalRateModel(config, vehicles, rate_mode=mode)
     for pick, a, b in spans:
         vid = 1 + pick % len(vehicles)
-        w0, w1 = model.service_window(vid)
+        w0, w1 = reference_window(model, vid)
         start = w0 + int(a * (w1 - w0))
         end = start + int(b * (w1 - start))
         got, fell_back = _download_with_spy(model, vid, start, end)
@@ -454,28 +457,35 @@ def test_download_falls_back_on_a_table_that_is_not_finite(spike):
        lanes=st.integers(1, 6), lane_width=st.floats(2.0, 8.0),
        rsu_x=st.floats(0.0, 2000.0), arrival=st.floats(0.5, 50.0),
        count=st.integers(1, 60), horizon=st.integers(1, 3_000_000),
-       seed=st.integers(1, 1000))
+       seed=st.integers(1, 1000), speed_exp=st.floats(-16.0, 1.5),
+       slot_exp=st.floats(-8.0, -2.0))
+@example(mode="midpoint", threshold_db=20.0, lateral=0.0, lanes=5, lane_width=4.0,
+         rsu_x=500.0, arrival=2.0, count=100, horizon=1_000_000, seed=1,
+         speed_exp=-13.0, slot_exp=-4.0)
 def test_window_arrays_equal_service_window(mode, threshold_db, lateral, lanes,
                                             lane_width, rsu_x, arrival, count,
-                                            horizon, seed):
-    """PhysicalRateModel.window_bounds against service_window per vehicle
-    on random valid configs: windows clipped by the horizon, vehicles that
-    enter after it, and lanes beyond the QoS radius that are never served."""
+                                            horizon, seed, speed_exp, slot_exp):
+    """window_bounds against reference_window per vehicle on random valid
+    configs, for PhysicalRateModel and for TableRateModel with and without
+    geometric coverage: windows clipped by the horizon, vehicles that enter
+    after it, lanes beyond the QoS radius that are never served, and steps
+    of travel per slot so short that a window would open past the int64
+    range. The explicit example is configs/default.cfg, seed 1, at 1e-13
+    m/s, where every window opens near slot 3e19 and no vehicle is served."""
     assume(lateral + (lanes - 0.5) * lane_width < 200.0)
     road = RoadConfig(lane_count=lanes, lane_width=lane_width, rsu_longitudinal=rsu_x,
-                      rsu_lateral_offset=lateral, arrival_rate=arrival,
-                      vehicle_count=count, horizon=horizon)
+                      rsu_lateral_offset=lateral, speed=10 ** speed_exp,
+                      arrival_rate=arrival, vehicle_count=count,
+                      slot_duration=10 ** slot_exp, horizon=horizon)
     config = validate(ScenarioConfig(default_radio(sinr_threshold=10 ** (threshold_db / 10)),
                                      road))
     vehicles = spawn_vehicles(config, seed)
-    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
-    first, last = model.window_bounds()
-    ref = RateModel.window_bounds(PhysicalRateModel(config, vehicles, rate_mode=mode))
-    assert first.tolist() == ref[0].tolist() and last.tolist() == ref[1].tolist()
-    for v in vehicles:
-        win = model.service_window(v.id)
-        got = None if last[v.id] == np.iinfo(np.int64).min else (first[v.id], last[v.id])
-        assert got == win
+    for model in (PhysicalRateModel(config, vehicles, rate_mode=mode),
+                  TableRateModel(config, vehicles, {}, {}),
+                  TableRateModel(config, vehicles, {}, {}, geometric_coverage=False)):
+        for v in vehicles:
+            assert array_window(model, v.id) == reference_window(model, v.id), \
+                (type(model).__name__, v)
 
 
 def test_window_arrays_cover_clipped_and_unservable_vehicles():
@@ -487,15 +497,13 @@ def test_window_arrays_cover_clipped_and_unservable_vehicles():
     config = validate(ScenarioConfig(default_radio(sinr_threshold=10 ** 6.1), road))
     vehicles = spawn_vehicles(config, 3)
     model = PhysicalRateModel(config, vehicles)
-    first, last = model.window_bounds()
-    windows = [model.service_window(v.id) for v in vehicles]
+    windows = [reference_window(model, v.id) for v in vehicles]
     full = [coverage_window(v, config, radius=model._serve_radius) for v in vehicles]
     assert any(w is None and f is None for w, f in zip(windows, full))  # QoS radius
     assert any(w is None and f is not None for w, f in zip(windows, full))  # too late
     assert any(w is not None and w != f for w, f in zip(windows, full))  # clipped
     for v, win in zip(vehicles, windows):
-        got = None if last[v.id] == np.iinfo(np.int64).min else (first[v.id], last[v.id])
-        assert got == win
+        assert array_window(model, v.id) == win
 
 
 def test_window_arrays_serve_no_lane_beyond_the_radius():
@@ -508,10 +516,9 @@ def test_window_arrays_serve_no_lane_beyond_the_radius():
     config = validate(ScenarioConfig(default_radio(sinr_threshold=10 ** 6.1), road))
     vehicles = spawn_vehicles(config, 1)
     model = PhysicalRateModel(config, vehicles)
-    first, last = model.window_bounds()
     beyond = [v for v in vehicles if config.lane_offset(v.lane) >= model._serve_radius]
-    assert beyond and all(model.service_window(v.id) is None for v in beyond)
-    assert all(last[v.id] == np.iinfo(np.int64).min for v in beyond)
+    assert beyond and all(reference_window(model, v.id) is None for v in beyond)
+    assert all(array_window(model, v.id) is None for v in beyond)
 
 
 def test_rate_free_symmetry_and_range_gate():

@@ -4,22 +4,13 @@ from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.v2i import (evaluate_candidates, min_utility, select_v2i_paths,
                          two_hop_estimate)
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import default_config, six_vehicle_instance
+from instances import default_config, six_vehicle_instance, vehicles_at
 from test_golden import stock_config
-
-
-def _vehicles_at(config, placements):
-    """placements: list of (x at slot 0, lane), in entry order (x descending)."""
-    step = config.road.slot_duration * config.road.speed
-    out = []
-    for vid, (x, lane) in enumerate(placements, start=1):
-        out.append(VehicleState(id=vid, lane=lane, entry_slot=round(-x / step)))
-    return out
 
 
 def test_two_hop_single_candidate_uses_single_link():
     config = default_config(vehicle_count=2)
-    vehicles = _vehicles_at(config, [(510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     est = two_hop_estimate(model, 2, [1])
     assert est.first_hop == 1 and est.second_hop is None
@@ -28,7 +19,7 @@ def test_two_hop_single_candidate_uses_single_link():
 
 def test_two_hop_equidistant_tie_prefers_lower_id():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(506.0, 1), (500.0, 1), (494.0, 1)])
+    vehicles = vehicles_at(config, [(506.0, 1), (500.0, 1), (494.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     est = two_hop_estimate(model, 2, [1, 3])  # 1 and 3 both 6 m away
     assert est.first_hop == 1
@@ -36,7 +27,7 @@ def test_two_hop_equidistant_tie_prefers_lower_id():
 
 def test_two_hop_no_neighbor_in_range_gets_horizon_sentinel():
     config = default_config(vehicle_count=2)
-    vehicles = _vehicles_at(config, [(600.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(600.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     est = two_hop_estimate(model, 2, [1])
     assert est.first_hop is None
@@ -48,7 +39,7 @@ def test_two_hop_rsi_infeasible_chain_falls_back_to_first_hop():
     # Collinear 10 m + 10 m chain: the relay's receive SINR under the
     # full-duplex penalty (~86) sits below the 100 threshold.
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     est = two_hop_estimate(model, 3, [1, 2])
     assert est.first_hop == 2
@@ -60,7 +51,7 @@ def test_two_hop_cross_lane_chain_is_feasible():
     # Short first hop (6 m, same lane) plus a cross-lane second hop whose
     # lateral offset pushes the head interferer into the sidelobe.
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(503.0, 1), (500.0, 3), (497.0, 1)])
+    vehicles = vehicles_at(config, [(503.0, 1), (500.0, 3), (497.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     est = two_hop_estimate(model, 1, [2, 3])
     assert est.first_hop == 3 and est.second_hop == 2
@@ -88,7 +79,7 @@ def test_select_on_reference_instance():
 
 def test_select_single_vehicle():
     config = default_config(vehicle_count=1)
-    vehicles = _vehicles_at(config, [(0.0, 3)])
+    vehicles = vehicles_at(config, [(0.0, 3)])
     model = PhysicalRateModel(config, vehicles)
     sel = select_v2i_paths(model)
     assert len(sel.grants) == 1
@@ -99,7 +90,7 @@ def test_select_single_vehicle():
 
 def test_select_three_clustered_vehicles_need_one_grant():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(503.0, 1), (500.0, 3), (497.0, 1)])
+    vehicles = vehicles_at(config, [(503.0, 1), (500.0, 3), (497.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     sel = select_v2i_paths(model)
     assert len(sel.grants) == 1

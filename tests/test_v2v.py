@@ -9,13 +9,7 @@ from v2xcast.v2v import (CHUNK, _cap, best_first_hop, build_pairing,
                          conflict, run_pairing, schedule_v2v)
 from v2xcast.vehicles import VehicleState
 from instances import (CrowdedTableRateModel, default_config,
-                       six_vehicle_instance)
-
-
-def _vehicles_at(config, placements):
-    step = config.road.slot_duration * config.road.speed
-    return [VehicleState(id=vid, lane=lane, entry_slot=round(-x / step))
-            for vid, (x, lane) in enumerate(placements, start=1)]
+                       six_vehicle_instance, vehicles_at)
 
 
 def _table(config, vehicles, v2i, pairs):
@@ -26,7 +20,7 @@ def _table(config, vehicles, v2i, pairs):
 
 def test_best_first_hop_prefers_nearest():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(515.0, 1), (505.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(515.0, 1), (505.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     assert best_first_hop(model, 3, {1, 2}) == (3, 2)   # 5 m beats 15 m
     assert best_first_hop(model, 3, {1}) == (3, 1)
@@ -35,14 +29,14 @@ def test_best_first_hop_prefers_nearest():
 
 def test_best_first_hop_none_in_range():
     config = default_config(vehicle_count=2)
-    vehicles = _vehicles_at(config, [(600.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(600.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     assert best_first_hop(model, 2, {1}) is None
 
 
 def test_best_first_hop_tie_takes_lower_id():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(506.0, 1), (500.0, 1), (494.0, 1)])
+    vehicles = vehicles_at(config, [(506.0, 1), (500.0, 1), (494.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     assert best_first_hop(model, 2, {1, 3}) == (2, 1)
 
@@ -51,7 +45,7 @@ def _all_in_range():
     """Four vehicles, every pair in range on a table model, so no link is
     ever refused on physics: only the pairing's structure can refuse one."""
     config = default_config(vehicle_count=4)
-    vehicles = _vehicles_at(config, [(515.0, 1), (510.0, 1), (505.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(515.0, 1), (510.0, 1), (505.0, 1), (500.0, 1)])
     return _table(config, vehicles, {i: 2 for i in range(1, 5)},
                   {(i, j): 3 for i in range(1, 5) for j in range(i + 1, 5)})
 
@@ -108,7 +102,7 @@ def test_build_pairing_rejects_overlapping_sets():
 def test_conflict_when_sinr_would_collapse():
     # Collinear second hop: the relay's receive SINR falls to ~86 < 100.
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     committed = [(3, 2)]   # 500 -> 510
     assert conflict(model, (2, 1), committed)
@@ -116,7 +110,7 @@ def test_conflict_when_sinr_would_collapse():
 
 def test_no_conflict_for_far_parallel_links():
     config = default_config(vehicle_count=4)
-    vehicles = _vehicles_at(config, [(674.0, 1), (660.0, 1), (510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(674.0, 1), (660.0, 1), (510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     committed = [(4, 3)]   # 500 -> 510
     assert not conflict(model, (2, 1), committed)   # 660 -> 674, 150 m away
@@ -135,7 +129,7 @@ def test_build_pairing_reference_instance():
 
 def test_build_pairing_contested_receiver():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2, 3: 2},
                    {(1, 3): 4, (2, 3): 4})
     links, va, vb = build_pairing(model, {1, 2}, {3})
@@ -145,7 +139,7 @@ def test_build_pairing_contested_receiver():
 
 def test_build_pairing_no_reachable_receiver():
     config = default_config(vehicle_count=2)
-    vehicles = _vehicles_at(config, [(600.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(600.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     links, va, vb = build_pairing(model, {1}, {2})
     assert links == []
@@ -154,7 +148,7 @@ def test_build_pairing_no_reachable_receiver():
 
 def test_run_pairing_constant_rate_slot_count():
     config = default_config(vehicle_count=2)
-    vehicles = _vehicles_at(config, [(510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(510.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2}, {(1, 2): 7})
     pairing = run_pairing(model, [(1, 2)], start_slot=0, index=1)
     assert pairing.duration == 7
@@ -166,7 +160,7 @@ def test_run_pairing_survivor_speeds_up():
     # Two cross-lane links close enough to couple through their sidelobes:
     # a 6 m link finishes first and relieves the 10 m one.
     config = default_config(vehicle_count=4)
-    vehicles = _vehicles_at(config, [(10.0, 1), (6.0, 5), (0.0, 1), (0.0, 5)])
+    vehicles = vehicles_at(config, [(10.0, 1), (6.0, 5), (0.0, 1), (0.0, 5)])
     model = PhysicalRateModel(config, vehicles)
     links = [(3, 1), (4, 2)]   # 10 m in lane 1, 6 m in lane 5
     both = dict(zip(links, model.link_rates(links)))
@@ -186,7 +180,7 @@ def test_run_pairing_chunked_matches_per_slot_reference():
     # the span-advancing simulation must match a naive slot-by-slot loop.
     config = default_config(vehicle_count=6)
     placements = [(10.0, 1), (8.0, 3), (6.0, 5), (0.0, 1), (0.0, 3), (0.0, 5)]
-    vehicles = _vehicles_at(config, placements)
+    vehicles = vehicles_at(config, placements)
     model = PhysicalRateModel(config, vehicles)
     links = [(4, 1), (5, 2), (6, 3)]
     assert all(s >= 100.0 for s in model.link_sinrs(links))
@@ -239,7 +233,7 @@ def test_run_pairing_nan_rate_aborts():
 
 def test_strict_causality_serializes_fast_second_hop():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2, 3: 2},
                    {(1, 2): 4, (2, 3): 2})
     links = [(1, 2), (2, 3)]
@@ -257,7 +251,7 @@ def test_strict_causality_holds_at_every_slot():
     # relay's cumulative forwarded bits never exceed its cumulative received
     # bits, and the emulation reproduces the traced slot counts.
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(510.0, 1), (505.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2, 3: 2},
                    {(1, 2): 5, (2, 3): 2})
     links = [(1, 2), (2, 3)]
@@ -284,7 +278,7 @@ def test_strict_pairing_stops_once_past_the_horizon():
     # span never runs past the slots left, so the pairing stops one slot
     # past the budget instead of walking the link to completion.
     config = default_config(vehicle_count=2, horizon=1000)
-    vehicles = _vehicles_at(config, [(510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(510.0, 1), (500.0, 1)])
     model = _table(config, vehicles, {1: 2, 2: 2}, {(1, 2): 5000})
     pairing = run_pairing(model, [(1, 2)], start_slot=900, index=1,
                           strict_causality=True)
@@ -518,7 +512,7 @@ def test_schedule_v2v_empty_receivers():
 
 def test_schedule_v2v_reports_stranded_vehicles():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(560.0, 1), (510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(560.0, 1), (510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     sched = schedule_v2v(model, {3}, {1, 2}, t_v2i=100)
     assert 1 in sched.unserved          # 50 m from everyone
@@ -527,7 +521,7 @@ def test_schedule_v2v_reports_stranded_vehicles():
 
 def test_schedule_v2v_receivers_source_later_pairings():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     # 3 holds content; 2 is 10 m away, 1 another 10 m on. The collinear
     # full-duplex chain is infeasible, so content hops across two pairings.
@@ -541,7 +535,7 @@ def test_schedule_v2v_receivers_source_later_pairings():
 
 def test_schedule_v2v_respects_horizon_budget():
     config = default_config(vehicle_count=3)
-    vehicles = _vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
+    vehicles = vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
     full = schedule_v2v(model, {3}, {1, 2}, t_v2i=0)
     needed = full.t_v2v

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from v2xcast.params import ConfigError
 from v2xcast.vehicles import spawn_vehicles
 from instances import default_config
 
@@ -57,3 +59,16 @@ def test_interarrival_quantization_rounds_half_up():
     gaps = rng.exponential(0.5, 4)
     expected = np.floor(np.cumsum(gaps) / config.road.slot_duration + 0.5).astype(int)
     assert sorted(v.entry_slot for v in vehicles) == sorted(expected.tolist())
+
+
+def test_arrival_slots_past_int64_are_a_config_error():
+    """An entry slot int64 cannot hold is a ConfigError naming the config
+    keys behind it, not a wrapped-around slot: one vehicle whose arrival
+    falls on slot 2**62 is kept, and on slot 2**63 refused."""
+    gap = np.random.default_rng(1).exponential(0.5, 1)[0]
+    fits = default_config(vehicle_count=1, slot_duration=gap / 2.0 ** 62)
+    assert spawn_vehicles(fits, seed=1)[0].entry_slot == 2 ** 62
+    for slot_duration in (gap / 2.0 ** 63, 1e-20):
+        config = default_config(vehicle_count=1, slot_duration=slot_duration)
+        with pytest.raises(ConfigError, match="slot_ms .* arrival_rate_per_s"):
+            spawn_vehicles(config, seed=1)
