@@ -12,9 +12,11 @@ pairing's term table; no rate-model code takes part. V2I delivery goes
 through a second physical rate model, AuditRateModel, built from the config.
 Its V2I memo is carried between audits of one config apart from the
 scheduler's, so the audit recomputes each rate block once per config and
-never reads the scheduler's rate arrays. A model passed in (table-driven
-tests) supplies both instead: V2I through its v2i_rates, and the V2V replay
-through its phases.
+never reads the scheduler's rate arrays. One grant_bits call sums every
+grant at once, reading each lane's covered memo blocks in one pass. A model
+passed in (table-driven tests) supplies both instead: V2I through its
+grant_bits, by default summed from its v2i_rates, and the V2V replay through
+its phases.
 Failures are data, not exceptions.
 
 A relative guard of 1e-12 (REL_GUARD) absorbs float-association noise
@@ -167,20 +169,20 @@ def _check_rsu_serial(result) -> CheckResult:
 def _check_v2i_delivery(result, model) -> CheckResult:
     """Every served-and-granted vehicle accumulated the full content over its
     granted slots, by independent rate recomputation: `model` is the
-    audit's own AuditRateModel, or a rate model passed in."""
+    audit's own AuditRateModel, or a rate model passed in. One grant_bits
+    call gives the bits of every grant with slots, and np.bincount adds
+    them per vehicle in grant order, from 0.0."""
     target = model.content_size * (1.0 - REL_GUARD)
-    dt = model.slot_duration
-    got: dict[int, float] = {}
-    for g in result.selection.grants:
-        if g.n_slots == 0:
-            continue
-        rates = model.v2i_rates(g.vehicle, g.start_slot, g.n_slots)
-        got[g.vehicle] = got.get(g.vehicle, 0.0) + float(np.sum(rates)) * dt
-    granted_served = {g.vehicle for g in result.selection.grants} & set(result.served)
-    for vid in sorted(granted_served):
-        if got.get(vid, 0.0) < target:
+    granted = {g.vehicle for g in result.selection.grants}
+    vid, start, n = np.array(
+        [(g.vehicle, g.start_slot, g.n_slots) for g in result.selection.grants
+         if g.n_slots > 0], dtype=np.int64).reshape(-1, 3).T
+    got = np.bincount(vid, model.grant_bits(vid, start, n),
+                      minlength=max(granted, default=0) + 1)
+    for v in sorted(granted & set(result.served)):
+        if got[v] < target:
             return CheckResult("v2i_delivery", False,
-                               f"vehicle {vid} delivered {got.get(vid, 0.0):.3e} "
+                               f"vehicle {v} delivered {float(got[v]):.3e} "
                                f"of {model.content_size:.3e} bits")
     return CheckResult("v2i_delivery", True)
 

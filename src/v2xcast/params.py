@@ -163,6 +163,9 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         fail(f"content_size must be > 0, got {rd.content_size}")
     if not rd.slot_duration > 0:
         fail(f"slot_duration must be > 0, got {rd.slot_duration}")
+    if rd.slot_duration * rd.speed == 0:
+        fail(f"speed_mps {rd.speed:g} and slot_ms {rd.slot_duration * 1e3:g} give a "
+             f"step of 0 m per slot: slot_duration * speed rounds to 0")
     if rd.horizon < 1:
         fail(f"horizon must be >= 1, got {rd.horizon}")
     # Every lane must be servable: perpendicular distance below the RSU range.

@@ -17,7 +17,9 @@ class, radio, road and rate mode: that model reads a block the last one
 holds instead of computing it again. Each class keeps a carry of its own, so
 a subclass's models never read the blocks of a plain PhysicalRateModel, nor
 it theirs. download reads a per-lane prefix sum over a run of those blocks,
-where an error bound shows the answer equals RateModel.download's. The V2V
+where an error bound shows the answer equals RateModel.download's, and
+grant_bits sums every grant of a lane over the blocks they cover at once,
+with the reference's own floats. The V2V
 SINR formula, the interference term and the scan for the interferers a
 receiver hears are each written once: link_sinrs sums every receiver afresh
 through them; admits keeps running sums of the same terms in the same
@@ -94,9 +96,11 @@ class RateModel:
     id, are set here. Every other query is derived below, once for every
     model: rsu_distance and the window_bounds arrays from the road geometry
     and _serve_radius, and the rest from the primitives, the V2I ones
-    reading service windows from the window_bounds arrays. A model may
-    answer the scheduler's hot queries (peers, admits, phases) faster, but
-    with the same values the derived versions give.
+    reading service windows from the window_bounds arrays. Among them,
+    grant_bits(vids, starts, counts) gives the bits of many V2I grants at
+    once, for the audit. A model may answer the hot queries (download,
+    grant_bits, peers, admits, phases) faster, but with the same values the
+    derived versions give.
     """
 
     rate_mode = "midpoint"
@@ -171,6 +175,19 @@ class RateModel:
         cum = np.cumsum(self.v2i_rates(vid, start, cap)) * self.slot_duration
         n = min(int(np.searchsorted(cum, self.content_size, side="left")) + 1, cap)
         return n, bool(cum[n - 1] >= self.content_size)
+
+    def grant_bits(self, vids, starts, counts) -> np.ndarray:
+        """Bits each grant delivers, for arrays of grant vehicles, first
+        slots and slot counts, every count positive: the rates v2i_rates
+        gives for its slots, laid end to end and summed per grant by one
+        np.add.reduceat, times the slot duration. The reference every
+        model's grant_bits must equal."""
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size == 0:
+            return np.zeros(0)
+        rates = np.concatenate([self.v2i_rates(v, s, n) for v, s, n in zip(
+            np.asarray(vids).tolist(), np.asarray(starts).tolist(), counts.tolist())])
+        return np.add.reduceat(rates, np.cumsum(counts) - counts) * self.slot_duration
 
     def slots_to_download(self, vid: int, start: int) -> int | None:
         """Smallest slot count to accumulate the content from `start`, with
@@ -400,6 +417,41 @@ class PhysicalRateModel(RateModel):
                     and (float(table[i + j - 1]) - base) * dt < need - delta:
                 return j, True
         return RateModel.download(self, vid, start, end)
+
+    def grant_bits(self, vids, starts, counts) -> np.ndarray:
+        """RateModel.grant_bits, in one pass per lane. A rate depends only
+        on the lane and the offset k = start - entry, so a lane's grants
+        read just the memo blocks they cover, in block order: each run of
+        consecutive blocks with one v2i_rates call, for any vehicle of the
+        lane, the runs laid end to end. A grant is a contiguous slice of
+        that array holding the floats v2i_rates gives it, and one
+        np.add.reduceat over every slice's start and end sums them all; the
+        sums from an end to the next start are dropped. Blocks are found by
+        their sorted numbers, so offsets before the entry or far past the
+        window cost only the blocks they cover."""
+        vids = np.asarray(vids, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        k = np.asarray(starts, dtype=np.int64) - self._entry[vids]
+        first, last = k // BLOCK, (k + counts - 1) // BLOCK
+        lanes = np.array([self._lane_entry[v][0] for v in vids.tolist()], dtype=np.int64)
+        bits = np.zeros(len(vids))
+        for lane in sorted(set(lanes.tolist())):
+            mine = np.flatnonzero(lanes == lane)
+            blocks = np.array(sorted({b for f, l in zip(first[mine].tolist(),
+                                                         last[mine].tolist())
+                                      for b in range(f, l + 1)}), dtype=np.int64)
+            heads = np.flatnonzero(np.diff(blocks, prepend=blocks[0] - 2) != 1)
+            sizes = np.diff(heads, append=len(blocks))
+            vid = int(vids[mine[0]])
+            entry = self._lane_entry[vid][1]
+            rates = np.concatenate([
+                *(self.v2i_rates(vid, entry + b * BLOCK, n * BLOCK)
+                  for b, n in zip(blocks[heads].tolist(), sizes.tolist())),
+                np.zeros(1)])  # so that a slice may end at the last block's end
+            at = np.searchsorted(blocks, first[mine]) * BLOCK + k[mine] % BLOCK
+            edges = np.column_stack((at, at + counts[mine])).ravel()
+            bits[mine] = np.add.reduceat(rates, edges)[::2]
+        return bits * self.slot_duration
 
     # ---- V2V ----
 

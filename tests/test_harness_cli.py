@@ -200,6 +200,39 @@ def test_cli_stock_config_at_an_edge_value_audits_clean(tmp_path, key, value, sc
     assert (row["unserved"] == "100") == (key == "speed_mps")
 
 
+def test_audited_runs_do_not_import_numpy_ma():
+    """Every scheme in both rate modes, audited, in a fresh interpreter,
+    leaves numpy.ma unimported. Some numpy calls (np.unique among them)
+    import it on first use, which costs a run about 1.5 MB of resident
+    memory for code it never needs."""
+    code = (
+        "import sys\n"
+        "from v2xcast.baselines import SCHEMES\n"
+        "from v2xcast.harness import run_scenario\n"
+        "from v2xcast.params import load_config\n"
+        f"config = load_config({str(CONFIG_PATH)!r})\n"
+        "for mode in ('midpoint', 'quadrature'):\n"
+        "    for scheme in SCHEMES:\n"
+        "        assert run_scenario(config, 1, scheme, rate_mode=mode,\n"
+        "                            with_audit=True)[2].ok\n"
+        "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_cli_speed_whose_step_underflows_fails_in_one_line(tmp_path):
+    """speed_mps=1e-320 on the stock config passes every per-key check, but
+    times a 0.1 ms slot it rounds to 0 m per slot, which would put every
+    vehicle at one point and every window edge at a division by zero."""
+    cfg = _write_small_config(tmp_path, vehicle_count=100, speed_mps=1e-320)
+    proc = _cli("simulate", "--config", str(cfg), "--scheme", "serial-tdma",
+                "--seed", "1", "--audit")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: speed_mps 9.99989e-321 and slot_ms 0.1 give a "
+                           "step of 0 m per slot: slot_duration * speed rounds to 0\n")
+
+
 def test_cli_arrival_slots_past_int64_fail_in_one_line(tmp_path):
     """slot_ms=1e-16 on the stock config puts arrival slots past the int64
     range: a configuration error naming slot_ms and arrival_rate_per_s,

@@ -222,6 +222,44 @@ def test_audit_flags_v2i_delivery_shortfall():
     assert any(c.name == "v2i_delivery" for c in report.failures())
 
 
+@pytest.fixture(scope="module")
+def stock_serial_tdma():
+    config = stock_config()
+    vehicles = spawn_vehicles(config, 1)
+    return config, vehicles, run_scheme(
+        "serial-tdma", PhysicalRateModel(config, vehicles), 1)
+
+
+@pytest.mark.parametrize("fault, failures", [
+    (lambda g: [dataclasses.replace(g, start_slot=-400_000)],
+     [("coverage", "vehicle 1 granted at slot -400000 before road entry"),
+      ("v2i_qos", "vehicle 1 granted before road entry"),
+      ("v2i_delivery", "vehicle 1 delivered 0.000e+00 of 3.000e+09 bits")]),
+    (lambda g: [dataclasses.replace(g, n_slots=g.n_slots - 1)],
+     [("v2i_delivery", "vehicle 1 delivered 2.999e+09 of 3.000e+09 bits"),
+      ("totals", "t_v2i recount 232830 != reported 232831")]),
+    (lambda g: [dataclasses.replace(g, start_slot=g.start_slot + 10_000_000)],
+     [("coverage", "vehicle 1 granted at slot 10155410 at distance 19804.754 m"),
+      ("v2i_qos", "vehicle 1 below threshold at distance 19804.754 m"),
+      ("v2i_delivery", "vehicle 1 delivered 0.000e+00 of 3.000e+09 bits")]),
+    (lambda g: [dataclasses.replace(g, n_slots=1000),
+                dataclasses.replace(g, start_slot=g.start_slot + 1000,
+                                    n_slots=g.n_slots - 1000)],
+     []),
+], ids=["before-entry", "one-slot-short", "past-window", "split"])
+def test_default_audit_of_a_moved_v2i_grant(stock_serial_tdma, fault, failures):
+    """The default audit, whose V2I delivery goes through its own physical
+    model, on stock seed 1's serial-tdma run with grant 0 (vehicle 1, slots
+    155410-157741) moved before the road entry, one slot short, or 10^7
+    slots past its window, or split in two adjacent grants (which passes)."""
+    config, vehicles, res = stock_serial_tdma
+    grants = res.selection.grants
+    sel = dataclasses.replace(res.selection,
+                              grants=(*fault(grants[0]), *grants[1:]))
+    report = audit(dataclasses.replace(res, selection=sel), config, vehicles)
+    assert [(c.name, c.detail) for c in report.failures()] == failures
+
+
 def test_audit_flags_v2v_delivery_shortfall():
     config, vehicles, model = six_vehicle_instance()
     res = run_scheme("proposed", model, seed=0)

@@ -393,6 +393,38 @@ def test_prefix_download_equals_the_reference(mode, lanes, gaps, exponent, spans
         assert not fell_back
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(["midpoint", "quadrature"]),
+       lanes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       gaps=st.lists(st.integers(0, 400_000), min_size=4, max_size=4),
+       grants=st.lists(st.tuples(st.integers(0, 3), st.integers(-8, 180),
+                                 st.integers(0, BLOCK - 1), st.integers(1, 4),
+                                 st.floats(0.0, 1.0)), min_size=1, max_size=10),
+       repeats=st.integers(0, 3))
+def test_grant_bits_equal_the_reference(mode, lanes, gaps, grants, repeats):
+    """PhysicalRateModel.grant_bits against RateModel.grant_bits, bit for
+    bit: random lanes and entries, grants of 1-4 blocks at offsets from
+    before the road entry to past the window, some repeated, most of them
+    on blocks no other grant touches. A fresh model computes or reads
+    exactly the blocks the grants cover, and no other."""
+    config = default_config(vehicle_count=len(lanes), horizon=10 ** 7)
+    entries = np.cumsum(gaps[:len(lanes)]).tolist()
+    vehicles = [VehicleState(i, lane, e)
+                for i, (lane, e) in enumerate(zip(lanes, entries), start=1)]
+    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    vids, starts, counts, covered = [], [], [], set()
+    for pick, b, lo, span, a in grants + grants[:repeats]:
+        v = vehicles[pick % len(vehicles)]
+        fewest, most = max(1, (span - 1) * BLOCK - lo + 1), span * BLOCK - lo
+        vids.append(v.id)
+        starts.append(v.entry_slot + b * BLOCK + lo)
+        counts.append(fewest + int(a * (most - fewest)))
+        covered |= {(v.lane, c) for c in range(b, b + span)}
+    got = model.grant_bits(vids, starts, counts)
+    assert model._blocks.keys() == covered
+    assert got.tolist() == RateModel.grant_bits(model, vids, starts, counts).tolist()
+
+
 class _ConstantMemo(PhysicalRateModel):
     """A physical model whose memo holds one rate, 2**33 bits/s, at every
     offset, except `spikes`: offset -> rate. Sums of up to 2**20 such rates
