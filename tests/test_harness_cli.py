@@ -203,8 +203,8 @@ def test_cli_stock_config_at_an_edge_value_audits_clean(tmp_path, key, value, sc
 def test_audited_runs_do_not_import_numpy_ma():
     """Every scheme in both rate modes, audited, in a fresh interpreter,
     leaves numpy.ma unimported. Some numpy calls (np.unique among them)
-    import it on first use, which costs a run about 1.5 MB of resident
-    memory for code it never needs."""
+    import it on first use, which adds 1.2 MB or more to the peak
+    resident memory for code no run needs."""
     code = (
         "import sys\n"
         "from v2xcast.baselines import SCHEMES\n"
