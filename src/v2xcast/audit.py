@@ -11,9 +11,10 @@ config and the vehicles alone, and sums every phase's interference from the
 pairing's term table; no rate-model code takes part. V2I delivery goes
 through a second physical rate model, AuditRateModel, built from the config.
 Its V2I memo is carried between audits of one config apart from the
-scheduler's, so the audit recomputes each rate block once per config and
-never reads the scheduler's rate arrays. One grant_bits call sums every
-grant at once, reading each lane's covered memo blocks in one pass. A model
+scheduler's, so the audit computes a rate block again only after its memo
+dropped it, and never reads the scheduler's rate arrays. One grant_bits
+call sums every grant at once, reading each lane's covered memo blocks in
+one pass. A model
 passed in (table-driven tests) supplies both instead: V2I through its
 grant_bits, by default summed from its v2i_rates, and the V2V replay through
 its phases.
@@ -49,7 +50,7 @@ REL_GUARD = 1e-12
 
 class AuditRateModel(PhysicalRateModel):
     """The audit's second physical model, for V2I delivery. As its own
-    class it carries its V2I memo only to the next audit's model of the same
+    class it carries its V2I memo only across the audits' models of one
     config, never to or from the scheduler's models."""
 
 

@@ -12,10 +12,12 @@ neighbours within V2V range, found by sort-and-sweep on the first V2V query,
 and antenna gains are memoised per (antenna, boresight peer, probe) triple.
 A V2I rate depends only on the lane and on the slot offset k = t -
 entry_slot, so rates are memoised per lane in read-only blocks of BLOCK
-consecutive offsets. The memo is carried to the next model of the same
-class, radio, road and rate mode: that model reads a block the last one
-holds instead of computing it again. Each class keeps a carry of its own, so
-a subclass's models never read the blocks of a plain PhysicalRateModel, nor
+consecutive offsets. The memo is carried across the models of one class,
+radio, road and rate mode, which read a block it holds instead of computing
+it again. It keeps the blocks read most recently, up to twice the most
+blocks one model has read since those inputs last changed, and drops the
+least recently read past that. Each class keeps a memo of its own, so a
+subclass's models never read the blocks of a plain PhysicalRateModel, nor
 it theirs. download reads a per-lane prefix sum over a run of those blocks,
 where an error bound shows the answer equals RateModel.download's, and
 grant_bits sums every grant of a lane over the blocks they cover at once,
@@ -34,6 +36,7 @@ comparisons where the schedule structure, not the radio, is under test.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import cached_property
 
 import numpy as np
@@ -47,9 +50,21 @@ Link = tuple[int, int]  # (tx id, rx id)
 BLOCK = 2048  # slot offsets per V2I rate memo block
 SIMPSON = (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)  # 8 subintervals
 
-# Per model class, the V2I memo of its latest model, and what its rates
-# depend on: (radio, road, rate mode), compared by value.
-_carries: dict[type, tuple[tuple, dict]] = {}
+
+class _Memo:
+    """The V2I memo of one model class: rate blocks by (lane, block), least
+    recently read first, for the inputs `key` their rates depend on, and
+    the most blocks one model of the class has read for that key."""
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.blocks: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self.most = 0
+
+
+# Per model class, its V2I memo; the key is (radio, road, rate mode),
+# compared by value, and a model of other inputs starts a new memo.
+_carries: dict[type, _Memo] = {}
 
 
 def near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
@@ -253,16 +268,15 @@ class PhysicalRateModel(RateModel):
         self._x0 = -self._entry.astype(float) * self._step
         self._y = np.zeros(len(self._entry))
         self._y[self.ids] = [(v.lane - 0.5) * road.lane_width for v in vehicles]
-        # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets;
-        # _prior is the memo of the last model of this class when it had
-        # the same inputs. A block is taken from _prior as it is, never
-        # copied, so at most two models' blocks are alive per class, and a
-        # block the last model did not read is dropped.
+        # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets.
+        # _blocks holds the blocks this model has read, each taken from the
+        # class's memo as it is, never copied.
         key = (radio, road, rate_mode)
-        held_key, held = _carries.get(type(self), (None, {}))
-        self._prior = held if held_key == key else {}
+        memo = _carries.get(type(self))
+        if memo is None or memo.key != key:
+            memo = _carries[type(self)] = _Memo(key)
+        self._memo = memo
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
-        _carries[type(self)] = key, self._blocks
         self._prefixes: dict[int, tuple[int, np.ndarray]] = {}  # see _prefix
 
         g = mainlobe_gain(radio)
@@ -312,14 +326,29 @@ class PhysicalRateModel(RateModel):
     def _block(self, lane: int, b: int) -> np.ndarray:
         """Read-only rates, bits/s, of a vehicle in `lane` at the slot
         offsets [b * BLOCK, (b + 1) * BLOCK) from its entry slot: this
-        model's, else the last model's, else computed."""
-        rates = self._blocks.get((lane, b))
+        model's, else the memo's, else computed. A block this model reads
+        first moves to the memo's newest end, or enters it there; then the
+        oldest are dropped until the memo holds at most twice the most
+        blocks one model has read. While one model of the class reads at a
+        time, its blocks are the newest, so none of them is dropped."""
+        key = lane, b
+        rates = self._blocks.get(key)
         if rates is not None:
             return rates
-        rates = self._prior.get((lane, b))
-        if rates is not None:
-            self._blocks[lane, b] = rates
-            return rates
+        memo = self._memo
+        rates = memo.blocks.get(key)
+        if rates is None:
+            rates = memo.blocks[key] = self._compute_block(lane, b)
+        else:
+            memo.blocks.move_to_end(key)
+        self._blocks[key] = rates
+        memo.most = max(memo.most, len(self._blocks))
+        while len(memo.blocks) > 2 * memo.most:
+            memo.blocks.popitem(last=False)
+        return rates
+
+    def _compute_block(self, lane: int, b: int) -> np.ndarray:
+        """The rates of _block, computed afresh and read-only."""
         radio, road = self.config.radio, self.config.road
         d_lr = self.config.lane_offset(lane)
         k = np.arange(b * BLOCK, (b + 1) * BLOCK, dtype=float)
@@ -335,15 +364,15 @@ class PhysicalRateModel(RateModel):
             phi_b = np.arctan((xa + self._step) / d_lr)
             h = (phi_b - phi_a) / 8.0
             phi = phi_a[:, None] + h[:, None] * np.arange(9)[None, :]
-            d = d_lr / np.cos(phi)
+            cos = np.cos(phi)
+            d = d_lr / cos
             f = (radio.bandwidth * np.log2(1.0 + self._snr_of_distance(d))
-                 * d_lr / (road.speed * np.cos(phi) ** 2))
+                 * d_lr / (road.speed * cos ** 2))
             total = f[:, 0] * SIMPSON[0]
             for i in range(1, 9):
                 total = total + f[:, i] * SIMPSON[i]
             rates = total * h / 3.0 / road.slot_duration
         rates.setflags(write=False)
-        self._blocks[lane, b] = rates
         return rates
 
     def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:

@@ -221,7 +221,7 @@ def test_audit_carries_a_v2i_memo_apart_from_the_schedulers(mode):
     scheduler = PhysicalRateModel(config, vehicles, rate_mode=mode)
     result = run_scheme("proposed", scheduler, 2)
     assert audit(result, config, vehicles).ok
-    held = dict(ratemodel._carries[AuditRateModel][1])
+    held = dict(ratemodel._carries[AuditRateModel].blocks)
     assert held
     for key, rates in held.items():
         assert not any(rates is other for other in scheduler._blocks.values())
@@ -231,9 +231,11 @@ def test_audit_carries_a_v2i_memo_apart_from_the_schedulers(mode):
     again = stock_config()
     assert again is not config
     assert audit(result, again, vehicles).ok
-    _, blocks = ratemodel._carries[AuditRateModel]
+    blocks = ratemodel._carries[AuditRateModel].blocks
     assert blocks and all(rates is held[key] for key, rates in blocks.items())
-    assert PhysicalRateModel(again, vehicles, rate_mode=mode)._prior is scheduler._blocks
+    following = PhysicalRateModel(again, vehicles, rate_mode=mode)
+    assert following._memo is ratemodel._carries[PhysicalRateModel]
+    assert all(following._block(*key) is rates for key, rates in scheduler._blocks.items())
 
 
 def _scalar_coverage_and_qos(grants, config, vehicles):

@@ -14,6 +14,7 @@ from v2xcast.geometry import (Point2D, coverage_window, distance, lane_center_y,
 from v2xcast.radio import (ConcurrentSet, DirectionalLink, shannon_rate,
                            v2i_slot_rate, v2i_snr, v2v_sinr)
 from v2xcast.params import RoadConfig, ScenarioConfig, validate
+from v2xcast import ratemodel
 from v2xcast.ratemodel import BLOCK, PhysicalRateModel, RateModel, TableRateModel
 from v2xcast.harness import run_scenario
 from v2xcast.vehicles import VehicleState, spawn_vehicles
@@ -182,23 +183,81 @@ def test_v2i_memo_not_carried_across_inputs(stale):
                for key, rates in held.items())
 
 
-def test_v2i_memo_drops_blocks_the_last_model_did_not_read():
-    """After three models of one config, a block only the first model read
-    is reachable from neither the carry nor the third model, once the
-    first two are gone; a block every model read is the same array in all
-    three."""
+def _block_of(model, v, b):
+    """The memo block b of vehicle v's lane, as `model` reads it."""
+    return model.v2i_rates(v.id, v.entry_slot + b * BLOCK, 1).base
+
+
+def test_v2i_memo_keeps_a_block_a_model_skipped(monkeypatch):
+    """A block the first model read, the second skipped and the third read
+    again is the same array in the first and third models."""
+    monkeypatch.setattr(ratemodel, "_carries", {})
     config = default_config(vehicle_count=6)
     vehicles = spawn_vehicles(config, seed=4)
     v = vehicles[0]
-    w0 = reference_window(RateModel(config, vehicles), v.id)[0]
-    models = [PhysicalRateModel(config, vehicles) for _ in range(3)]
-    shared = [m.v2i_rates(v.id, w0, 1).base for m in models]
-    assert shared[0] is shared[1] is shared[2]
-    only_first = weakref.ref(models[0].v2i_rates(v.id, w0 + 5 * BLOCK, 1).base)
-    models[1].v2i_rates(v.id, w0, 1)
-    del models[:2], shared
+    first = PhysicalRateModel(config, vehicles)
+    skipped = _block_of(first, v, 5)
+    _block_of(first, v, 0)
+    _block_of(PhysicalRateModel(config, vehicles), v, 0)
+    del first
+    assert _block_of(PhysicalRateModel(config, vehicles), v, 5) is skipped
+
+
+def test_v2i_memo_drops_the_least_recently_read_block(monkeypatch):
+    """Models that each read one shared block and one block of their own
+    read two blocks apiece, so the memo holds at most four. The fourth
+    model's own block pushes out the first model's, the least recently
+    read: once the models are gone it is unreachable, while the second
+    model's block and the shared one stay in the memo."""
+    monkeypatch.setattr(ratemodel, "_carries", {})
+    config = default_config(vehicle_count=6)
+    vehicles = spawn_vehicles(config, seed=4)
+    v = vehicles[0]
+    shared, own = [], []
+    for b in range(10, 14):
+        model = PhysicalRateModel(config, vehicles)
+        shared.append(weakref.ref(_block_of(model, v, 0)))
+        own.append(weakref.ref(_block_of(model, v, b)))
+    memo = ratemodel._carries[PhysicalRateModel]
+    assert len(memo.blocks) == 4 == 2 * memo.most
+    del model
     gc.collect()
-    assert only_first() is None
+    assert own[0]() is None
+    assert own[1]() is not None and all(ref() is shared[0]() for ref in shared)
+    assert _block_of(PhysicalRateModel(config, vehicles), v, 0) is shared[0]()
+
+
+def test_v2i_memo_computes_each_block_once_within_its_bound(monkeypatch):
+    """Stock seeds 1-6, proposed, fcfs and random, quadrature rates and
+    strict causality, audited: each model class computes each (lane,
+    block) at most once, and after every run each class's memo holds at
+    most twice the most blocks one of its models read."""
+    monkeypatch.setattr(ratemodel, "_carries", {})
+    computed, models = [], []
+    compute, build = PhysicalRateModel._compute_block, PhysicalRateModel.__init__
+
+    def counted(self, lane, b):
+        computed.append((type(self), lane, b))
+        return compute(self, lane, b)
+
+    def kept(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        models.append(self)
+
+    monkeypatch.setattr(PhysicalRateModel, "_compute_block", counted)
+    monkeypatch.setattr(PhysicalRateModel, "__init__", kept)
+    config = stock_config()
+    for seed in range(1, 7):
+        for scheme in ("proposed", "fcfs", "random"):
+            audit = run_scenario(config, seed, scheme, rate_mode="quadrature",
+                                 strict_causality=True, with_audit=True)[2]
+            assert audit.ok
+            for cls, memo in ratemodel._carries.items():
+                most = max(len(m._blocks) for m in models if type(m) is cls)
+                assert len(memo.blocks) <= 2 * most
+    assert len(ratemodel._carries) == 2 and len(models) == 36
+    assert len(set(computed)) == len(computed)
+    assert len(computed) < sum(len(m._blocks) for m in models)
 
 
 def test_v2i_rates_are_read_only():
