@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .v2i import Grant, V2ISelection, select_v2i_paths, servable, two_hop_estimate
+from .v2i import Grant, V2ISelection, select_v2i_paths, two_hop_estimate
 from .v2v import V2VSchedule, build_pairing, conflict, schedule_v2v
 
 SCHEMES = ("proposed", "fcfs", "random", "noncoop", "serial-tdma")
@@ -89,20 +89,25 @@ def schedule_fcfs(model, seed: int, strict_causality: bool = False) -> SchemeRes
     return _assemble("fcfs", seed, model, selection, v2vsched, strict_causality)
 
 
+def random_pick(rng):
+    """Random's grant policy for select_v2i_paths: a uniform draw from rng
+    among the pool's servable vehicles, listed in id order, with the
+    winner's tentative chain."""
+    def pick(model, loop):
+        slots = loop.servable()
+        if not slots:
+            return None
+        winner = int(rng.choice(list(slots)))
+        est = two_hop_estimate(model, winner, loop.entered - {winner})
+        return replace(est, v2i_slots=slots[winner])
+    return pick
+
+
 def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeResult:
     """Random grants with the same coverage-based termination as the proposed
     scheme, then random pairing partners through the same pairing builder."""
     rng = np.random.default_rng([seed, 1])
-
-    def random_pick(model, v_b, clock, pool):
-        entered, slots = servable(model, v_b, clock, pool)
-        if not slots:
-            return None
-        winner = int(rng.choice(list(slots)))
-        est = two_hop_estimate(model, winner, entered - {winner})
-        return replace(est, v2i_slots=slots[winner])
-
-    selection = select_v2i_paths(model, pick=random_pick)
+    selection = select_v2i_paths(model, pick=random_pick(rng))
 
     def random_hop(model, tx, vb):
         cands = [r for r in sorted(vb) if model.in_range(tx, r)]

@@ -5,14 +5,21 @@ At each grant boundary the scheduler scores every not-yet-served vehicle that
 is inside the serving window and able to finish before leaving it. The score
 is the number of RSU slots it needs plus the worst-hop slot count of its best
 two-hop forwarding chain; the minimum-score vehicle wins the grant. Who wins
-is a pluggable policy, so the random baseline runs this same loop. The phase
-ends once every vehicle is either granted or claimed by some recorded chain
-(default), or, under the literal termination rule, once the last-entering
-vehicle has itself been granted.
+is a pluggable policy, so the random baseline runs this same loop. Both
+policies read their candidates off one GrantLoop per run, which follows the
+clock through the entry order and through the windows sorted by first slot,
+so that a grant boundary costs in proportion to the vehicles whose window
+holds the clock, not to the population. When nobody can win, the clock jumps
+to the next window opening among the grant candidates: a vehicle that cannot
+finish from a slot of its window cannot finish from any later one. The
+phase ends once every vehicle is either granted or claimed by some recorded
+chain (default), or, under the literal termination rule, once the vehicle
+that enters last, by (entry slot, id), has itself been granted.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,53 +93,85 @@ def two_hop_estimate(model, vid: int, candidates) -> UtilityEval:
     return UtilityEval(vid, 0, j, None, model.link_slots_free(vid, j))
 
 
-def servable(model, v_b: set[int], clock: int,
-             pool: set[int]) -> tuple[set[int], dict[int, int]]:
-    """The vehicles of v_b that have entered by `clock`, and the download
-    slots of each one in `pool` (a subset of v_b) that is in service at
-    `clock` and can finish from there inside its window, in id order. Both
-    are read off the model's id-indexed arrays, entry slots and window
-    bounds, so only vehicles whose window holds the clock are asked for
-    their download slots. A window never opens before its vehicle enters."""
-    first, last = model.window_bounds()
-    entered = v_b.intersection(np.flatnonzero(model._entry <= clock).tolist())
-    slots = {}
-    for vid in np.flatnonzero((first <= clock) & (clock <= last)).tolist():
-        if vid in pool:
-            m = model.slots_to_download(vid, clock)  # None if it cannot finish
+class GrantLoop:
+    """The candidates of one grant loop at its clock, kept per grant and per
+    clock move instead of rescanned at each grant boundary.
+
+    v_b (the vehicles still lacking the content) and pool (the grant
+    candidates, a subset of v_b) are the caller's sets, read live; a vehicle
+    taken out of v_b must also be taken out of `entered`. Two sweeps follow
+    the clock, which only moves forward:
+    - the ids in entry order, by (entry slot, id), and how many of them have
+      entered by the clock; `entered` is v_b's part of that prefix;
+    - the ids with a service window in order of its first slot, and how many
+      of those windows have opened by the clock; the open set holds the pool
+      vehicles among them, and loses each one found past its window or out
+      of the pool. A window never opens before its vehicle enters.
+    """
+
+    def __init__(self, model, v_b: set[int], pool: set[int], clock: int = 0):
+        self.model, self.v_b, self.pool = model, v_b, pool
+        ids = np.asarray(model.ids, dtype=np.int64)
+        entry = model._entry
+        self.order = ids[np.lexsort((ids, entry[ids]))].tolist()
+        self._entries = entry[self.order].tolist()
+        first, last = model.window_bounds()
+        ids = ids[first[ids] <= last[ids]]
+        by_first = ids[np.argsort(first[ids], kind="stable")]
+        self._by_first = by_first.tolist()
+        self._firsts = first[by_first].tolist()
+        self._last = last.tolist()
+        self.entered: set[int] = set()
+        self._open: set[int] = set()
+        self._n_entered = self._n_opened = 0
+        self.move(clock)
+
+    def move(self, clock: int) -> None:
+        """Set the clock, taking in the vehicles of v_b that have entered
+        and the pool vehicles whose window has opened by then."""
+        self.clock = clock
+        n = bisect_right(self._entries, clock)
+        self.entered.update(self.v_b.intersection(self.order[self._n_entered:n]))
+        self._n_entered = n
+        n = bisect_right(self._firsts, clock)
+        self._open.update(self.pool.intersection(self._by_first[self._n_opened:n]))
+        self._n_opened = n
+
+    def servable(self) -> dict[int, int]:
+        """The download slots of each pool vehicle in service at the clock
+        that can finish from there inside its window, in id order. Only the
+        vehicles whose window holds the clock are asked."""
+        clock, last, pool = self.clock, self._last, self.pool
+        self._open = {v for v in self._open if v in pool and last[v] >= clock}
+        slots = {}
+        for vid in sorted(self._open):
+            m = self.model.slots_to_download(vid, clock)  # None if it cannot finish
             if m is not None:
                 slots[vid] = m
-    return entered, slots
+        return slots
+
+    def next_opening(self) -> int | None:
+        """The idle jump: the first slot after the clock at which a pool
+        vehicle's window opens, or None when no such window is left. Windows
+        are clipped to the horizon, so the slot is always before it."""
+        by_first, pool = self._by_first, self.pool
+        return next((self._firsts[k] for k in range(self._n_opened, len(by_first))
+                     if by_first[k] in pool), None)
 
 
-def evaluate_candidates(model, v_b: set[int], clock: int,
-                        pool: set[int]) -> list[UtilityEval]:
-    """Utility of every servable vehicle of `pool` at the given clock. Chain
-    targets always come from the full not-yet-served set v_b, claimed or
-    not."""
-    entered, slots = servable(model, v_b, clock, pool)
+def evaluate_candidates(model, loop: GrantLoop) -> list[UtilityEval]:
+    """Utility of every servable vehicle of the loop's pool at its clock.
+    Chain targets always come from the entered vehicles of the full
+    not-yet-served set v_b, claimed or not."""
+    entered = loop.entered
     return [replace(two_hop_estimate(model, vid, entered - {vid}), v2i_slots=m)
-            for vid, m in slots.items()]
+            for vid, m in loop.servable().items()]
 
 
-def next_service_slot(model, pool, clock: int) -> int | None:
-    """Earliest slot strictly after idling starts at which any vehicle in
-    the pool is servable; None when every remaining window has already
-    closed. Reads the model's window arrays, built once."""
-    first, last = model.window_bounds()
-    ids = np.fromiter(pool, dtype=np.int64, count=len(pool))
-    still = last[ids] >= clock
-    if not still.any():
-        return None
-    nxt = max(int(first[ids[still]].min()), clock + 1)
-    return nxt if nxt < model.horizon else None
-
-
-def min_utility(model, v_b: set[int], clock: int,
-                pool: set[int]) -> UtilityEval | None:
+def min_utility(model, loop: GrantLoop) -> UtilityEval | None:
     """The proposed scheme's grant policy: the minimum-utility candidate,
     ties to the lower id; None when nobody in the pool is servable."""
-    evals = evaluate_candidates(model, v_b, clock, pool=pool)
+    evals = evaluate_candidates(model, loop)
     return min(evals, key=lambda e: (e.utility, e.vehicle), default=None)
 
 
@@ -144,42 +183,49 @@ def select_v2i_paths(model, termination: str = "coverage",
     of it each granted vehicle and the vehicles its recorded chain claims,
     which are left to the sharing phase, and stops once the pool is empty.
     "literal" keeps every ungranted vehicle eligible, so its pool is v_b
-    itself, and stops only once the last-entering vehicle has been granted.
+    itself, and stops only once the vehicle that enters last, the last of
+    the entry order by (entry slot, id), has been granted.
 
-    pick(model, v_b, clock, pool) chooses the next grant among the pool,
-    with its download slots and tentative chain, or returns None when
-    nobody in the pool is servable at that clock.
+    pick(model, loop) chooses the next grant among loop.pool at loop.clock,
+    with its download slots and tentative chain, reading loop.servable()
+    and loop.entered; it returns None when nobody in the pool is servable
+    at that clock. The clock then jumps to loop.next_opening(), the next
+    window opening among the pool vehicles, and the loop ends incomplete
+    when there is none. The jump skips no grant: the bits of slots
+    [t + 1, last] never exceed those of [t, last], as rates are non-negative
+    and rounding is monotone, so a vehicle that cannot finish from slot t
+    of its window cannot from any later slot of it either. Idle slots are
+    not charged to the phase.
     """
     if termination not in ("coverage", "literal"):
         raise ValueError(f"unknown termination rule {termination!r}")
     literal = termination == "literal"
     v_b: set[int] = set(model.ids)
     pool = v_b if literal else set(v_b)
-    last_id = max(v_b)
+    loop = GrantLoop(model, v_b, pool)
+    last_in = loop.order[-1]
     grants: list[Grant] = []
     chains: list[ChainEstimate] = []
-    clock = 0
     incomplete = False
 
-    while (last_id in v_b) if literal else pool:
-        winner = pick(model, v_b, clock, pool)
+    while (last_in in v_b) if literal else pool:
+        winner = pick(model, loop)
         if winner is None:
-            # Idle: jump to the next slot at which any grantable vehicle
-            # becomes servable. Idle slots are not charged to the phase.
-            nxt = next_service_slot(model, pool, clock)
+            nxt = loop.next_opening()
             if nxt is None:
                 incomplete = True
                 break
-            clock = nxt
+            loop.move(nxt)
             continue
-        grants.append(Grant(winner.vehicle, clock, winner.v2i_slots))
+        grants.append(Grant(winner.vehicle, loop.clock, winner.v2i_slots))
         chains.append(ChainEstimate(winner.vehicle, winner.first_hop,
                                     winner.second_hop))
         v_b.discard(winner.vehicle)
+        loop.entered.discard(winner.vehicle)
         if not literal:
             pool.difference_update((winner.vehicle, winner.first_hop,
                                     winner.second_hop))
-        clock += winner.v2i_slots
+        loop.move(loop.clock + winner.v2i_slots)
 
     return V2ISelection(
         grants=tuple(grants),

@@ -30,3 +30,10 @@ def test_tracer_wraps_every_scheme_and_restores_names():
     assert {f"baselines.schedule.{s}" for s in SCHEMES} <= spans
     assert {"harness.run", "v2i.select", "ratemodel.build", "audit.audit"} <= spans
     assert tracer.counts["v2i.grants"] > 0
+    # The benchmark's candidate count and download span read these two
+    # names: the default picker must call v2i.evaluate_candidates through
+    # the module, and the grant loop must ask the model's
+    # slots_to_download attribute. A span name is listed once wrapped, so
+    # the spans recorded are read off name_id.
+    assert tracer.counts["v2i.candidate_evals"] > 0
+    assert "ratemodel.slots_to_download" in {tracer.names[i] for i in tracer.name_id}

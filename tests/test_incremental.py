@@ -8,23 +8,31 @@ none of the model's SINR helpers, not close ones: admits only answers a
 boolean, which would hide a last-ulp error, so these tests also read the
 sums it keeps, and the phases are checked on their SINRs as well as their
 rates.
-best_first_hop, servable and next_service_slot scan peers, and the entry
-and window arrays, instead of all of v_b; the old scans are kept here as
-their oracles, which read each vehicle's window from
-instances.reference_window. servable asks for download slots only where a
-window holds the clock.
+best_first_hop scans peers instead of all of v_b, and the grant loop's
+GrantLoop sweeps the entry order and the windows sorted by first slot as
+the clock moves; the full scans they replaced are kept here as their
+oracles, which read each vehicle's window from instances.reference_window.
+The loop's state is checked against them at every grant boundary and idle
+jump of real runs and of hand-built populations, and on states built at
+any clock. The idle jump is oracle_next_service_slot over the pool less
+the vehicles whose window holds the clock, since those cannot finish from
+any later slot of it either. GrantLoop.servable asks for download slots
+only where a window holds the clock.
 """
 
+import contextlib
 import dataclasses
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2xcast.baselines import run_scheme
+from v2xcast.baselines import random_pick, run_scheme
 from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
-from v2xcast.v2i import min_utility, next_service_slot, select_v2i_paths, servable
+from v2xcast.v2i import GrantLoop, min_utility, select_v2i_paths
 from v2xcast.v2v import best_first_hop, conflict
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import default_config, default_radio, reference_window
@@ -321,17 +329,37 @@ def scan_cases(model, data):
         yield v_b, pool, clock
 
 
+def in_window(model, vid, clock):
+    win = reference_window(model, vid)
+    return win is not None and win[0] <= clock <= win[1]
+
+
+def assert_candidates_match(loop, slots):
+    """The loop's entered set, and `slots` from its servable, are
+    oracle_servable's."""
+    entered, want = oracle_servable(loop.model, loop.v_b, loop.clock, loop.pool)
+    assert sorted(loop.entered) == entered
+    assert list(slots.items()) == list(want.items())
+
+
+def assert_jump_matches(loop, nxt):
+    """`nxt` from the loop's next_opening is oracle_next_service_slot's over
+    the pool less the vehicles whose window holds the clock."""
+    waiting = {v for v in loop.pool if not in_window(loop.model, v, loop.clock)}
+    assert nxt == oracle_next_service_slot(loop.model, waiting, loop.clock)
+
+
+def assert_loop_matches(loop):
+    assert_candidates_match(loop, loop.servable())
+    assert_jump_matches(loop, loop.next_opening())
+
+
 def assert_scans_match(model, data):
     for v_b, pool, clock in scan_cases(model, data):
         for source in model.ids:
             assert best_first_hop(model, source, v_b) == \
                 oracle_best_first_hop(model, source, v_b)
-        entered, slots = servable(model, v_b, clock, pool)
-        ref_entered, ref_slots = oracle_servable(model, v_b, clock, pool)
-        assert sorted(entered) == ref_entered
-        assert list(slots.items()) == list(ref_slots.items())
-        assert next_service_slot(model, pool, clock) == \
-            oracle_next_service_slot(model, pool, clock)
+        assert_loop_matches(GrantLoop(model, v_b, pool, clock))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -369,11 +397,7 @@ def assert_asks_in_window(model, asks, clock, pool):
     """servable's slots_to_download calls at `clock`: one for each vehicle
     of `pool` whose reference_window holds the clock, in id order, and no
     other."""
-    want = []
-    for vid in sorted(pool):
-        win = reference_window(model, vid)
-        if win is not None and win[0] <= clock <= win[1]:
-            want.append((vid, clock))
+    want = [(vid, clock) for vid in sorted(pool) if in_window(model, vid, clock)]
     assert asks == want, (clock, sorted(pool))
 
 
@@ -383,10 +407,10 @@ def test_servable_asks_only_in_window_pool_vehicles_on_stock_runs(seed):
     model = PhysicalRateModel(config, spawn_vehicles(config, seed))
     asks, picks = record_asks(model), []
 
-    def pick(model, v_b, clock, pool):
+    def pick(model, loop):
         asks.clear()
-        winner = min_utility(model, v_b, clock, pool)
-        assert_asks_in_window(model, asks, clock, pool)
+        winner = min_utility(model, loop)
+        assert_asks_in_window(model, asks, loop.clock, loop.pool)
         picks.append(len(asks))
         return winner
     select_v2i_paths(model, pick=pick)
@@ -400,8 +424,29 @@ def test_servable_asks_only_in_window_pool_vehicles_on_hand_built_populations(da
     asks = record_asks(model)
     for v_b, pool, clock in scan_cases(model, data):
         asks.clear()
-        servable(model, v_b, clock, pool)
+        GrantLoop(model, v_b, pool, clock).servable()
         assert_asks_in_window(model, asks, clock, pool)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grant_loop_at_window_edges(data):
+    """States built one slot before, at and after each end of each window:
+    a vehicle is asked, and counts as opened, exactly on its window's
+    slots."""
+    model = drawn_model(data, 400)
+    asks, ids = record_asks(model), set(model.ids)
+    first, last = model.window_bounds()
+    for vid in model.ids:
+        if first[vid] <= last[vid]:
+            for clock in {int(first[vid]) + d for d in (-1, 0, 1)} | \
+                    {int(last[vid]) + d for d in (-1, 0, 1)}:
+                loop = GrantLoop(model, ids, ids, clock)
+                asks.clear()
+                slots = loop.servable()
+                assert_asks_in_window(model, asks, clock, ids)
+                assert_candidates_match(loop, slots)
+                assert_jump_matches(loop, loop.next_opening())
 
 
 def test_equal_rate_peers_go_to_the_lower_id():
@@ -432,10 +477,56 @@ def test_servable_with_ids_out_of_entry_order():
         config, [(1, 9000), (1, 0), (2, 3000)]))
     for clock in (-1, 0, 2999, 3000, 8999, 9000, 200_000):
         for pool in ({1, 2, 3}, {1}, {2, 3}, set()):
-            entered, slots = servable(model, {1, 2, 3}, clock, pool)
-            ref_entered, ref_slots = oracle_servable(model, {1, 2, 3}, clock, pool)
-            assert sorted(entered) == ref_entered
-            assert list(slots.items()) == list(ref_slots.items())
-            assert next_service_slot(model, pool, clock) == \
-                oracle_next_service_slot(model, pool, clock)
-    assert servable(model, {1, 2, 3}, 3000, set())[0] == {2, 3}
+            assert_loop_matches(GrantLoop(model, {1, 2, 3}, pool, clock))
+    assert GrantLoop(model, {1, 2, 3}, set(), 3000).entered == {2, 3}
+
+
+@contextlib.contextmanager
+def checked_loops():
+    """Check every GrantLoop against the oracles while inside: at each
+    servable call, made at every grant boundary, and at each idle jump.
+    Yields the counts of both."""
+    seen = Counter()
+    servable, next_opening = GrantLoop.servable, GrantLoop.next_opening
+
+    def checked_servable(loop):
+        slots = servable(loop)
+        assert_candidates_match(loop, slots)
+        seen["boundaries"] += 1
+        return slots
+
+    def checked_next_opening(loop):
+        nxt = next_opening(loop)
+        assert_jump_matches(loop, nxt)
+        seen["jumps"] += 1
+        return nxt
+
+    with mock.patch.object(GrantLoop, "servable", checked_servable), \
+            mock.patch.object(GrantLoop, "next_opening", checked_next_opening):
+        yield seen
+
+
+def run_both_pickers(model, seed):
+    for termination in ("coverage", "literal"):
+        for pick in (min_utility, random_pick(np.random.default_rng([seed, 1]))):
+            select_v2i_paths(model, termination, pick=pick)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_grant_loop_matches_oracles_on_stock_runs(seed):
+    """Proposed's and random's pickers under both termination rules."""
+    config = stock_config()
+    model = PhysicalRateModel(config, spawn_vehicles(config, seed))
+    with checked_loops() as seen:
+        run_both_pickers(model, seed)
+    assert seen["boundaries"] > 100 and seen["jumps"] > 100
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grant_loop_matches_oracles_on_hand_built_populations(data):
+    """Ids out of entry order, co-located vehicles and shared entry slots."""
+    model = drawn_model(data, 400)
+    with checked_loops() as seen:
+        run_both_pickers(model, 1)
+    assert seen["boundaries"] and seen["jumps"]

@@ -1,11 +1,14 @@
+import hashlib
+
 import pytest
 
+from v2xcast.harness import run_scenario
 from v2xcast.ratemodel import PhysicalRateModel
-from v2xcast.v2i import (evaluate_candidates, min_utility, select_v2i_paths,
-                         two_hop_estimate)
+from v2xcast.v2i import (GrantLoop, evaluate_candidates, min_utility,
+                         select_v2i_paths, two_hop_estimate)
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import default_config, six_vehicle_instance, vehicles_at
-from test_golden import stock_config
+from test_golden import canonical, stock_config
 
 
 def test_two_hop_single_candidate_uses_single_link():
@@ -107,7 +110,8 @@ def test_granted_vehicle_minimizes_utility_at_its_clock():
     covered = set()
     for grant, chain in zip(sel.grants, sel.chains):
         pool = v_b - covered
-        evals = evaluate_candidates(model, v_b, grant.start_slot, pool=pool)
+        evals = evaluate_candidates(model, GrantLoop(model, v_b, pool,
+                                                     grant.start_slot))
         best = min(e.utility for e in evals)
         winner_eval = next(e for e in evals if e.vehicle == grant.vehicle)
         assert winner_eval.utility == best
@@ -130,6 +134,20 @@ def test_literal_termination_grants_until_last_vehicle():
     assert 6 not in sel.v_b
 
 
+def test_literal_termination_waits_for_the_last_vehicle_to_enter():
+    """Vehicle 1 enters last but has the lowest id: the literal rule must
+    grant it, not stop once the highest id, 3, is granted."""
+    config = default_config(vehicle_count=3)
+    model = PhysicalRateModel(config, [VehicleState(1, 1, 9000),
+                                       VehicleState(2, 1, 0),
+                                       VehicleState(3, 2, 3000)])
+    assert GrantLoop(model, set(), set()).order == [2, 3, 1]
+    sel = select_v2i_paths(model, termination="literal")
+    assert [g.vehicle for g in sel.grants] == [2, 3, 1]
+    assert sel.v_b == () and not sel.incomplete
+    assert [g.vehicle for g in select_v2i_paths(model).grants] == [2]
+
+
 def pool_checking_pick(model, termination):
     """min_utility, checking at every call that the loop hands it the pool
     of the termination rule written out from scratch: every id less the
@@ -138,19 +156,21 @@ def pool_checking_pick(model, termination):
     function telling whether the rule would stop it now."""
     ids, granted, claimed = set(model.ids), set(), set()
 
+    last_in = max(model.vehicles, key=lambda v: (v.entry_slot, v.id)).id
+
     def done():
         if termination == "coverage":
             return not ids - granted - claimed
-        return max(ids) in granted
+        return last_in in granted
 
-    def pick(model, v_b, clock, pool):
+    def pick(model, loop):
         assert not done()
-        assert v_b == ids - granted
+        assert loop.v_b == ids - granted
         if termination == "coverage":
-            assert pool == ids - granted - claimed
+            assert loop.pool == ids - granted - claimed
         else:
-            assert pool == v_b
-        winner = min_utility(model, v_b, clock, pool)
+            assert loop.pool == loop.v_b
+        winner = min_utility(model, loop)
         if winner is not None:
             granted.add(winner.vehicle)
             claimed.update({winner.first_hop, winner.second_hop} - {None})
@@ -196,3 +216,45 @@ def test_uncoverable_vehicle_flags_incomplete():
     sel = select_v2i_paths(model)
     assert sel.incomplete
     assert 2 in sel.v_b
+
+
+def idle_jumps(monkeypatch):
+    """The slot of every idle jump made from now on; the last search of an
+    incomplete loop finds none and is not a jump."""
+    jumps, next_opening = [], GrantLoop.next_opening
+
+    def counted(loop):
+        nxt = next_opening(loop)
+        if nxt is not None:
+            jumps.append(nxt)
+        return nxt
+    monkeypatch.setattr(GrantLoop, "next_opening", counted)
+    return jumps
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "random"])
+def test_idle_jumps_skip_windows_nobody_can_finish(monkeypatch, scheme):
+    """At 1,000 Gbit nobody can finish inside a window. The idle clock must
+    jump from window opening to window opening, at most once per vehicle,
+    not walk each open window one slot at a time."""
+    jumps = idle_jumps(monkeypatch)
+    result, report, audit = run_scenario(stock_config(content_gbit=1000), 1,
+                                         scheme, with_audit=True)
+    assert 0 < len(jumps) <= 100 and jumps == sorted(set(jumps))
+    assert report.total_slots == 0 and report.unserved_count == 100
+    assert audit.ok, str(audit)
+
+
+# sha256 of test_golden.canonical at 60 Gbit, seed 1, computed by the idle
+# loop that walked each open window one slot at a time.
+IDLE_WALK_DIGESTS = {
+    "proposed": "857b872482756cdb38fd90ac1b29788ef3f33e4e069339cc58f8dca668d84f20",
+    "random": "dcd619ff2c493f0d9d563e36cf796d3816f7da1d2a386412df8eea331e8927d8",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(IDLE_WALK_DIGESTS))
+def test_idle_jumps_leave_the_schedule_of_the_slot_walk(scheme):
+    result, report, _ = run_scenario(stock_config(content_gbit=60), 1, scheme)
+    assert hashlib.sha256(canonical(result, report).encode()).hexdigest() == \
+        IDLE_WALK_DIGESTS[scheme]
