@@ -26,14 +26,15 @@ def test_tracer_wraps_every_scheme_and_restores_names():
     assert patched
     for obj, attr, original in patched:
         assert getattr(obj, attr) is original, f"{obj}.{attr} not restored"
-    spans = set(tracer.names)
+    # A span name is listed once wrapped, called or not: read the spans
+    # recorded off name_id.
+    spans = {tracer.names[i] for i in tracer.name_id}
     assert {f"baselines.schedule.{s}" for s in SCHEMES} <= spans
     assert {"harness.run", "v2i.select", "ratemodel.build", "audit.audit"} <= spans
     assert tracer.counts["v2i.grants"] > 0
     # The benchmark's candidate count and download span read these two
     # names: the default picker must call v2i.evaluate_candidates through
     # the module, and the grant loop must ask the model's
-    # slots_to_download attribute. A span name is listed once wrapped, so
-    # the spans recorded are read off name_id.
+    # slots_to_download attribute.
     assert tracer.counts["v2i.candidate_evals"] > 0
-    assert "ratemodel.slots_to_download" in {tracer.names[i] for i in tracer.name_id}
+    assert "ratemodel.slots_to_download" in spans
