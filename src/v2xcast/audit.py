@@ -13,8 +13,8 @@ through a second physical rate model, AuditRateModel, built from the config.
 Its V2I memo is carried between audits of one config apart from the
 scheduler's, so the audit computes a rate block again only after its memo
 dropped it, and never reads the scheduler's rate arrays. One grant_bits
-call sums every grant at once, reading each lane's covered memo blocks in
-one pass. A model
+call sums every grant at once, each distinct (lane, offset, count) once,
+reading each lane's covered memo blocks in one pass. A model
 passed in (table-driven tests) supplies both instead: V2I through its
 grant_bits, by default summed from its v2i_rates, and the V2V replay through
 its phases.
@@ -91,12 +91,13 @@ def audit(result: SchemeResult, config: ScenarioConfig,
     if model is None:
         v2i = AuditRateModel(config, vehicles, rate_mode=result.rate_mode)
         v2v = V2VBudget(config, vehicles)
-    coverage, v2i_qos = _check_coverage_and_qos(result, config, vehicles)
+    slots = _granted_slots(result)
+    coverage, v2i_qos = _check_coverage_and_qos(slots, config, vehicles)
     checks = [
         coverage,
         v2i_qos,
         _check_rsu_serial(result),
-        _check_v2i_delivery(result, v2i),
+        _check_v2i_delivery(result, slots, v2i),
         _check_source_once(result),
         _check_precedence(result),
         _check_two_hop(result),
@@ -106,20 +107,27 @@ def audit(result: SchemeResult, config: ScenarioConfig,
     return AuditReport(tuple(checks))
 
 
-def _check_coverage_and_qos(result, config, vehicles):
-    """Granted slots must lie inside the RSU range (coverage) and meet the
-    SNR threshold (v2i_qos). RSU distance over a slot interval is V-shaped
-    and SNR falls with distance, so the interval endpoints bound both; the
-    edge distances of every grant are computed at once, for both checks. A
-    grant that starts before its vehicle's road entry fails both. Each
-    check reports its first failing grant."""
+def _granted_slots(result):
+    """The vehicle, first slot and slot count of every grant with slots, in
+    grant order, as three integer arrays."""
+    grants = [g for g in result.selection.grants if g.n_slots > 0]
+    return (np.array([g.vehicle for g in grants], dtype=np.int64),
+            np.array([g.start_slot for g in grants], dtype=np.int64),
+            np.array([g.n_slots for g in grants], dtype=np.int64))
+
+
+def _check_coverage_and_qos(slots, config, vehicles):
+    """Granted slots, the _granted_slots arrays, must lie inside the RSU
+    range (coverage) and meet the SNR threshold (v2i_qos). RSU distance
+    over a slot interval is V-shaped and SNR falls with distance, so the
+    interval endpoints bound both; the edge distances of every grant are
+    computed at once, for both checks. A grant that starts before its
+    vehicle's road entry fails both. Each check reports its first failing
+    grant."""
     radio, road = config.radio, config.road
-    vid, first_slot, n = np.array(
-        [(g.vehicle, g.start_slot, g.n_slots) for g in result.selection.grants
-         if g.n_slots > 0], dtype=np.int64).reshape(-1, 3).T
-    lane, entry = np.array(
-        [(vehicles[v - 1].lane, vehicles[v - 1].entry_slot) for v in vid.tolist()],
-        dtype=np.int64).reshape(-1, 2).T
+    vid, first_slot, n = slots
+    lane = np.array([v.lane for v in vehicles], dtype=np.int64)[vid - 1]
+    entry = np.array([v.entry_slot for v in vehicles], dtype=np.int64)[vid - 1]
     last_slot = first_slot + n - 1
     early = first_slot < entry
 
@@ -167,24 +175,25 @@ def _check_rsu_serial(result) -> CheckResult:
     return CheckResult("rsu_serial", True)
 
 
-def _check_v2i_delivery(result, model) -> CheckResult:
+def _check_v2i_delivery(result, slots, model) -> CheckResult:
     """Every served-and-granted vehicle accumulated the full content over its
     granted slots, by independent rate recomputation: `model` is the
     audit's own AuditRateModel, or a rate model passed in. One grant_bits
-    call gives the bits of every grant with slots, and np.bincount adds
-    them per vehicle in grant order, from 0.0."""
+    call gives the bits of every grant with slots (`slots`, the
+    _granted_slots arrays), np.bincount adds them per vehicle in grant
+    order, from 0.0, and the lowest short id is reported."""
     target = model.content_size * (1.0 - REL_GUARD)
     granted = {g.vehicle for g in result.selection.grants}
-    vid, start, n = np.array(
-        [(g.vehicle, g.start_slot, g.n_slots) for g in result.selection.grants
-         if g.n_slots > 0], dtype=np.int64).reshape(-1, 3).T
+    vid, start, n = slots
     got = np.bincount(vid, model.grant_bits(vid, start, n),
                       minlength=max(granted, default=0) + 1)
-    for v in sorted(granted & set(result.served)):
-        if got[v] < target:
-            return CheckResult("v2i_delivery", False,
-                               f"vehicle {v} delivered {float(got[v]):.3e} "
-                               f"of {model.content_size:.3e} bits")
+    ids = np.array(sorted(granted & set(result.served)), dtype=np.int64)
+    short = ids[got[ids] < target]
+    if short.size:
+        v = int(short[0])
+        return CheckResult("v2i_delivery", False,
+                           f"vehicle {v} delivered {float(got[v]):.3e} "
+                           f"of {model.content_size:.3e} bits")
     return CheckResult("v2i_delivery", True)
 
 

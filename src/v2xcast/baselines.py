@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .v2i import Grant, V2ISelection, select_v2i_paths, two_hop_estimate
+from .v2i import Grant, Others, V2ISelection, select_v2i_paths, two_hop_estimate
 from .v2v import V2VSchedule, build_pairing, conflict, schedule_v2v
 
 SCHEMES = ("proposed", "fcfs", "random", "noncoop", "serial-tdma")
@@ -98,7 +98,7 @@ def random_pick(rng):
         if not slots:
             return None
         winner = int(rng.choice(list(slots)))
-        est = two_hop_estimate(model, winner, loop.entered - {winner})
+        est = two_hop_estimate(model, winner, Others(loop.entered, winner))
         return replace(est, v2i_slots=slots[winner])
     return pick
 
@@ -109,8 +109,12 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
     rng = np.random.default_rng([seed, 1])
     selection = select_v2i_paths(model, pick=random_pick(rng))
 
+    def in_range_of(model, tx, vb):
+        """The members of vb in range of tx, among its peers, in id order."""
+        return sorted(r for r in model.peers(tx) if r in vb and model.in_range(tx, r))
+
     def random_hop(model, tx, vb):
-        cands = [r for r in sorted(vb) if model.in_range(tx, r)]
+        cands = in_range_of(model, tx, vb)
         return (tx, int(rng.choice(cands))) if cands else None
 
     def random_first_hops(model, va, live_vb):
@@ -127,8 +131,8 @@ def schedule_random(model, seed: int, strict_causality: bool = False) -> SchemeR
                 break
             # Unlucky draw; only retry while a lone feasible link exists.
             if lone is None:
-                lone = any(model.in_range(s, r) and not conflict(model, (s, r), [])
-                           for s in va for r in vb)
+                lone = any(not conflict(model, (s, r), [])
+                           for s in va for r in in_range_of(model, s, vb))
             if not lone:
                 break
         return pairing

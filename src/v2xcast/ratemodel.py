@@ -19,9 +19,12 @@ blocks one model has read since those inputs last changed, and drops the
 least recently read past that. Each class keeps a memo of its own, so a
 subclass's models never read the blocks of a plain PhysicalRateModel, nor
 it theirs. download reads a per-lane prefix sum over a run of those blocks,
-where an error bound shows the answer equals RateModel.download's, and
-grant_bits sums every grant of a lane over the blocks they cover at once,
-with the reference's own floats. The V2V
+where an error bound shows the answer equals RateModel.download's, and each
+model keeps that answer for its life, by (lane, start - entry, end -
+entry): an idle RSU starts a grant at its vehicle's window opening, the same
+offset for every vehicle of a lane. grant_bits sums each distinct (lane,
+offset, count) grant once, every such grant of a lane over the blocks they
+cover at once, with the reference's own floats. The V2V
 SINR formula, the interference term and the scan for the interferers a
 receiver hears are each written once: link_sinrs sums every receiver afresh
 through them; admits keeps running sums of the same terms in the same
@@ -115,7 +118,9 @@ class RateModel:
     grant_bits(vids, starts, counts) gives the bits of many V2I grants at
     once, for the audit. A model may answer the hot queries (download,
     grant_bits, peers, admits, phases) faster, but with the same values the
-    derived versions give.
+    derived versions give; PhysicalRateModel, for one, computes download
+    once per (lane, start - entry, end - entry) and grant_bits once per
+    distinct (lane, start - entry, count).
     """
 
     rate_mode = "midpoint"
@@ -131,13 +136,14 @@ class RateModel:
         self._serve_radius = config.radio.rsu_range
         self._step = config.road.slot_duration * config.road.speed  # m per slot
         # Arrays indexed by id; index 0 unused.
-        self._entry = np.zeros(max(self.ids) + 1, dtype=np.int64)
+        lanes = np.array([v.lane for v in vehicles], dtype=np.int64)
+        self._lane = np.zeros(max(self.ids) + 1, dtype=np.int64)
+        self._lane[self.ids] = lanes
+        self._entry = np.zeros(len(self._lane), dtype=np.int64)
         self._entry[self.ids] = [v.entry_slot for v in vehicles]
-        self._dlr = np.zeros(len(self._entry))
-        self._dlr[self.ids] = [config.lane_offset(v.lane) for v in vehicles]
-        self._lane_entry: list[tuple[int, int]] = [(0, 0)] * len(self._entry)
-        for v in vehicles:
-            self._lane_entry[v.id] = (v.lane, v.entry_slot)
+        self._dlr = np.zeros(len(self._lane))
+        self._dlr[self.ids] = config.lane_offset(lanes)
+        self._lane_entry = list(zip(self._lane.tolist(), self._entry.tolist()))
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     # ---- V2I ----
@@ -267,7 +273,7 @@ class PhysicalRateModel(RateModel):
         # Positions at slot 0, indexed by id; index 0 unused.
         self._x0 = -self._entry.astype(float) * self._step
         self._y = np.zeros(len(self._entry))
-        self._y[self.ids] = [(v.lane - 0.5) * road.lane_width for v in vehicles]
+        self._y[self.ids] = (self._lane[self.ids] - 0.5) * road.lane_width
         # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets.
         # _blocks holds the blocks this model has read, each taken from the
         # class's memo as it is, never copied.
@@ -278,6 +284,8 @@ class PhysicalRateModel(RateModel):
         self._memo = memo
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._prefixes: dict[int, tuple[int, np.ndarray]] = {}  # see _prefix
+        # download's answers by (lane, start - entry, end - entry).
+        self._downloads: dict[tuple[int, int, int], tuple[int, bool]] = {}
 
         g = mainlobe_gain(radio)
         self._noise = radio.noise_floor_w
@@ -408,6 +416,18 @@ class PhysicalRateModel(RateModel):
         return o, table
 
     def download(self, vid: int, start: int, end: int) -> tuple[int, bool]:
+        """RateModel.download's answer, computed once per model for each
+        (lane, start - entry, end - entry): the reference reads only the
+        rates of those offsets, which depend on nothing else, and the
+        model's content size and slot duration (_download)."""
+        lane, entry = self._lane_entry[vid]
+        key = lane, start - entry, end - entry
+        got = self._downloads.get(key)
+        if got is None:
+            got = self._downloads[key] = self._download(vid, start, end)
+        return got
+
+    def _download(self, vid: int, start: int, end: int) -> tuple[int, bool]:
         """RateModel.download's answer, read off the lane's prefix table.
 
         Over the same scan length cap (its end rates read from the memo, the
@@ -448,39 +468,48 @@ class PhysicalRateModel(RateModel):
         return RateModel.download(self, vid, start, end)
 
     def grant_bits(self, vids, starts, counts) -> np.ndarray:
-        """RateModel.grant_bits, in one pass per lane. A rate depends only
-        on the lane and the offset k = start - entry, so a lane's grants
-        read just the memo blocks they cover, in block order: each run of
-        consecutive blocks with one v2i_rates call, for any vehicle of the
-        lane, the runs laid end to end. A grant is a contiguous slice of
-        that array holding the floats v2i_rates gives it, and one
-        np.add.reduceat over every slice's start and end sums them all; the
-        sums from an end to the next start are dropped. Blocks are found by
-        their sorted numbers, so offsets before the entry or far past the
-        window cost only the blocks they cover."""
+        """RateModel.grant_bits, summing each distinct grant once. A rate
+        depends only on the lane and the offset k = start - entry, so
+        grants of equal (lane, k, count) sum the same floats: they are
+        grouped by np.lexsort on those keys, the first grant of each group
+        is summed by _lane_bits, one call per lane, and its sum is
+        scattered back to every grant of the group."""
         vids = np.asarray(vids, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        k = np.asarray(starts, dtype=np.int64) - self._entry[vids]
+        keys = np.stack((self._lane[vids],
+                         np.asarray(starts, dtype=np.int64) - self._entry[vids],
+                         np.asarray(counts, dtype=np.int64)))
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = (np.diff(keys, axis=1) != 0).any(axis=0)
+        group = np.empty(len(order), dtype=np.int64)
+        group[order] = np.cumsum(head) - 1
+        (lanes, k, counts), firsts = keys[:, head], vids[order[head]]
+        bits = np.zeros(len(k))
+        cuts = [*np.flatnonzero(np.diff(lanes, prepend=-1)).tolist(), len(k)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            bits[lo:hi] = self._lane_bits(int(firsts[lo]), k[lo:hi], counts[lo:hi])
+        return bits[group] * self.slot_duration
+
+    def _lane_bits(self, vid: int, k: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The rate sums of grants in vid's lane at offsets k of `counts`
+        slots, in one pass: the memo blocks the grants cover are read with
+        one v2i_rates call each, for vid, and laid end to end in block
+        order. A grant is a contiguous slice of that array holding the
+        floats v2i_rates gives it, and one np.add.reduceat over every
+        slice's start and end sums them all; the sums from an end to the
+        next start are dropped. Blocks are found by their sorted numbers,
+        so offsets before the entry or far past the window cost only the
+        blocks they cover."""
+        entry = self._lane_entry[vid][1]
         first, last = k // BLOCK, (k + counts - 1) // BLOCK
-        lanes = np.array([self._lane_entry[v][0] for v in vids.tolist()], dtype=np.int64)
-        bits = np.zeros(len(vids))
-        for lane in sorted(set(lanes.tolist())):
-            mine = np.flatnonzero(lanes == lane)
-            blocks = np.array(sorted({b for f, l in zip(first[mine].tolist(),
-                                                         last[mine].tolist())
-                                      for b in range(f, l + 1)}), dtype=np.int64)
-            heads = np.flatnonzero(np.diff(blocks, prepend=blocks[0] - 2) != 1)
-            sizes = np.diff(heads, append=len(blocks))
-            vid = int(vids[mine[0]])
-            entry = self._lane_entry[vid][1]
-            rates = np.concatenate([
-                *(self.v2i_rates(vid, entry + b * BLOCK, n * BLOCK)
-                  for b, n in zip(blocks[heads].tolist(), sizes.tolist())),
-                np.zeros(1)])  # so that a slice may end at the last block's end
-            at = np.searchsorted(blocks, first[mine]) * BLOCK + k[mine] % BLOCK
-            edges = np.column_stack((at, at + counts[mine])).ravel()
-            bits[mine] = np.add.reduceat(rates, edges)[::2]
-        return bits * self.slot_duration
+        blocks = sorted({b for f, l in zip(first.tolist(), last.tolist())
+                         for b in range(f, l + 1)})
+        rates = np.concatenate([
+            *(self.v2i_rates(vid, entry + b * BLOCK, BLOCK) for b in blocks),
+            np.zeros(1)])  # so that a slice may end at the last block's end
+        at = np.searchsorted(blocks, first) * BLOCK + k % BLOCK
+        return np.add.reduceat(rates, np.column_stack((at, at + counts)).ravel())[::2]
 
     # ---- V2V ----
 

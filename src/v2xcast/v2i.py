@@ -67,9 +67,9 @@ class V2ISelection:
 
 def two_hop_estimate(model, vid: int, candidates) -> UtilityEval:
     """Best forwarding chain vid -> j -> g among `candidates` (vid not among
-    them; a set keeps the hop scans to vid's and j's peers), each hop the
-    best interference-free rate, with hop slot counts evaluated under the
-    chain's own concurrency.
+    them; a set, or an Others view of one, keeps the hop scans to vid's and
+    j's peers), each hop the best interference-free rate, with hop slot
+    counts evaluated under the chain's own concurrency.
 
     Returns chain_slots only (v2i_slots filled by the caller; the returned
     eval carries 0 there). With no candidates at all the chain cost is 0;
@@ -91,6 +91,22 @@ def two_hop_estimate(model, vid: int, candidates) -> UtilityEval:
             return UtilityEval(vid, 0, j, second[1], slots)
     # Chain infeasible or no second receiver: fall back to the single hop.
     return UtilityEval(vid, 0, j, None, model.link_slots_free(vid, j))
+
+
+class Others:
+    """The members of a set other than one vehicle, as a live read-only
+    view: chain targets for two_hop_estimate without a copy of the set."""
+
+    __slots__ = ("members", "skip")
+
+    def __init__(self, members: set[int], skip: int):
+        self.members, self.skip = members, skip
+
+    def __contains__(self, vid) -> bool:
+        return vid != self.skip and vid in self.members
+
+    def __bool__(self) -> bool:
+        return len(self.members) > (self.skip in self.members)
 
 
 class GrantLoop:
@@ -164,7 +180,7 @@ def evaluate_candidates(model, loop: GrantLoop) -> list[UtilityEval]:
     Chain targets always come from the entered vehicles of the full
     not-yet-served set v_b, claimed or not."""
     entered = loop.entered
-    return [replace(two_hop_estimate(model, vid, entered - {vid}), v2i_slots=m)
+    return [replace(two_hop_estimate(model, vid, Others(entered, vid)), v2i_slots=m)
             for vid, m in loop.servable().items()]
 
 

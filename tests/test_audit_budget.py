@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from v2xcast.audit import (REL_GUARD, AuditRateModel, CheckResult, V2VBudget,
-                           _check_coverage_and_qos, _replay_pairing, audit)
+                           _check_coverage_and_qos, _granted_slots, _replay_pairing,
+                           audit)
 from v2xcast.baselines import SchemeResult, run_scheme
 from v2xcast.geometry import distance, distance_to_rsu, position
 from v2xcast.harness import run_scenario
@@ -301,5 +302,5 @@ def test_coverage_and_qos_match_the_scalar_checks(threshold_m, rsu_m, seed,
                           V2ISelection(grants, 0, (), (), (), False),
                           V2VSchedule((), 0, ()), frozenset(), frozenset(),
                           "midpoint", False)
-    assert (_check_coverage_and_qos(result, config, vehicles)
+    assert (_check_coverage_and_qos(_granted_slots(result), config, vehicles)
             == _scalar_coverage_and_qos(grants, config, vehicles))

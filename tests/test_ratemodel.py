@@ -3,6 +3,8 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from v2xcast.geometry import (Point2D, coverage_window, distance, lane_center_y,
                               position, rsu_point)
 from v2xcast.radio import (ConcurrentSet, DirectionalLink, shannon_rate,
                            v2i_slot_rate, v2i_snr, v2v_sinr)
-from v2xcast.params import RoadConfig, ScenarioConfig, validate
+from v2xcast.params import RoadConfig, ScenarioConfig, load_config, validate
 from v2xcast import ratemodel
 from v2xcast.ratemodel import BLOCK, PhysicalRateModel, RateModel, TableRateModel
 from v2xcast.harness import run_scenario
@@ -21,6 +23,7 @@ from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import (SIX_PAIR_SLOTS, default_config, default_radio,
                        reference_window, six_vehicle_instance)
 from test_golden import canonical, stock_config
+from test_incremental import drawn_model
 
 
 @pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
@@ -482,6 +485,116 @@ def test_grant_bits_equal_the_reference(mode, lanes, gaps, grants, repeats):
     got = model.grant_bits(vids, starts, counts)
     assert model._blocks.keys() == covered
     assert got.tolist() == RateModel.grant_bits(model, vids, starts, counts).tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(["midpoint", "quadrature"]),
+       lanes=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+       gaps=st.lists(st.integers(0, 400_000), min_size=6, max_size=6),
+       data=st.data())
+def test_grant_bits_of_repeated_grants_equal_the_reference(mode, lanes, gaps, data):
+    """Grants that repeat a (lane, offset, count) triple, across vehicles of
+    one lane and within one vehicle, in drawn order: bit for bit
+    RateModel.grant_bits, with each distinct triple summed once."""
+    config = default_config(vehicle_count=len(lanes), horizon=10 ** 7)
+    entries = np.cumsum(gaps[:len(lanes)]).tolist()
+    vehicles = [VehicleState(i, lane, e)
+                for i, (lane, e) in enumerate(zip(lanes, entries), start=1)]
+    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    shapes = data.draw(st.lists(st.tuples(
+        st.integers(-8, 180), st.integers(0, BLOCK - 1), st.integers(1, 3 * BLOCK),
+        st.lists(st.integers(0, len(vehicles) - 1), min_size=1, max_size=4)),
+        min_size=1, max_size=8), label="shapes")
+    grants = [(vehicles[pick], b * BLOCK + lo, n)
+              for b, lo, n, picks in shapes for pick in picks]
+    grants = [grants[i] for i in data.draw(st.permutations(range(len(grants))),
+                                           label="order")]
+    vids = [v.id for v, _, _ in grants]
+    starts = [v.entry_slot + k for v, k, _ in grants]
+    counts = [n for _, _, n in grants]
+    summed, lane_bits = [], PhysicalRateModel._lane_bits
+
+    def spy(self, vid, k, n):
+        summed.extend(zip([self._lane_entry[vid][0]] * len(k), k.tolist(), n.tolist()))
+        return lane_bits(self, vid, k, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PhysicalRateModel, "_lane_bits", spy)
+        got = model.grant_bits(vids, starts, counts)
+    assert got.tolist() == RateModel.grant_bits(model, vids, starts, counts).tolist()
+    assert sorted(summed) == sorted({(v.lane, k, n) for v, k, n in grants})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(["midpoint", "quadrature"]),
+       stock_seed=st.one_of(st.none(), st.integers(1, 20)), data=st.data())
+def test_download_memo_answers_the_reference(mode, stock_seed, data):
+    """download on drawn (vehicle, start, end) queries, repeated keys and
+    vehicles of one lane at one offset among them, on a drawn_model
+    population or a stock seed: each answer is RateModel.download's on the
+    same model and a fresh model's, and the model keeps one answer per
+    (lane, start - entry, end - entry). Starts run from before the road
+    entry to past the window, where download is called directly."""
+    if stock_seed is None:
+        drawn = drawn_model(data, 400)
+        config, vehicles = drawn.config, drawn.vehicles
+    else:
+        config = stock_config()
+        vehicles = spawn_vehicles(config, stock_seed)
+    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+    first, last = model.window_bounds()
+    # Each lane's window in offsets from entry, from one vehicle of it.
+    window = {v.lane: (int(first[v.id]) - v.entry_slot, int(last[v.id] - first[v.id]))
+              for v in reversed(vehicles) if first[v.id] <= last[v.id]}
+    at = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1.25]), st.floats(-1.0, 1.3))
+    shapes = data.draw(st.lists(st.tuples(at, st.floats(0.0, 1.0)),
+                                min_size=1, max_size=4), label="shapes")
+    queries = data.draw(st.lists(st.tuples(
+        st.sampled_from([v for v in vehicles if v.lane in window]),
+        st.sampled_from(shapes)), min_size=1, max_size=12), label="queries")
+    keys = set()
+    for v, (a, b) in queries:
+        offset, span = window[v.lane]
+        start = v.entry_slot + offset + int(a * span)
+        end = start + int(b * span)
+        got = model.download(v.id, start, end)
+        assert got == RateModel.download(model, v.id, start, end)
+        assert got == PhysicalRateModel(config, vehicles, rate_mode=mode).download(
+            v.id, start, end)
+        keys.add((v.lane, start - v.entry_slot, end - v.entry_slot))
+    assert model._downloads.keys() == keys
+
+
+def test_serial_tdma_computes_each_download_once():
+    """serial-tdma on the 1,600-vehicle benchmark config, seed 1: the
+    model computes each (lane, start - entry, end - entry) download once,
+    though most grants repeat a key: an idle RSU starts a grant at its
+    vehicle's window opening, the same offset for every vehicle of a
+    lane."""
+    config = load_config(Path(__file__).parent.parent / "perfbench" / "configs"
+                         / "rsu-1600.cfg")
+    computed, calls = Counter(), Counter()
+    download, uncached = PhysicalRateModel.download, PhysicalRateModel._download
+
+    def key(model, vid, start, end):
+        lane, entry = model._lane_entry[vid]
+        return id(model), lane, start - entry, end - entry
+
+    def counting(model, *args):
+        calls[key(model, *args)] += 1
+        return download(model, *args)
+
+    def computing(model, *args):
+        computed[key(model, *args)] += 1
+        return uncached(model, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PhysicalRateModel, "download", counting)
+        mp.setattr(PhysicalRateModel, "_download", computing)
+        result, _, _ = run_scenario(config, 1, "serial-tdma")
+    assert len(result.selection.grants) == sum(calls.values()) == 1600
+    assert computed.keys() == calls.keys()
+    assert max(computed.values()) == 1 and len(computed) < 1000
 
 
 class _ConstantMemo(PhysicalRateModel):

@@ -1,14 +1,29 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v2xcast.harness import run_scenario
 from v2xcast.ratemodel import PhysicalRateModel
-from v2xcast.v2i import (GrantLoop, evaluate_candidates, min_utility,
+from v2xcast.v2i import (GrantLoop, Others, evaluate_candidates, min_utility,
                          select_v2i_paths, two_hop_estimate)
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import default_config, six_vehicle_instance, vehicles_at
 from test_golden import canonical, stock_config
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(members=st.sets(st.integers(0, 6)), skip=st.integers(0, 6),
+       later=st.integers(0, 6))
+def test_others_is_the_set_less_one_vehicle(members, skip, later):
+    """Others(members, skip) answers membership and emptiness as the copy
+    members - {skip} does, and follows later changes to members."""
+    others = Others(members, skip)
+    for _ in range(2):
+        copy = members - {skip}
+        assert bool(others) == bool(copy)
+        assert [v for v in range(-1, 8) if v in others] == sorted(copy)
+        members ^= {later}
 
 
 def test_two_hop_single_candidate_uses_single_link():
