@@ -136,13 +136,14 @@ class RateModel:
         self._serve_radius = config.radio.rsu_range
         self._step = config.road.slot_duration * config.road.speed  # m per slot
         # Arrays indexed by id; index 0 unused.
+        at = np.array(self.ids)
         lanes = np.array([v.lane for v in vehicles], dtype=np.int64)
         self._lane = np.zeros(max(self.ids) + 1, dtype=np.int64)
-        self._lane[self.ids] = lanes
+        self._lane[at] = lanes
         self._entry = np.zeros(len(self._lane), dtype=np.int64)
-        self._entry[self.ids] = [v.entry_slot for v in vehicles]
+        self._entry[at] = np.array([v.entry_slot for v in vehicles], dtype=np.int64)
         self._dlr = np.zeros(len(self._lane))
-        self._dlr[self.ids] = config.lane_offset(lanes)
+        self._dlr[at] = config.lane_offset(lanes)
         self._lane_entry = list(zip(self._lane.tolist(), self._entry.tolist()))
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -273,7 +274,8 @@ class PhysicalRateModel(RateModel):
         # Positions at slot 0, indexed by id; index 0 unused.
         self._x0 = -self._entry.astype(float) * self._step
         self._y = np.zeros(len(self._entry))
-        self._y[self.ids] = (self._lane[self.ids] - 0.5) * road.lane_width
+        at = np.array(self.ids)
+        self._y[at] = (self._lane[at] - 0.5) * road.lane_width
         # V2I rate memo: (lane, k // BLOCK) -> rates of that block's offsets.
         # _blocks holds the blocks this model has read, each taken from the
         # class's memo as it is, never copied.

@@ -494,19 +494,21 @@ def test_grant_bits_equal_the_reference(mode, lanes, gaps, grants, repeats):
        data=st.data())
 def test_grant_bits_of_repeated_grants_equal_the_reference(mode, lanes, gaps, data):
     """Grants that repeat a (lane, offset, count) triple, across vehicles of
-    one lane and within one vehicle, in drawn order: bit for bit
-    RateModel.grant_bits, with each distinct triple summed once."""
+    one lane and within one vehicle, and grants of one offset with other
+    counts, in drawn order: bit for bit RateModel.grant_bits, with each
+    distinct triple summed once."""
     config = default_config(vehicle_count=len(lanes), horizon=10 ** 7)
     entries = np.cumsum(gaps[:len(lanes)]).tolist()
     vehicles = [VehicleState(i, lane, e)
                 for i, (lane, e) in enumerate(zip(lanes, entries), start=1)]
     model = PhysicalRateModel(config, vehicles, rate_mode=mode)
     shapes = data.draw(st.lists(st.tuples(
-        st.integers(-8, 180), st.integers(0, BLOCK - 1), st.integers(1, 3 * BLOCK),
+        st.integers(-8, 180), st.integers(0, BLOCK - 1),
+        st.lists(st.integers(1, 3 * BLOCK), min_size=1, max_size=3),
         st.lists(st.integers(0, len(vehicles) - 1), min_size=1, max_size=4)),
         min_size=1, max_size=8), label="shapes")
     grants = [(vehicles[pick], b * BLOCK + lo, n)
-              for b, lo, n, picks in shapes for pick in picks]
+              for b, lo, ns, picks in shapes for n in ns for pick in picks]
     grants = [grants[i] for i in data.draw(st.permutations(range(len(grants))),
                                            label="order")]
     vids = [v.id for v, _, _ in grants]
