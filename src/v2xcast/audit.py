@@ -13,8 +13,8 @@ through a second physical rate model, AuditRateModel, built from the config.
 Its V2I memo is carried between audits of one config apart from the
 scheduler's, so the audit computes a rate block again only after its memo
 dropped it, and never reads the scheduler's rate arrays. One grant_bits
-call sums every grant at once, each distinct (lane, offset, count) once,
-reading each lane's covered memo blocks in one pass. A model
+call sums every grant at once, reading each lane's covered memo blocks in
+one pass. A model
 passed in (table-driven tests) supplies both instead: V2I through its
 grant_bits, by default summed from its v2i_rates, and the V2V replay through
 its phases.
@@ -96,7 +96,7 @@ def audit(result: SchemeResult, config: ScenarioConfig,
     checks = [
         coverage,
         v2i_qos,
-        _check_rsu_serial(result),
+        _check_rsu_serial(slots),
         _check_v2i_delivery(result, slots, v2i),
         _check_source_once(result),
         _check_precedence(result),
@@ -164,14 +164,19 @@ def _check_coverage_and_qos(slots, config, vehicles):
     return coverage, qos
 
 
-def _check_rsu_serial(result) -> CheckResult:
-    """At most one grant occupies any slot."""
-    spans = sorted((g.start_slot, g.start_slot + g.n_slots, g.vehicle)
-                   for g in result.selection.grants if g.n_slots > 0)
-    for (a0, a1, va), (b0, _, vb) in zip(spans, spans[1:]):
-        if b0 < a1:
-            return CheckResult("rsu_serial", False,
-                               f"grants to {va} and {vb} overlap at slot {b0}")
+def _check_rsu_serial(slots) -> CheckResult:
+    """At most one grant occupies any slot: in (start, end, vehicle) order,
+    over `slots`, the _granted_slots arrays, the first grant that starts
+    before the one ahead of it ends is reported with that one."""
+    vid, start, n = slots
+    end = start + n
+    order = np.lexsort((vid, end, start))
+    vid, start, end = vid[order], start[order], end[order]
+    overlap = start[1:] < end[:-1]
+    if overlap.any():
+        i = int(overlap.argmax())
+        return CheckResult("rsu_serial", False, f"grants to {vid[i]} and "
+                           f"{vid[i + 1]} overlap at slot {start[i + 1]}")
     return CheckResult("rsu_serial", True)
 
 

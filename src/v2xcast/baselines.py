@@ -5,11 +5,14 @@ fcfs         RSU serves vehicles in entry order, same sharing phase
 random       uniformly random RSU grants and random sharing partners
 noncoop      RSU alone, always talking to the nearest vehicle, no sharing
 serial-tdma  RSU serves everyone in entry order, no sharing (reference)
+
+Entry order is the model's entry_order, by (entry slot, id), in every
+scheme: id order only where ids are numbered so, as spawn_vehicles's are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +85,7 @@ def _serve_in_order(model, spans, partial: bool) -> V2ISelection:
 def schedule_fcfs(model, seed: int, strict_causality: bool = False) -> SchemeResult:
     """Entry-order grants; whoever cannot finish inside coverage at their turn
     is left to the sharing phase."""
-    whole_run = [(vid, 0, model.horizon - 1) for vid in model.ids]
+    whole_run = [(vid, 0, model.horizon - 1) for vid in model.entry_order]
     selection = _serve_in_order(model, whole_run, partial=False)
     v2vsched = schedule_v2v(model, selection.v_a, selection.v_b,
                             selection.t_v2i, strict_causality)
@@ -98,8 +101,8 @@ def random_pick(rng):
         if not slots:
             return None
         winner = int(rng.choice(list(slots)))
-        est = two_hop_estimate(model, winner, Others(loop.entered, winner))
-        return replace(est, v2i_slots=slots[winner])
+        return two_hop_estimate(model, winner, slots[winner],
+                                Others(loop.entered, winner))
     return pick
 
 
@@ -166,17 +169,18 @@ def _nearest_stretches(model) -> list[tuple[int, int, int]]:
 
     All vehicles share one speed, so for k entered no later than j the gap
     d_k(t)^2 - d_j(t)^2 is affine in t with a non-negative slope: once j
-    outranks k it keeps doing so. The nearest vehicle therefore changes in id
-    (entry) order and the stretches form a lower envelope, built with the
-    Felzenszwalb-Huttenlocher stack; each takeover slot is found by bisection
-    on the exact comparison, so ties and sampling match a per-slot scan.
+    outranks k it keeps doing so. The nearest vehicle therefore changes in
+    entry order (model.entry_order) and the stretches form a lower envelope,
+    built with the Felzenszwalb-Huttenlocher stack; each takeover slot is
+    found by bisection on the exact comparison, so ties and sampling match a
+    per-slot scan.
     """
     def beats(j, k, t):
         return (model.rsu_distance(j, t), j) < (model.rsu_distance(k, t), k)
 
     stack: list[tuple[int, int]] = []
-    for j in model.ids:
-        takeover = max(0, model.vehicles[j - 1].entry_slot)
+    for j in model.entry_order:
+        takeover = max(0, int(model._entry[j]))
         while stack:
             k, k_first = stack[-1]
             lo, hi = max(takeover, k_first), model.horizon
@@ -199,7 +203,7 @@ def _nearest_stretches(model) -> list[tuple[int, int, int]]:
 def schedule_serial_tdma(model, seed: int) -> SchemeResult:
     """Everyone served one-by-one in entry order, no sharing. A vehicle whose
     window closes mid-download keeps its partial slots and ends unserved."""
-    whole_run = [(vid, 0, model.horizon - 1) for vid in model.ids]
+    whole_run = [(vid, 0, model.horizon - 1) for vid in model.entry_order]
     selection = _serve_in_order(model, whole_run, partial=True)
     return _assemble("serial-tdma", seed, model, selection,
                      V2VSchedule((), 0, selection.v_b), False)

@@ -22,10 +22,9 @@ it theirs. download reads a per-lane prefix sum over a run of those blocks,
 where an error bound shows the answer equals RateModel.download's, and each
 model keeps that answer for its life, by (lane, start - entry, end -
 entry): an idle RSU starts a grant at its vehicle's window opening, the same
-offset for every vehicle of a lane. grant_bits sums each distinct (lane,
-offset, count) grant once, every such grant of a lane over the blocks they
-cover at once, with the reference's own floats. The V2V
-SINR formula, the interference term and the scan for the interferers a
+offset for every vehicle of a lane. grant_bits sums every grant of a lane
+at once, over the blocks they cover, with the reference's own floats. The
+V2V SINR formula, the interference term and the scan for the interferers a
 receiver hears are each written once: link_sinrs sums every receiver afresh
 through them; admits keeps running sums of the same terms in the same
 order; and phases finds a pairing's terms once, sums every phase from them
@@ -110,17 +109,18 @@ class RateModel:
     and may change _serve_radius, the radius served inside, from the RSU
     range set here. The attributes the schedulers read, config, vehicles,
     ids, content_size, slot_duration, horizon, sinr_threshold and
-    rate_mode, and _entry, the entry slots in an integer array indexed by
-    id, are set here. Every other query is derived below, once for every
-    model: rsu_distance and the window_bounds arrays from the road geometry
-    and _serve_radius, and the rest from the primitives, the V2I ones
-    reading service windows from the window_bounds arrays. Among them,
+    rate_mode, _entry, the entry slots in an integer array indexed by id,
+    and entry_order, the ids by (entry slot, id), are set here. Every
+    other query is derived below, once for every model: rsu_distance and
+    the window_bounds arrays from the road geometry and _serve_radius, and
+    the rest from the primitives, the V2I ones reading service windows
+    from the window_bounds arrays. Among them,
     grant_bits(vids, starts, counts) gives the bits of many V2I grants at
     once, for the audit. A model may answer the hot queries (download,
     grant_bits, peers, admits, phases) faster, but with the same values the
     derived versions give; PhysicalRateModel, for one, computes download
-    once per (lane, start - entry, end - entry) and grant_bits once per
-    distinct (lane, start - entry, count).
+    once per (lane, start - entry, end - entry) and grant_bits in one pass
+    per lane.
     """
 
     rate_mode = "midpoint"
@@ -142,6 +142,7 @@ class RateModel:
         self._lane[at] = lanes
         self._entry = np.zeros(len(self._lane), dtype=np.int64)
         self._entry[at] = np.array([v.entry_slot for v in vehicles], dtype=np.int64)
+        self.entry_order = at[np.lexsort((at, self._entry[at]))].tolist()
         self._dlr = np.zeros(len(self._lane))
         self._dlr[at] = config.lane_offset(lanes)
         self._lane_entry = list(zip(self._lane.tolist(), self._entry.tolist()))
@@ -470,48 +471,34 @@ class PhysicalRateModel(RateModel):
         return RateModel.download(self, vid, start, end)
 
     def grant_bits(self, vids, starts, counts) -> np.ndarray:
-        """RateModel.grant_bits, summing each distinct grant once. A rate
-        depends only on the lane and the offset k = start - entry, so
-        grants of equal (lane, k, count) sum the same floats: they are
-        grouped by np.lexsort on those keys, the first grant of each group
-        is summed by _lane_bits, one call per lane, and its sum is
-        scattered back to every grant of the group."""
+        """RateModel.grant_bits, in one pass per lane. A rate depends only
+        on the lane and the offset k = start - entry, so a lane's grants
+        read just the memo blocks they cover, each once, with one v2i_rates
+        call for one vehicle of the lane, laid end to end in block order. A
+        grant is a contiguous slice of that array holding the floats
+        v2i_rates gives it, and one np.add.reduceat over every slice's start
+        and end sums them all; the sums from an end to the next start are
+        dropped. Blocks are found by their sorted numbers, so offsets before
+        the entry or far past the window cost only the blocks they cover."""
         vids = np.asarray(vids, dtype=np.int64)
-        keys = np.stack((self._lane[vids],
-                         np.asarray(starts, dtype=np.int64) - self._entry[vids],
-                         np.asarray(counts, dtype=np.int64)))
-        order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
-        head = np.ones(len(order), dtype=bool)
-        head[1:] = (np.diff(keys, axis=1) != 0).any(axis=0)
-        group = np.empty(len(order), dtype=np.int64)
-        group[order] = np.cumsum(head) - 1
-        (lanes, k, counts), firsts = keys[:, head], vids[order[head]]
-        bits = np.zeros(len(k))
-        cuts = [*np.flatnonzero(np.diff(lanes, prepend=-1)).tolist(), len(k)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            bits[lo:hi] = self._lane_bits(int(firsts[lo]), k[lo:hi], counts[lo:hi])
-        return bits[group] * self.slot_duration
-
-    def _lane_bits(self, vid: int, k: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """The rate sums of grants in vid's lane at offsets k of `counts`
-        slots, in one pass: the memo blocks the grants cover are read with
-        one v2i_rates call each, for vid, and laid end to end in block
-        order. A grant is a contiguous slice of that array holding the
-        floats v2i_rates gives it, and one np.add.reduceat over every
-        slice's start and end sums them all; the sums from an end to the
-        next start are dropped. Blocks are found by their sorted numbers,
-        so offsets before the entry or far past the window cost only the
-        blocks they cover."""
-        entry = self._lane_entry[vid][1]
+        counts = np.asarray(counts, dtype=np.int64)
+        k = np.asarray(starts, dtype=np.int64) - self._entry[vids]
         first, last = k // BLOCK, (k + counts - 1) // BLOCK
-        blocks = sorted({b for f, l in zip(first.tolist(), last.tolist())
-                         for b in range(f, l + 1)})
-        rates = np.concatenate([
-            *(self.v2i_rates(vid, entry + b * BLOCK, BLOCK) for b in blocks),
-            np.zeros(1)])  # so that a slice may end at the last block's end
-        at = np.searchsorted(blocks, first) * BLOCK + k % BLOCK
-        return np.add.reduceat(rates, np.column_stack((at, at + counts)).ravel())[::2]
+        lanes = self._lane[vids]
+        bits = np.zeros(len(vids))
+        for lane in sorted(set(lanes.tolist())):
+            mine = np.flatnonzero(lanes == lane)
+            blocks = sorted({b for f, l in zip(first[mine].tolist(), last[mine].tolist())
+                             for b in range(f, l + 1)})
+            vid = int(vids[mine[0]])
+            entry = self._lane_entry[vid][1]
+            rates = np.concatenate([
+                *(self.v2i_rates(vid, entry + b * BLOCK, BLOCK) for b in blocks),
+                np.zeros(1)])  # so that a slice may end at the last block's end
+            at = np.searchsorted(blocks, first[mine]) * BLOCK + k[mine] % BLOCK
+            edges = np.column_stack((at, at + counts[mine])).ravel()
+            bits[mine] = np.add.reduceat(rates, edges)[::2]
+        return bits * self.slot_duration
 
     # ---- V2V ----
 

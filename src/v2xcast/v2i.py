@@ -20,7 +20,7 @@ that enters last, by (entry slot, id), has itself been granted.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,22 +65,22 @@ class V2ISelection:
     incomplete: bool                    # ran out of coverage or horizon
 
 
-def two_hop_estimate(model, vid: int, candidates) -> UtilityEval:
-    """Best forwarding chain vid -> j -> g among `candidates` (vid not among
-    them; a set, or an Others view of one, keeps the hop scans to vid's and
-    j's peers), each hop the best interference-free rate, with hop slot
-    counts evaluated under the chain's own concurrency.
+def two_hop_estimate(model, vid: int, v2i_slots: int, candidates) -> UtilityEval:
+    """The utility of granting vid `v2i_slots` RSU slots: its best
+    forwarding chain vid -> j -> g among `candidates` (vid not among them;
+    a set, or an Others view of one, keeps the hop scans to vid's and j's
+    peers), each hop the best interference-free rate, with hop slot counts
+    evaluated under the chain's own concurrency.
 
-    Returns chain_slots only (v2i_slots filled by the caller; the returned
-    eval carries 0 there). With no candidates at all the chain cost is 0;
-    with candidates but none in range it is the horizon, which keeps the
-    utility finite while deprioritizing isolated vehicles.
+    With no candidates at all the chain cost is 0; with candidates but none
+    in range it is the horizon, which keeps the utility finite while
+    deprioritizing isolated vehicles.
     """
     if not candidates:
-        return UtilityEval(vid, 0, None, None, 0)
+        return UtilityEval(vid, v2i_slots, None, None, 0)
     first = best_first_hop(model, vid, candidates)
     if first is None:
-        return UtilityEval(vid, 0, None, None, model.horizon)
+        return UtilityEval(vid, v2i_slots, None, None, model.horizon)
     j = first[1]
     second = best_first_hop(model, j, candidates)  # j is not its own peer
     if second is not None:
@@ -88,9 +88,9 @@ def two_hop_estimate(model, vid: int, candidates) -> UtilityEval:
         sinrs = model.link_sinrs(chain)  # set_feasible's test, SINRs kept
         if all(s >= model.sinr_threshold for s in sinrs):
             slots = max(map(model.slots_at_rate, model.link_rates(chain, sinrs)))
-            return UtilityEval(vid, 0, j, second[1], slots)
+            return UtilityEval(vid, v2i_slots, j, second[1], slots)
     # Chain infeasible or no second receiver: fall back to the single hop.
-    return UtilityEval(vid, 0, j, None, model.link_slots_free(vid, j))
+    return UtilityEval(vid, v2i_slots, j, None, model.link_slots_free(vid, j))
 
 
 class Others:
@@ -117,8 +117,9 @@ class GrantLoop:
     candidates, a subset of v_b) are the caller's sets, read live; a vehicle
     taken out of v_b must also be taken out of `entered`. Two sweeps follow
     the clock, which only moves forward:
-    - the ids in entry order, by (entry slot, id), and how many of them have
-      entered by the clock; `entered` is v_b's part of that prefix;
+    - the ids in the model's entry_order, by (entry slot, id), and how many
+      of them have entered by the clock; `entered` is v_b's part of that
+      prefix;
     - the ids with a service window in order of its first slot, and how many
       of those windows have opened by the clock; the open set holds the pool
       vehicles among them, and loses each one found past its window or out
@@ -127,10 +128,9 @@ class GrantLoop:
 
     def __init__(self, model, v_b: set[int], pool: set[int], clock: int = 0):
         self.model, self.v_b, self.pool = model, v_b, pool
+        self.order = model.entry_order
+        self._entries = model._entry[self.order].tolist()
         ids = np.asarray(model.ids, dtype=np.int64)
-        entry = model._entry
-        self.order = ids[np.lexsort((ids, entry[ids]))].tolist()
-        self._entries = entry[self.order].tolist()
         first, last = model.window_bounds()
         ids = ids[first[ids] <= last[ids]]
         by_first = ids[np.argsort(first[ids], kind="stable")]
@@ -180,7 +180,7 @@ def evaluate_candidates(model, loop: GrantLoop) -> list[UtilityEval]:
     Chain targets always come from the entered vehicles of the full
     not-yet-served set v_b, claimed or not."""
     entered = loop.entered
-    return [replace(two_hop_estimate(model, vid, Others(entered, vid)), v2i_slots=m)
+    return [two_hop_estimate(model, vid, m, Others(entered, vid))
             for vid, m in loop.servable().items()]
 
 

@@ -14,7 +14,9 @@ class VehicleState:
     """A vehicle on the road. Position is derived, never stored.
 
     Longitudinal position at slot t is (t - entry_slot) * slot_duration * speed,
-    measured from the left end of the road. Ids are 1..N in entry order.
+    measured from the left end of the road. spawn_vehicles numbers ids 1..N
+    in entry order; schedulers take entry order as (entry_slot, id), so a
+    hand-built population need not.
     """
 
     id: int

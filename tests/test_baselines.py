@@ -114,8 +114,8 @@ def _naive_noncoop(model):
     return frozenset(served), grants
 
 
-def _assert_noncoop_matches_naive(config, seed):
-    model = PhysicalRateModel(config, spawn_vehicles(config, seed=seed))
+def _assert_noncoop_matches_naive(config, vehicles):
+    model = PhysicalRateModel(config, vehicles)
     res = schedule_noncoop(model, seed=0)
     served, grants = _naive_noncoop(model)
     assert res.served == served
@@ -128,7 +128,7 @@ def test_noncoop_matches_naive_per_slot_reference(seed):
                             rsu_longitudinal=400.0, slot_duration=1e-3,
                             content_size=1e8, horizon=60_000,
                             arrival_rate=3.0)
-    _assert_noncoop_matches_naive(config, seed)
+    _assert_noncoop_matches_naive(config, spawn_vehicles(config, seed=seed))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -147,7 +147,21 @@ def test_noncoop_matches_naive_reference_on_random_configs(
                             rsu_longitudinal=rsu_x, lane_count=lanes,
                             slot_duration=1e-3, content_size=content_size,
                             horizon=horizon, arrival_rate=arrival_rate)
-    _assert_noncoop_matches_naive(config, seed)
+    _assert_noncoop_matches_naive(config, spawn_vehicles(config, seed=seed))
+
+
+def test_schedulers_take_entry_order_not_id_order():
+    """Vehicle 1 enters last and vehicle 2 first: noncoop matches the
+    per-slot scan, and fcfs and serial-tdma grant by (entry slot, id)."""
+    config = default_config(vehicle_count=3, road_length=800.0,
+                            rsu_longitudinal=400.0, slot_duration=1e-3,
+                            content_size=1e8, horizon=60_000)
+    vehicles = [VehicleState(1, 1, 9000), VehicleState(2, 1, 0),
+                VehicleState(3, 2, 3000)]
+    _assert_noncoop_matches_naive(config, vehicles)
+    for schedule in (schedule_fcfs, schedule_serial_tdma):
+        res = schedule(PhysicalRateModel(config, vehicles), seed=0)
+        assert [g.vehicle for g in res.selection.grants] == [2, 3, 1]
 
 
 def test_fcfs_grants_more_than_proposed_at_scale():

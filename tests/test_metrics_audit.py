@@ -242,16 +242,20 @@ def stock_serial_tdma():
      [("coverage", "vehicle 1 granted at slot 10155410 at distance 19804.754 m"),
       ("v2i_qos", "vehicle 1 below threshold at distance 19804.754 m"),
       ("v2i_delivery", "vehicle 1 delivered 0.000e+00 of 3.000e+09 bits")]),
+    (lambda g: [dataclasses.replace(g, start_slot=g.start_slot + 3000)],
+     [("rsu_serial", "grants to 2 and 1 overlap at slot 158410")]),
     (lambda g: [dataclasses.replace(g, n_slots=1000),
                 dataclasses.replace(g, start_slot=g.start_slot + 1000,
                                     n_slots=g.n_slots - 1000)],
      []),
-], ids=["before-entry", "one-slot-short", "past-window", "split"])
+], ids=["before-entry", "one-slot-short", "past-window", "into-grant-1", "split"])
 def test_default_audit_of_a_moved_v2i_grant(stock_serial_tdma, fault, failures):
     """The default audit, whose V2I delivery goes through its own physical
     model, on stock seed 1's serial-tdma run with grant 0 (vehicle 1, slots
-    155410-157741) moved before the road entry, one slot short, or 10^7
-    slots past its window, or split in two adjacent grants (which passes)."""
+    155410-157741) moved before the road entry, one slot short, 10^7 slots
+    past its window, or 3000 slots later, into grant 1 (vehicle 2, from
+    slot 157742), which then starts first; or split in two adjacent grants
+    (which passes)."""
     config, vehicles, res = stock_serial_tdma
     grants = res.selection.grants
     sel = dataclasses.replace(res.selection,

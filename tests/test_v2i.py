@@ -30,7 +30,7 @@ def test_two_hop_single_candidate_uses_single_link():
     config = default_config(vehicle_count=2)
     vehicles = vehicles_at(config, [(510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
-    est = two_hop_estimate(model, 2, [1])
+    est = two_hop_estimate(model, 2, 0, [1])
     assert est.first_hop == 1 and est.second_hop is None
     assert est.chain_slots == model.link_slots_free(2, 1)
 
@@ -39,7 +39,7 @@ def test_two_hop_equidistant_tie_prefers_lower_id():
     config = default_config(vehicle_count=3)
     vehicles = vehicles_at(config, [(506.0, 1), (500.0, 1), (494.0, 1)])
     model = PhysicalRateModel(config, vehicles)
-    est = two_hop_estimate(model, 2, [1, 3])  # 1 and 3 both 6 m away
+    est = two_hop_estimate(model, 2, 0, [1, 3])  # 1 and 3 both 6 m away
     assert est.first_hop == 1
 
 
@@ -47,10 +47,10 @@ def test_two_hop_no_neighbor_in_range_gets_horizon_sentinel():
     config = default_config(vehicle_count=2)
     vehicles = vehicles_at(config, [(600.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
-    est = two_hop_estimate(model, 2, [1])
+    est = two_hop_estimate(model, 2, 0, [1])
     assert est.first_hop is None
     assert est.chain_slots == model.horizon
-    assert two_hop_estimate(model, 2, []).chain_slots == 0
+    assert two_hop_estimate(model, 2, 0, []).chain_slots == 0
 
 
 def test_two_hop_rsi_infeasible_chain_falls_back_to_first_hop():
@@ -59,7 +59,7 @@ def test_two_hop_rsi_infeasible_chain_falls_back_to_first_hop():
     config = default_config(vehicle_count=3)
     vehicles = vehicles_at(config, [(520.0, 1), (510.0, 1), (500.0, 1)])
     model = PhysicalRateModel(config, vehicles)
-    est = two_hop_estimate(model, 3, [1, 2])
+    est = two_hop_estimate(model, 3, 0, [1, 2])
     assert est.first_hop == 2
     assert est.second_hop is None
     assert est.chain_slots == model.link_slots_free(3, 2)
@@ -71,7 +71,7 @@ def test_two_hop_cross_lane_chain_is_feasible():
     config = default_config(vehicle_count=3)
     vehicles = vehicles_at(config, [(503.0, 1), (500.0, 3), (497.0, 1)])
     model = PhysicalRateModel(config, vehicles)
-    est = two_hop_estimate(model, 1, [2, 3])
+    est = two_hop_estimate(model, 1, 0, [2, 3])
     assert est.first_hop == 3 and est.second_hop == 2
     chain = [(1, 3), (3, 2)]
     assert all(s >= 100.0 for s in model.link_sinrs(chain))
