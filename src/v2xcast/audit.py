@@ -14,7 +14,7 @@ Its V2I memo is carried between audits of one config apart from the
 scheduler's, so the audit computes a rate block again only after its memo
 dropped it, and never reads the scheduler's rate arrays. One grant_bits
 call sums every grant at once, reading each lane's covered memo blocks in
-one pass. A model
+one pass and summing grants of equal offset and count once. A model
 passed in (table-driven tests) supplies both instead: V2I through its
 grant_bits, by default summed from its v2i_rates, and the V2V replay through
 its phases.
