@@ -126,13 +126,16 @@ def _check_coverage_and_qos(slots, config, vehicles):
     grant."""
     radio, road = config.radio, config.road
     vid, first_slot, n = slots
-    lane = np.array([v.lane for v in vehicles], dtype=np.int64)[vid - 1]
-    entry = np.array([v.entry_slot for v in vehicles], dtype=np.int64)[vid - 1]
+    at = np.array([v.id for v in vehicles], dtype=np.int64)
+    lane, entry = np.zeros((2, at.max() + 1), dtype=np.int64)  # indexed by id
+    lane[at] = [v.lane for v in vehicles]
+    entry[at] = [v.entry_slot for v in vehicles]
+    lane, entry = lane[vid], entry[vid]
     last_slot = first_slot + n - 1
     early = first_slot < entry
 
     def rsu_distance(t):
-        """geometry.distance_to_rsu at mid-slot t, per grant."""
+        """Distance to the RSU at mid-slot t, per grant."""
         x = (t - entry + 0.5) * road.slot_duration * road.speed
         return np.hypot(x - road.rsu_longitudinal,
                         (lane - 0.5) * road.lane_width + road.rsu_lateral_offset)
@@ -203,7 +206,7 @@ def _check_v2i_delivery(result, slots, model) -> CheckResult:
 
 
 def _v2i_snr(d: np.ndarray, radio: RadioParams) -> np.ndarray:
-    """radio.v2i_snr of each distance d, meters."""
+    """Downlink SNR at each distance d, meters; zero beyond the RSU range."""
     g = mainlobe_gain(radio)
     with np.errstate(divide="ignore"):
         snr = (radio.path_constant * radio.tx_power_rsu * g * g

@@ -29,10 +29,6 @@ each written once: link_sinrs sums every receiver afresh through them;
 admits keeps running sums of the same terms in the same order; and phases
 finds a pairing's terms once, sums every phase from them in the same order,
 and reuses each rate whose SINR did not move.
-
-TableRateModel replaces the physics with fixed per-vehicle and per-pair slot
-counts. It is used for desk-scale reference instances and brute-force
-comparisons where the schedule structure, not the radio, is under test.
 """
 
 from __future__ import annotations
@@ -107,8 +103,8 @@ class RateModel:
                                   already holds
 
     and may change _serve_radius, the radius served inside, from the RSU
-    range set here. The attributes the schedulers read, config, vehicles,
-    ids, content_size, slot_duration, horizon, sinr_threshold and
+    range set here. The attributes the schedulers read, config, ids,
+    content_size, slot_duration, horizon, sinr_threshold and
     rate_mode, and _entry, the entry slots in an integer array indexed by
     id, are set here. Every other query is derived below, once for every
     model: entry_order from the ids and _entry, rsu_distance and the
@@ -127,7 +123,6 @@ class RateModel:
 
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState]):
         self.config = config
-        self.vehicles = vehicles
         self.ids = [v.id for v in vehicles]
         self.content_size = config.road.content_size
         self.slot_duration = config.road.slot_duration
@@ -151,9 +146,10 @@ class RateModel:
     def entry_order(self) -> list[int]:
         """The ids by (entry slot, id), the order the schedulers serve in.
         Computed on each read, which each scheduler makes once per run, and
-        not kept: a PhysicalRateModel has 29 instance attributes, and at 30
-        CPython 3.11 reads every attribute more slowly (serial-tdma's
-        schedule at 1,600 vehicles took about 4% longer)."""
+        not kept: a PhysicalRateModel has 29 instance attributes after its
+        first V2V query, and at 30 CPython 3.11 reads every attribute more
+        slowly (serial-tdma's schedule at 1,600 vehicles took about 4%
+        longer)."""
         at = np.array(self.ids)
         return at[np.lexsort((at, self._entry[at]))].tolist()
 
@@ -169,8 +165,8 @@ class RateModel:
         """First and last slot of every vehicle's service window, as arrays
         indexed by id: the slots from its entry on whose mid-slot RSU
         distance is within _serve_radius, clipped to the horizon (the
-        formula of geometry.coverage_window). A vehicle that can never be
-        served has a last slot below any clock. Built once."""
+        chord of that radius through the vehicle's lane). A vehicle that
+        can never be served has a last slot below any clock. Built once."""
         if self._bounds is None:
             road, radius, d_lr = self.config.road, self._serve_radius, self._dlr
             entry = self._entry
@@ -726,46 +722,3 @@ def _index(links: list[Link]) -> dict[int, list[int]]:
     for m, link in enumerate(links):
         index.setdefault(link[0], []).append(m)
     return index
-
-
-class TableRateModel(RateModel):
-    """Fixed slot-count tables in place of the physics.
-
-    v2i_slots maps vehicle id -> slots to download from the RSU (any start
-    inside the serving window). pair_slots maps frozenset({i, j}) -> slots for
-    a vehicle-to-vehicle transfer; absent pairs are out of range. Rates are
-    backed out of the slot counts with a half-slot margin so that integer
-    accumulation lands exactly on the intended count. With
-    geometric_coverage=False the RSU reaches everywhere: a vehicle is served
-    from its entry slot to the horizon, at RSU distance 0.
-    """
-
-    def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
-                 v2i_slots: dict[int, int], pair_slots: dict[frozenset, int],
-                 geometric_coverage: bool = True):
-        super().__init__(config, vehicles)
-        self._v2i_slots = dict(v2i_slots)
-        self._pair_slots = {frozenset(k): v for k, v in pair_slots.items()}
-        self._geometric = geometric_coverage
-        if not geometric_coverage:
-            self._serve_radius = math.inf
-
-    def _rate_for(self, slots: int) -> float:
-        return self.content_size / ((slots - 0.5) * self.slot_duration)
-
-    def rsu_distance(self, vid: int, t: int) -> float:
-        return super().rsu_distance(vid, t) if self._geometric else 0.0
-
-    def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:
-        return np.full(count, self._rate_for(self._v2i_slots[vid]))
-
-    def rate_free(self, i: int, j: int) -> float:
-        slots = self._pair_slots.get(frozenset((i, j)))
-        return 0.0 if slots is None else self._rate_for(slots)
-
-    def link_sinrs(self, links: list[Link]) -> list[float]:
-        return [self.sinr_threshold if self.in_range(tx, rx) else 0.0
-                for tx, rx in links]
-
-    def link_rates(self, links: list[Link], sinrs=None) -> list[float]:
-        return [self.rate_free(tx, rx) for tx, rx in links]

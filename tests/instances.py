@@ -7,18 +7,33 @@ two RSU grants (vehicles 1 and 3, five slots total), one four-link sharing
 pairing (1->2, 2->4, 3->5, 5->6) of four slots, and a sixteen-slot serial
 reference schedule.
 
+TableRateModel is the table-driven rate model those instances run on.
 vehicles_at places hand-built vehicles, and reference_window is the
 per-vehicle service window that the rate models' window arrays must equal.
+child_env lets a test's child interpreter import the same package.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
-from v2xcast.geometry import coverage_window
+import numpy as np
+
+import v2xcast
 from v2xcast.params import RadioParams, RoadConfig, ScenarioConfig, validate
-from v2xcast.ratemodel import TableRateModel
+from v2xcast.ratemodel import Link, RateModel
 from v2xcast.vehicles import VehicleState
+from reference import coverage_window
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python process that must import the
+    v2xcast this process imported: its src directory first on PYTHONPATH."""
+    src = str(Path(v2xcast.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 def default_radio(**overrides) -> RadioParams:
@@ -57,10 +72,10 @@ def vehicles_at(config, placements):
 def reference_window(model, vid):
     """Vehicle vid's service window under `model`, clipped to the horizon;
     None if it can never be served. Inside the serving radius it is
-    geometry.coverage_window's; an infinite radius, as TableRateModel's
-    without geometric coverage, serves from entry on."""
-    v = model.vehicles[vid - 1]
-    assert v.id == vid
+    reference.coverage_window's; an infinite radius, as TableRateModel's
+    without geometric coverage, serves from entry on. The vehicle's lane
+    and entry slot are read from the model's arrays indexed by id."""
+    v = VehicleState(vid, int(model._lane[vid]), int(model._entry[vid]))
     if math.isinf(model._serve_radius):
         win = (v.entry_slot, model.horizon - 1)
     else:
@@ -69,6 +84,51 @@ def reference_window(model, vid):
         return None
     t_in, t_out = win[0], min(win[1], model.horizon - 1)
     return (t_in, t_out) if t_in <= t_out else None
+
+
+class TableRateModel(RateModel):
+    """Fixed slot-count tables in place of the physics, for desk-scale
+    reference instances and brute-force comparisons where the schedule
+    structure, not the radio, is under test.
+
+    v2i_slots maps vehicle id -> slots to download from the RSU (any start
+    inside the serving window). pair_slots maps frozenset({i, j}) -> slots for
+    a vehicle-to-vehicle transfer; absent pairs are out of range. Rates are
+    backed out of the slot counts with a half-slot margin so that integer
+    accumulation lands exactly on the intended count. With
+    geometric_coverage=False the RSU reaches everywhere: a vehicle is served
+    from its entry slot to the horizon, at RSU distance 0.
+    """
+
+    def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState],
+                 v2i_slots: dict[int, int], pair_slots: dict[frozenset, int],
+                 geometric_coverage: bool = True):
+        super().__init__(config, vehicles)
+        self._v2i_slots = dict(v2i_slots)
+        self._pair_slots = {frozenset(k): v for k, v in pair_slots.items()}
+        self._geometric = geometric_coverage
+        if not geometric_coverage:
+            self._serve_radius = math.inf
+
+    def _rate_for(self, slots: int) -> float:
+        return self.content_size / ((slots - 0.5) * self.slot_duration)
+
+    def rsu_distance(self, vid: int, t: int) -> float:
+        return super().rsu_distance(vid, t) if self._geometric else 0.0
+
+    def v2i_rates(self, vid: int, start: int, count: int) -> np.ndarray:
+        return np.full(count, self._rate_for(self._v2i_slots[vid]))
+
+    def rate_free(self, i: int, j: int) -> float:
+        slots = self._pair_slots.get(frozenset((i, j)))
+        return 0.0 if slots is None else self._rate_for(slots)
+
+    def link_sinrs(self, links: list[Link]) -> list[float]:
+        return [self.sinr_threshold if self.in_range(tx, rx) else 0.0
+                for tx, rx in links]
+
+    def link_rates(self, links: list[Link], sinrs=None) -> list[float]:
+        return [self.rate_free(tx, rx) for tx, rx in links]
 
 
 # Longitudinal positions at slot 0 and lanes; entry order matches ids.

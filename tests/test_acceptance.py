@@ -20,9 +20,10 @@ from v2xcast.baselines import run_scheme, schedule_proposed
 from v2xcast.metrics import build_report
 from v2xcast.params import from_db, parse_config_text, to_db
 from v2xcast.radio import antenna_gain
-from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
+from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import default_config, six_vehicle_instance
+from instances import (TableRateModel, child_env, default_config,
+                       six_vehicle_instance)
 from oracle import optimal_total_slots
 
 CONFIG_PATH = Path(__file__).parent.parent / "configs" / "default.cfg"
@@ -233,7 +234,7 @@ def test_criterion_9_cli_determinism(tmp_path):
                     [sys.executable, "-m", "v2xcast.cli", "simulate",
                      "--config", str(cfg), "--scheme", scheme, "--seed", "9",
                      "--rate-mode", mode],
-                    capture_output=True)
+                    capture_output=True, env=child_env())
                 assert proc.returncode == 0, proc.stderr
                 outs.append(proc.stdout)
             ok &= outs[0] == outs[1] and len(outs[0]) > 0

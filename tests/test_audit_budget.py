@@ -3,7 +3,7 @@ the V2I rate memo its AuditRateModel keeps apart from the scheduler's.
 
 The audit replays each pairing's SINRs on arithmetic it owns, summing every
 phase from the pairing's term table. These tests hold the budget to the
-scalar reference in `radio` and to the scheduler's rate model on real runs,
+scalar reference in `reference` and to the scheduler's rate model on real runs,
 and the V2V replay to the runs whose vehicles co-locate.
 """
 
@@ -20,15 +20,15 @@ from v2xcast.audit import (REL_GUARD, AuditRateModel, CheckResult, V2VBudget,
                            _check_coverage_and_qos, _granted_slots, _replay_pairing,
                            audit)
 from v2xcast.baselines import SchemeResult, run_scheme
-from v2xcast.geometry import distance, distance_to_rsu, position
 from v2xcast.harness import run_scenario
-from v2xcast.radio import ConcurrentSet, DirectionalLink, v2i_snr, v2v_sinr
 from v2xcast import ratemodel
 from v2xcast.ratemodel import PhysicalRateModel, RateModel
 from v2xcast.v2i import Grant, V2ISelection
 from v2xcast.v2v import V2VSchedule
 from v2xcast.vehicles import spawn_vehicles
 from instances import default_config, default_radio
+from reference import (ConcurrentSet, DirectionalLink, distance, distance_to_rsu,
+                       position, v2i_snr, v2v_sinr)
 from test_golden import LADDER, stock_config
 
 CHECKS = ("coverage", "v2i_qos", "rsu_serial", "v2i_delivery", "source_once",
@@ -104,14 +104,15 @@ def test_a_link_traced_at_zero_slots_never_goes_on_the_air(strict):
 def test_budget_matches_scalar_radio_as_links_finish(lanes, arrival, count,
                                                      v2v_range, seed, data):
     """A random concurrent set with relay chains and stray links: the
-    budget's SINR of every link still on the air matches radio.v2v_sinr of
-    that set, at the start and after each batch of finishes."""
+    budget's SINR of every link still on the air matches
+    reference.v2v_sinr of that set, at the start and after each batch of
+    finishes."""
     config = default_config(lane_count=lanes, arrival_rate=arrival,
                             vehicle_count=count)
     config = dataclasses.replace(config, radio=default_radio(v2v_range=v2v_range))
     vehicles = spawn_vehicles(config, seed)
     slots = [(v.entry_slot, v.lane) for v in vehicles]
-    assume(len(set(slots)) == len(slots))  # radio.alignment_angle raises on co-location
+    assume(len(set(slots)) == len(slots))  # alignment_angle raises on co-location
     t = max(v.entry_slot for v in vehicles)
     pos = {v.id: position(v, t, config, midpoint=True) for v in vehicles}
     ids = list(pos)
@@ -241,7 +242,7 @@ def test_audit_carries_a_v2i_memo_apart_from_the_schedulers(mode):
 
 def _scalar_coverage_and_qos(grants, config, vehicles):
     """The coverage and V2I QoS checks grant by grant, on the scalar
-    geometry and radio functions: the reference for the audit's arrays."""
+    functions of tests/reference.py: the reference for the audit's arrays."""
     limit = config.radio.rsu_range * (1.0 + REL_GUARD)
     floor = config.radio.sinr_threshold * (1.0 - REL_GUARD)
     coverage = qos = None

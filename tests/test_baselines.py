@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from v2xcast.baselines import (run_scheme, schedule_fcfs, schedule_noncoop,
                                schedule_proposed, schedule_random,
                                schedule_serial_tdma)
-from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
+from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import (default_config, reference_window,
+from instances import (TableRateModel, default_config, reference_window,
                        six_vehicle_instance, vehicles_at)
 
 

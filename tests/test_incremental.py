@@ -31,11 +31,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2xcast.baselines import random_pick, run_scheme
-from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
+from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.v2i import GrantLoop, min_utility, select_v2i_paths
 from v2xcast.v2v import best_first_hop, conflict
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import default_config, default_radio, reference_window
+from instances import (TableRateModel, default_config, default_radio,
+                       reference_window)
 from oracle import oracle_link_sinrs
 from test_golden import LADDER, stock_config
 
@@ -122,7 +123,9 @@ def hand_built(config, spots):
             for vid, (lane, entry) in enumerate(spots, start=1)]
 
 
-def drawn_model(data, spread_m, **radio):
+def drawn_population(data, spread_m, **radio):
+    """A drawn config and hand_built vehicles on it, spread over up to
+    spread_m meters."""
     lanes = data.draw(st.integers(1, 3), label="lanes")
     n = data.draw(st.integers(2, 14), label="vehicles")
     config = default_config(lane_count=lanes, vehicle_count=n)
@@ -131,8 +134,11 @@ def drawn_model(data, spread_m, **radio):
     spots = data.draw(st.lists(
         st.tuples(st.integers(1, lanes), st.integers(0, spread_m)),
         min_size=n, max_size=n), label="spots")
-    vehicles = hand_built(config, [(lane, x * per_m) for lane, x in spots])
-    return PhysicalRateModel(config, vehicles)
+    return config, hand_built(config, [(lane, x * per_m) for lane, x in spots])
+
+
+def drawn_model(data, spread_m, **radio):
+    return PhysicalRateModel(*drawn_population(data, spread_m, **radio))
 
 
 def check_pairing_build(model, order, forced):
@@ -453,8 +459,9 @@ def test_equal_rate_peers_go_to_the_lower_id():
     config = default_config(vehicle_count=4)
     per_m = round(1.0 / (config.road.slot_duration * config.road.speed))
     # 1 and 3 are 5 m behind and ahead of 2; 4 is out of range.
-    model = PhysicalRateModel(config, hand_built(
-        config, [(1, -5 * per_m), (1, 0), (1, 5 * per_m), (1, 100 * per_m)]))
+    vehicles = hand_built(
+        config, [(1, -5 * per_m), (1, 0), (1, 5 * per_m), (1, 100 * per_m)])
+    model = PhysicalRateModel(config, vehicles)
     assert model.rate_free(2, 3) == model.rate_free(2, 1) > 0.0
     assert list(model.peers(2))[0] == 3  # the higher id is seen first
     for v_b in ({1, 3, 4}, [3, 1], {3}):
@@ -462,7 +469,7 @@ def test_equal_rate_peers_go_to_the_lower_id():
     assert best_first_hop(model, 2, {1, 3, 4}) == (2, 1)
 
     # Table models scan every other id; equal table rates tie the same way.
-    table = TableRateModel(config, model.vehicles, {i: 5 for i in range(1, 5)},
+    table = TableRateModel(config, vehicles, {i: 5 for i in range(1, 5)},
                            {frozenset((3, 4)): 8, frozenset((3, 2)): 8},
                            geometric_coverage=False)
     assert best_first_hop(table, 3, {4, 2, 1}) == (3, 2)

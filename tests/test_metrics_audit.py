@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 from v2xcast.audit import REL_GUARD, _replay_pairing, audit
 from v2xcast.baselines import SchemeResult, run_scheme
 from v2xcast.metrics import build_report, energy, system_throughput
-from v2xcast.radio import v2i_snr
-from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
+from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.v2i import Grant, V2ISelection
 from v2xcast.v2v import LinkSchedule, Pairing, V2VSchedule, run_pairing
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from test_golden import STRICT_OVERRUN, stock_config
-from instances import (CrowdedTableRateModel, default_config,
+from instances import (CrowdedTableRateModel, TableRateModel, default_config,
                        six_vehicle_instance)
+from reference import v2i_snr
 
 
 def _fabricated(config, t_v2i, t_v2v, served, total, grants=(), pairings=()):
@@ -451,13 +451,16 @@ def test_audit_report_formatting():
 
 
 def test_full_scale_runs_audit_clean():
+    """Every scheme on a stock population, given in id order and in
+    reverse: the models and the audit read the vehicles by id."""
     config = default_config()
-    vehicles = spawn_vehicles(config, seed=5)
-    for scheme in ("proposed", "fcfs", "random", "noncoop", "serial-tdma"):
-        model = PhysicalRateModel(config, vehicles)
-        res = run_scheme(scheme, model, seed=5)
-        report = audit(res, config, vehicles)
-        assert report.ok, f"{scheme}: {report.failures()}"
+    spawned = spawn_vehicles(config, seed=5)
+    for vehicles in (spawned, spawned[::-1]):
+        for scheme in ("proposed", "fcfs", "random", "noncoop", "serial-tdma"):
+            model = PhysicalRateModel(config, vehicles)
+            res = run_scheme(scheme, model, seed=5)
+            report = audit(res, config, vehicles)
+            assert report.ok, f"{scheme}: {report.failures()}"
 
 
 def test_randomized_configs_audit_clean():

@@ -2,14 +2,13 @@ import math
 
 import pytest
 
-from v2xcast.geometry import Point2D
 from v2xcast.params import SPEED_OF_LIGHT
-from v2xcast.radio import (ConcurrentSet, DirectionalLink, antenna_gain,
-                           mainlobe_gain, shannon_rate, v2i_slot_rate,
-                           v2i_snr, v2v_interference, v2v_rate,
-                           v2v_received_power, v2v_sinr)
+from v2xcast.radio import antenna_gain, mainlobe_gain
 from v2xcast.vehicles import VehicleState
 from instances import default_config, default_radio
+from reference import (ConcurrentSet, DirectionalLink, Point2D, shannon_rate,
+                       v2i_slot_rate, v2i_snr, v2v_interference, v2v_rate,
+                       v2v_received_power, v2v_sinr)
 
 RADIO = default_radio()
 

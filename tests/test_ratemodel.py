@@ -12,19 +12,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from v2xcast.baselines import SCHEMES, run_scheme
-from v2xcast.geometry import (Point2D, coverage_window, distance, lane_center_y,
-                              position, rsu_point)
-from v2xcast.radio import (ConcurrentSet, DirectionalLink, shannon_rate,
-                           v2i_slot_rate, v2i_snr, v2v_sinr)
 from v2xcast.params import RoadConfig, ScenarioConfig, load_config, validate
 from v2xcast import ratemodel
-from v2xcast.ratemodel import BLOCK, PhysicalRateModel, RateModel, TableRateModel
+from v2xcast.ratemodel import BLOCK, PhysicalRateModel, RateModel
 from v2xcast.harness import run_scenario
 from v2xcast.vehicles import VehicleState, spawn_vehicles
-from instances import (SIX_PAIR_SLOTS, default_config, default_radio,
-                       reference_window, six_vehicle_instance)
+from instances import (SIX_PAIR_SLOTS, TableRateModel, default_config,
+                       default_radio, reference_window, six_vehicle_instance)
+from reference import (ConcurrentSet, DirectionalLink, Point2D, coverage_window,
+                       distance, lane_center_y, position, rsu_point,
+                       shannon_rate, v2i_slot_rate, v2i_snr, v2v_sinr)
 from test_golden import canonical, stock_config
-from test_incremental import drawn_model
+from test_incremental import drawn_population
 
 
 @pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
@@ -77,7 +76,7 @@ def test_v2i_rates_do_not_depend_on_the_query_window(mode):
 
 
 def _scalar_rate(config, mode, v, t):
-    """radio.v2i_slot_rate; before entry, where the scalar midpoint
+    """reference.v2i_slot_rate; before entry, where the scalar midpoint
     reference refuses the slot, the mid-slot distance is extrapolated back
     along the lane."""
     if t >= v.entry_slot or mode != "midpoint":
@@ -535,11 +534,12 @@ def test_grant_bits_of_repeated_grants_equal_the_reference(mode, lanes, gaps, da
     assert sorted(summed) == sorted(n for _, _, n in {(v.lane, k, n) for v, k, n in grants})
 
 
-def test_models_without_v2v_queries_keep_under_30_attributes():
-    """A serial-tdma model and an audit model, which make no V2V query,
-    keep fewer than 30 instance attributes: at 30, CPython 3.11 reads every
-    attribute more slowly, and serial-tdma's schedule at 1,600 vehicles
-    took about 4% longer."""
+def test_models_keep_under_30_attributes():
+    """A serial-tdma model and an audit model, which make no V2V query, and
+    a proposed model, whose V2V queries add the neighbour lists, keep fewer
+    than 30 instance attributes: at 30, CPython 3.11 reads every attribute
+    more slowly, and serial-tdma's schedule at 1,600 vehicles took about 4%
+    longer."""
     audit = importlib.import_module("v2xcast.audit")
     config = stock_config()
     vehicles = spawn_vehicles(config, 1)
@@ -547,7 +547,9 @@ def test_models_without_v2v_queries_keep_under_30_attributes():
     result = run_scheme("serial-tdma", model, 1)
     checker = audit.AuditRateModel(config, vehicles)
     checker.grant_bits(*audit._granted_slots(result))
-    assert len(vars(model)) < 30 and len(vars(checker)) < 30
+    proposed = PhysicalRateModel(config, vehicles)
+    run_scheme("proposed", proposed, 1)
+    assert all(len(vars(m)) < 30 for m in (model, checker, proposed))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -555,14 +557,13 @@ def test_models_without_v2v_queries_keep_under_30_attributes():
        stock_seed=st.one_of(st.none(), st.integers(1, 20)), data=st.data())
 def test_download_memo_answers_the_reference(mode, stock_seed, data):
     """download on drawn (vehicle, start, end) queries, repeated keys and
-    vehicles of one lane at one offset among them, on a drawn_model
-    population or a stock seed: each answer is RateModel.download's on the
+    vehicles of one lane at one offset among them, on a drawn_population
+    or a stock seed: each answer is RateModel.download's on the
     same model and a fresh model's, and the model keeps one answer per
     (lane, start - entry, end - entry). Starts run from before the road
     entry to past the window, where download is called directly."""
     if stock_seed is None:
-        drawn = drawn_model(data, 400)
-        config, vehicles = drawn.config, drawn.vehicles
+        config, vehicles = drawn_population(data, 400)
     else:
         config = stock_config()
         vehicles = spawn_vehicles(config, stock_seed)

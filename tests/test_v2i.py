@@ -163,7 +163,7 @@ def test_literal_termination_waits_for_the_last_vehicle_to_enter():
     assert [g.vehicle for g in select_v2i_paths(model).grants] == [2]
 
 
-def pool_checking_pick(model, termination):
+def pool_checking_pick(model, vehicles, termination):
     """min_utility, checking at every call that the loop hands it the pool
     of the termination rule written out from scratch: every id less the
     granted ones and, under coverage, less those their chains claimed; and
@@ -171,7 +171,7 @@ def pool_checking_pick(model, termination):
     function telling whether the rule would stop it now."""
     ids, granted, claimed = set(model.ids), set(), set()
 
-    last_in = max(model.vehicles, key=lambda v: (v.entry_slot, v.id)).id
+    last_in = max(vehicles, key=lambda v: (v.entry_slot, v.id)).id
 
     def done():
         if termination == "coverage":
@@ -194,16 +194,19 @@ def pool_checking_pick(model, termination):
 
 
 def pool_cases():
-    yield six_vehicle_instance()[2]
+    """(model, vehicles) pairs."""
+    _, vehicles, model = six_vehicle_instance()
+    yield model, vehicles
     config = stock_config()
     for seed in range(1, 6):
-        yield PhysicalRateModel(config, spawn_vehicles(config, seed))
+        vehicles = spawn_vehicles(config, seed)
+        yield PhysicalRateModel(config, vehicles), vehicles
 
 
 @pytest.mark.parametrize("termination", ["coverage", "literal"])
 def test_pick_sees_the_pool_of_its_termination_rule(termination):
-    for model in pool_cases():
-        pick, done = pool_checking_pick(model, termination)
+    for model, vehicles in pool_cases():
+        pick, done = pool_checking_pick(model, vehicles, termination)
         sel = select_v2i_paths(model, termination, pick=pick)
         assert sel.incomplete or done()
         assert sel == select_v2i_paths(model, termination)

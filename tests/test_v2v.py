@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from v2xcast.ratemodel import PhysicalRateModel, TableRateModel
+from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.v2v import (CHUNK, _cap, best_first_hop, build_pairing,
                          conflict, run_pairing, schedule_v2v)
 from v2xcast.vehicles import VehicleState
-from instances import (CrowdedTableRateModel, default_config,
+from instances import (CrowdedTableRateModel, TableRateModel, default_config,
                        six_vehicle_instance, vehicles_at)
 
 
