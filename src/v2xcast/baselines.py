@@ -12,6 +12,7 @@ scheme: id order only where ids are numbered so, as spawn_vehicles's are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,27 +172,60 @@ def _nearest_stretches(model) -> list[tuple[int, int, int]]:
     d_k(t)^2 - d_j(t)^2 is affine in t with a non-negative slope: once j
     outranks k it keeps doing so. The nearest vehicle therefore changes in
     entry order (model.entry_order) and the stretches form a lower envelope,
-    built with the Felzenszwalb-Huttenlocher stack; each takeover slot is
-    found by bisection on the exact comparison, so ties and sampling match a
-    per-slot scan.
+    built with the Felzenszwalb-Huttenlocher stack. Each takeover slot is
+    first solved from that gap in closed form, as the intersection of two
+    parabolas, on the road geometry rsu_distance reads; the exact comparison
+    then confirms it, galloping outward from the solved slot and bisecting
+    the bracket it finds, so ties and sampling match a per-slot scan and a
+    guess that is off costs only a logarithm of its error. Two vehicles that
+    enter in the same slot never change order: one comparison decides them.
     """
     def beats(j, k, t):
         return (model.rsu_distance(j, t), j) < (model.rsu_distance(k, t), k)
 
+    entry, d_lr = model._entry.tolist(), model._dlr.tolist()
+    step, rsu_x = model._step, model.config.road.rsu_longitudinal
+
+    def first_win(j, k, lo, hi):
+        """The first slot in [lo, hi) at which j beats k, or hi if none."""
+        if lo >= hi:
+            return lo
+        if entry[j] == entry[k]:
+            return lo if beats(j, k, lo) else hi
+        # d_k^2 - d_j^2 = 0 at slot (e_k + e_j - 1)/2 + (R - (a_k^2 - a_j^2)/(2D))/s,
+        # D = (e_j - e_k)s, s the step and R the RSU's longitudinal position.
+        gap = (entry[j] - entry[k]) * step
+        solved = (entry[k] + entry[j] - 1) / 2 + (
+            rsu_x - (d_lr[k] ** 2 - d_lr[j] ** 2) / (2 * gap)) / step
+        guess = math.ceil(min(hi, max(lo, solved)))  # lo for a NaN
+        # Bracket (fail, win]: beats fails at fail (or fail < lo), holds at
+        # win (or win == hi).
+        if guess < hi and not beats(j, k, guess):
+            fail, stride = guess, 1
+            while fail + stride < hi and not beats(j, k, fail + stride):
+                fail, stride = fail + stride, 2 * stride
+            win = min(fail + stride, hi)
+        else:
+            win, stride = guess, 1
+            while win - stride >= lo and beats(j, k, win - stride):
+                win, stride = win - stride, 2 * stride
+            fail = max(win - stride, lo - 1)
+        while win - fail > 1:
+            mid = (fail + win) // 2
+            if beats(j, k, mid):
+                win = mid
+            else:
+                fail = mid
+        return win
+
     stack: list[tuple[int, int]] = []
     for j in model.entry_order:
-        takeover = max(0, int(model._entry[j]))
+        takeover = max(0, entry[j])
         while stack:
             k, k_first = stack[-1]
-            lo, hi = max(takeover, k_first), model.horizon
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if beats(j, k, mid):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            if lo > k_first:
-                takeover = lo
+            slot = first_win(j, k, max(takeover, k_first), model.horizon)
+            if slot > k_first:
+                takeover = slot
                 break
             stack.pop()
         if takeover < model.horizon:

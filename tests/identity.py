@@ -12,15 +12,16 @@ test_golden.FCFS_SHARES on seeds 1-20 in both rate modes, where fcfs forms
 pairings and serial-tdma keeps partial grants (120 runs), plus random and
 proposed at test_golden.RANDOM_RETRIES on seeds 1-30 with strict causality
 off and on, where random's pairing builder draws again after an empty
-pairing (120 runs), plus serial-tdma and fcfs at 1,600 vehicles
+pairing (120 runs), plus fcfs, serial-tdma and noncoop at 1,600 vehicles
 (horizon_slots=16,000,000) on seeds 1-2 in both rate modes, where the RSU's
-in-order loop serves every vehicle (8 runs), plus proposed and random at
+in-order loop serves every vehicle and noncoop's nearest-vehicle envelope
+spans 1,600 vehicles (12 runs), plus proposed and random at
 1,600 vehicles on seed 1 with strict causality off and on, the only runs
 here whose pairings exceed about 190 links, up to 727 (4 runs), plus
 proposed under the literal termination rule on stock seeds 1-40 in both
 rate modes with strict causality off and on, and at 400 vehicles on seeds
 1-2, where the grant loop runs until the last vehicle is granted (162 runs):
-2,026 runs.
+2,030 runs.
 
 The first line is the hash over every run. One line per run group follows
 (stock, strict, ladder, shares, retries, rsu, pairing, literal: the eight
@@ -54,7 +55,6 @@ RETRY_SCHEMES = ("random", "proposed")
 RETRY_SEEDS = range(1, 31)
 RSU = {"vehicle_count": 1600, "horizon_slots": 16_000_000}
 RSU_SEEDS = (1, 2)
-SERIAL_SCHEMES = ("serial-tdma", "fcfs")
 PAIRING_SCHEMES = ("proposed", "random")
 PAIRING_SEEDS = (1,)
 LITERAL_SEEDS = range(1, 41)
@@ -84,7 +84,7 @@ def runs():
                 yield "retries", (seed, scheme, "midpoint", strict, RANDOM_RETRIES, "coverage")
     for mode in MODES:
         for seed in RSU_SEEDS:
-            for scheme in SERIAL_SCHEMES:
+            for scheme in RSU_SCHEMES:
                 yield "rsu", (seed, scheme, mode, False, RSU, "coverage")
     for seed in PAIRING_SEEDS:
         for scheme in PAIRING_SCHEMES:

@@ -2,6 +2,8 @@
 
 The rate models and the audit compute these with numpy over whole
 populations; the tests hold them to the pure-Python formulas here.
+Noncoop's nearest-vehicle stretches have their plain bisection reference
+here too.
 
 The road runs along +x. Lane l is centered at y = (l - 0.5) * lane_width and
 the RSU sits at y = -rsu_lateral_offset, so the perpendicular RSU distance of
@@ -85,6 +87,36 @@ def coverage_window(vehicle: VehicleState, config: ScenarioConfig,
     if t_out < t_in:
         return None
     return t_in, t_out
+
+
+def nearest_stretches_by_bisection(model) -> list[tuple[int, int, int]]:
+    """The reference for baselines._nearest_stretches: the same lower
+    envelope of model.rsu_distance, with each takeover slot found by
+    bisection over the whole of [first candidate slot, horizon) on the exact
+    (distance, id) comparison, with no guess from the road geometry."""
+    def beats(j, k, t):
+        return (model.rsu_distance(j, t), j) < (model.rsu_distance(k, t), k)
+
+    stack: list[tuple[int, int]] = []
+    for j in model.entry_order:
+        takeover = max(0, int(model._entry[j]))
+        while stack:
+            k, k_first = stack[-1]
+            lo, hi = max(takeover, k_first), model.horizon
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if beats(j, k, mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            if lo > k_first:
+                takeover = lo
+                break
+            stack.pop()
+        if takeover < model.horizon:
+            stack.append((j, takeover))
+    lasts = [first - 1 for _, first in stack[1:]] + [model.horizon - 1]
+    return [(vid, first, last) for (vid, first), last in zip(stack, lasts)]
 
 
 def alignment_angle(tx: Point2D, boresight_target: Point2D, probe: Point2D) -> float:

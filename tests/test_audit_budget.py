@@ -245,11 +245,12 @@ def _scalar_coverage_and_qos(grants, config, vehicles):
     functions of tests/reference.py: the reference for the audit's arrays."""
     limit = config.radio.rsu_range * (1.0 + REL_GUARD)
     floor = config.radio.sinr_threshold * (1.0 - REL_GUARD)
+    by_id = {v.id: v for v in vehicles}
     coverage = qos = None
     for grant in grants:
         if grant.n_slots == 0:
             continue
-        v = vehicles[grant.vehicle - 1]
+        v = by_id[grant.vehicle]
         try:
             first = distance_to_rsu(v, grant.start_slot, config, midpoint=True)
             last = distance_to_rsu(v, grant.start_slot + grant.n_slots - 1,
@@ -292,7 +293,7 @@ def test_coverage_and_qos_match_the_scalar_checks(threshold_m, rsu_m, seed,
     can be in range) to 600 m along it (coverage then spans offsets of
     about 200,000 to 400,000 slots from entry): both checks give the pass,
     the first failing grant and the detail text of the grant-by-grant
-    scalar checks."""
+    scalar checks, with the vehicles listed in id order and reversed."""
     config = stock_config(rsu_longitudinal_m=rsu_m)
     config = dataclasses.replace(config, radio=dataclasses.replace(
         config.radio, sinr_threshold=v2i_snr(threshold_m, config.radio)))
@@ -303,5 +304,6 @@ def test_coverage_and_qos_match_the_scalar_checks(threshold_m, rsu_m, seed,
                           V2ISelection(grants, 0, (), (), (), False),
                           V2VSchedule((), 0, ()), frozenset(), frozenset(),
                           "midpoint", False)
-    assert (_check_coverage_and_qos(_granted_slots(result), config, vehicles)
-            == _scalar_coverage_and_qos(grants, config, vehicles))
+    for listed in (vehicles, vehicles[::-1]):
+        assert (_check_coverage_and_qos(_granted_slots(result), config, listed)
+                == _scalar_coverage_and_qos(grants, config, listed))

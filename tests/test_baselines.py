@@ -1,13 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2xcast.baselines import (run_scheme, schedule_fcfs, schedule_noncoop,
-                               schedule_proposed, schedule_random,
-                               schedule_serial_tdma)
+from v2xcast.baselines import (_nearest_stretches, run_scheme, schedule_fcfs,
+                               schedule_noncoop, schedule_proposed,
+                               schedule_random, schedule_serial_tdma)
 from v2xcast.ratemodel import PhysicalRateModel
 from v2xcast.vehicles import VehicleState, spawn_vehicles
 from instances import (TableRateModel, default_config, reference_window,
                        six_vehicle_instance, vehicles_at)
+from reference import nearest_stretches_by_bisection
+from test_golden import COLOCATED_SEED, CROWD, LADDER, stock_config
 
 
 def test_fcfs_serves_in_entry_order():
@@ -148,6 +150,91 @@ def test_noncoop_matches_naive_reference_on_random_configs(
                             slot_duration=1e-3, content_size=content_size,
                             horizon=horizon, arrival_rate=arrival_rate)
     _assert_noncoop_matches_naive(config, spawn_vehicles(config, seed=seed))
+
+
+class CountingModel(PhysicalRateModel):
+    """Counts rsu_distance calls."""
+
+    calls = 0
+
+    def rsu_distance(self, vid, t):
+        self.calls += 1
+        return super().rsu_distance(vid, t)
+
+
+class LaggedRsuModel(CountingModel):
+    """RSU distances as the road geometry gives them `lag` slots later, so
+    they disagree with the config's RSU position by lag * step metres and
+    the takeover slot solved from that position lands about lag slots off."""
+
+    def __init__(self, config, vehicles, lag: int):
+        super().__init__(config, vehicles)
+        self.lag = lag
+
+    def rsu_distance(self, vid, t):
+        return super().rsu_distance(vid, t + self.lag)
+
+
+@pytest.mark.parametrize("overrides, seeds", [
+    ({}, [*range(1, 41), COLOCATED_SEED, 195]),
+    (LADDER, range(1, 4)),
+    (CROWD, range(1, 4)),
+    ({"rsu_longitudinal_m": 0.0}, range(1, 21)),
+], ids=["stock", "ladder-400", "rsu-1600", "rsu-at-entry"])
+def test_nearest_stretches_match_bisection(overrides, seeds):
+    """The takeover slots solved from the distance gap and confirmed by the
+    exact comparison are the ones plain bisection finds. Stock seeds 113
+    and 195 spawn two vehicles in one lane and slot, which one comparison
+    decides."""
+    config = stock_config(**overrides)
+    for seed in seeds:
+        model = PhysicalRateModel(config, spawn_vehicles(config, seed))
+        assert _nearest_stretches(model) == nearest_stretches_by_bisection(model)
+
+
+def test_nearest_stretches_of_side_by_side_vehicles():
+    """Vehicles that enter in one slot in different lanes keep their order
+    all run: the nearer lane wins from its first candidate slot on, whatever
+    the ids say."""
+    config = default_config(vehicle_count=5, road_length=800.0,
+                            rsu_longitudinal=400.0, slot_duration=1e-3,
+                            horizon=60_000)
+    vehicles = [VehicleState(1, 3, 1000), VehicleState(2, 1, 1000),
+                VehicleState(3, 2, 1000), VehicleState(4, 2, 9000),
+                VehicleState(5, 1, 9000)]
+    model = PhysicalRateModel(config, vehicles)
+    stretches = _nearest_stretches(model)
+    assert stretches == nearest_stretches_by_bisection(model)
+    assert [vid for vid, _, _ in stretches] == [2, 5]
+
+
+@pytest.mark.parametrize("lag", [-400_000, -50_000, -700, 3, 50_000, 400_000])
+def test_nearest_stretches_recover_from_a_wrong_guess(lag):
+    """A model whose rsu_distance disagrees with the road geometry puts
+    every solved takeover slot about lag slots (lag / 500 m at stock) from
+    the true one; the search still ends where bisection does, at a cost
+    logarithmic in the miss: under twice bisection's rsu_distance calls."""
+    config = stock_config()
+    for seed in range(1, 6):
+        model = LaggedRsuModel(config, spawn_vehicles(config, seed), lag)
+        stretches = _nearest_stretches(model)
+        calls, model.calls = model.calls, 0
+        assert stretches == nearest_stretches_by_bisection(model)
+        assert calls < 2 * model.calls
+
+
+def test_nearest_stretches_probe_few_distances():
+    """Takeover slots come from the distance gap, not from a search of the
+    run: at most 8 rsu_distance calls per vehicle on stock seeds 1-20,
+    where bisection over the horizon made about 52."""
+    config = stock_config()
+    calls = vehicles = 0
+    for seed in range(1, 21):
+        model = CountingModel(config, spawn_vehicles(config, seed))
+        _nearest_stretches(model)
+        calls += model.calls
+        vehicles += len(model.ids)
+    assert calls <= 8 * vehicles
 
 
 def test_schedulers_take_entry_order_not_id_order():

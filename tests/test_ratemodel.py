@@ -552,6 +552,22 @@ def test_models_keep_under_30_attributes():
     assert all(len(vars(m)) < 30 for m in (model, checker, proposed))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_model_arrays_are_indexed_by_id(seed):
+    """A model built from a shuffled population holds each vehicle's lane,
+    entry slot and lateral RSU offset at the vehicle's id, not at its place
+    in the list."""
+    config = stock_config()
+    vehicles = spawn_vehicles(config, seed)
+    random.Random(seed).shuffle(vehicles)
+    ids = [v.id for v in vehicles]
+    assert ids != sorted(ids)
+    model = PhysicalRateModel(config, vehicles)
+    assert model._lane[ids].tolist() == [v.lane for v in vehicles]
+    assert model._entry[ids].tolist() == [v.entry_slot for v in vehicles]
+    assert model._dlr[ids].tolist() == [config.lane_offset(v.lane) for v in vehicles]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(mode=st.sampled_from(["midpoint", "quadrature"]),
        stock_seed=st.one_of(st.none(), st.integers(1, 20)), data=st.data())
