@@ -8,7 +8,11 @@ trace alone. It calls none of the scheduling loops (v2i, v2v, baselines).
 V2V delivery is replayed on the audit's own arithmetic: V2VBudget computes
 desired power, interference terms and self-interference with numpy from the
 config and the vehicles alone, and sums every phase's interference from the
-pairing's term table; no rate-model code takes part. V2I delivery goes
+pairing's term table; no rate-model code takes part. The traced slot counts
+fix every phase of a pairing before the replay starts, so it evaluates
+ROWS phases at a time: one phase_rows call gives the SINR and rate of every
+(phase, link) of the block, and one np.add.accumulate down the rows its
+bits. The budget is built only for a result with a pairing. V2I delivery goes
 through a second physical rate model, AuditRateModel, built from the config.
 Its V2I memo is carried between audits of one config apart from the
 scheduler's, so the audit computes a rate block again only after its memo
@@ -17,7 +21,7 @@ call sums every grant at once, reading each lane's covered memo blocks in
 one pass and summing grants of equal offset and count once. A model
 passed in (table-driven tests) supplies both instead: V2I through its
 grant_bits, by default summed from its v2i_rates, and the V2V replay through
-its phases.
+its phase_rows, by default one call of its phases per row.
 Failures are data, not exceptions.
 
 A relative guard of 1e-12 (REL_GUARD) absorbs float-association noise
@@ -46,6 +50,7 @@ from .ratemodel import PhysicalRateModel
 from .vehicles import VehicleState
 
 REL_GUARD = 1e-12
+ROWS = 16  # V2V replay phases evaluated at once
 
 
 class AuditRateModel(PhysicalRateModel):
@@ -90,7 +95,7 @@ def audit(result: SchemeResult, config: ScenarioConfig,
     v2i = v2v = model
     if model is None:
         v2i = AuditRateModel(config, vehicles, rate_mode=result.rate_mode)
-        v2v = V2VBudget(config, vehicles)
+        v2v = V2VBudget(config, vehicles) if result.v2v.pairings else None
     slots = _granted_slots(result)
     coverage, v2i_qos = _check_coverage_and_qos(slots, config, vehicles)
     checks = [
@@ -286,9 +291,10 @@ def _check_two_hop(result) -> CheckResult:
 def _check_v2v_delivery_and_qos(result, model) -> CheckResult:
     """Replay each pairing from its traced slot counts (_replay_pairing):
     at every phase each active link must clear the SINR threshold, and the
-    accumulated bits must reach the content size."""
-    target = model.content_size * (1.0 - REL_GUARD)
+    accumulated bits must reach the content size. `model` is None when
+    there is no pairing."""
     for pairing in result.v2v.pairings:
+        target = model.content_size * (1.0 - REL_GUARD)
         delivered, weak = _replay_pairing(pairing, model, result.strict_causality)
         if weak is not None:
             l, s, elapsed = weak
@@ -311,54 +317,58 @@ def _replay_pairing(pairing, model, strict: bool):
 
     `model` is the audit's own V2VBudget, which sums every phase from the
     pairing's term table, or a rate model; either gives the phases of the
-    pairing through its `phases`.
+    pairing through its `phase_rows`, ROWS phases at a time.
 
-    Links stay active for their recorded spans and the concurrent set
-    shrinks as they finish. A phase of n slots at a fixed active set moves a
-    link from x to x + n * g, with g its per-slot grain. Under strict
-    causality a relay hop (derived from the links, as run_pairing does, not
-    read from relay_hop) forwards at most what its feeder has delivered up
-    to and including the same slot. Since x never exceeds the feeder's f,
-    that is x_{t+1} = min(x_t + g, f_{t+1}): a rate-g server fed by the
-    feeder, whose output is the min-plus convolution
+    Links stay active for their own traced spans, read by position, and
+    the concurrent set shrinks as they finish: the phases end at the
+    sorted distinct positive spans, and link m is on the air in a phase
+    iff its span exceeds the slot the phase starts after. A phase of n
+    slots at a fixed active set moves a link from x to x + n * g, with g
+    its per-slot grain, so a block's bits are one np.add.accumulate down
+    its rows from the bits carried in. The first weak phase is the first
+    row with an active link below the threshold, its first such link,
+    reported with the bits before that phase. Under strict causality a
+    relay hop (derived from the links, as run_pairing does, not read from
+    relay_hop) forwards at most what its feeder has delivered up to and
+    including the same slot. Since x never exceeds the feeder's f, that is
+    x_{t+1} = min(x_t + g, f_{t+1}): a rate-g server fed by the feeder,
+    whose output is the min-plus convolution
     x_n = min(x + n * g, min_k f_k + (n - k) * g). With the feeder moving by
     g_f per slot (0 once it has finished) the inner term is linear in k, so
     it is least at k = n, or at k = 1 when g < g_f; but then it is no less
-    than x + n * g. The phase ends at min(x + n * g, f + n * g_f).
+    than x + n * g. The phase ends at min(x + n * g, f + n * g_f), one row
+    after another over the hop columns, since a feeder may be a hop too.
     """
     floor = model.sinr_threshold * (1.0 - REL_GUARD)
     dt = model.slot_duration
     links = [(l.tx, l.rx) for l in pairing.links]
-    spans = {(l.tx, l.rx): l.slots for l in pairing.links}
-    span = np.array([spans[l] for l in links], dtype=np.int64)
+    span = np.array([l.slots for l in pairing.links], dtype=np.int64)
     into = {rx: m for m, (_, rx) in reversed(list(enumerate(links)))}
     hops = [(m, into[tx]) for m, (tx, _) in enumerate(links) if tx in into] \
         if strict else []
     hop, feeder = np.array(hops, dtype=np.int64).reshape(-1, 2).T
-    phase = model.phases(links)
+    ends = np.sort(span[span > 0])  # a 0-slot link is never on the air
+    ends = ends[np.diff(ends, prepend=0) > 0]
+    starts = np.concatenate(([0], ends[:-1]))
+    rows = model.phase_rows(links)
     delivered = np.zeros(len(links))
-    elapsed = 0
-    active = np.flatnonzero(span > elapsed)  # a 0-slot link is never on the air
-    while active.size:
-        sinrs, rates = phase(active)
-        weak = sinrs < floor
+    for b in range(0, len(ends), ROWS):
+        after = starts[b:b + ROWS]
+        on = span > after[:, None]
+        sinrs, rates = rows(on)
+        steps = rates * dt * (ends[b:b + ROWS] - after)[:, None]
+        bits = np.add.accumulate(np.vstack((delivered, steps)))
+        for r in range(len(after) if hop.size else 0):
+            moved = bits[r, hop] + steps[r, hop]
+            cap = bits[r, feeder] + steps[r, feeder]
+            bits[r + 1, hop] = np.where(on[r, hop] & (cap < moved), cap, moved)
+        weak = on & (sinrs < floor)
         if weak.any():
-            k = int(weak.argmax())
-            return (dict(zip(links, delivered.tolist())),
-                    (links[active[k]], float(sinrs[k]), elapsed))
-        left = span[active]
-        nxt = int(left.min())
-        n = nxt - elapsed
-        grain = np.zeros(len(links))
-        grain[active] = rates * dt
-        moved = delivered + grain * n
-        if hop.size:
-            cap = delivered[feeder] + n * grain[feeder]
-            cut = (span[hop] > elapsed) & (cap < moved[hop])
-            moved[hop[cut]] = cap[cut]
-        delivered = moved
-        elapsed = nxt
-        active = active[left > elapsed]
+            r = int(weak.any(axis=1).argmax())
+            m = int(weak[r].argmax())
+            return (dict(zip(links, bits[r].tolist())),
+                    (links[m], float(sinrs[r, m]), int(after[r])))
+        delivered = bits[-1]
     return dict(zip(links, delivered.tolist())), None
 
 
@@ -376,7 +386,7 @@ class V2VBudget:
     peer is at alignment angle 0, and a term at distance 0 is infinite. A
     receiver that also transmits adds the residual self-interference.
     Each pairing's terms are found once, as a table of (interferer, victim,
-    term) entries, and every phase is summed from that table.
+    term) entries, and every block of phases is summed from that table.
     """
 
     def __init__(self, config: ScenarioConfig, vehicles: list[VehicleState]):
@@ -448,27 +458,32 @@ class V2VBudget:
             return sinrs, np.where(sinrs > 0.0,
                                    self._bandwidth * np.log2(1.0 + sinrs), 0.0)
 
-    def phases(self, links: list[tuple[int, int]]):
-        """A replay phase source for the links of one pairing: a function of
-        the active link positions alone, giving their SINRs and rates. A
-        receiver relays while its node transmits on an active link."""
+    def phase_rows(self, links: list[tuple[int, int]]):
+        """The phases of one pairing by rows, as RateModel.phase_rows: a
+        function of a boolean mask, one row per phase and one column per
+        position of `links`, True where the link is on the air, giving the
+        SINRs and rates of every (phase, link); a rate off the air is 0.
+        A receiver relays while its node transmits on a link on the air."""
         n = len(links)
         tx = np.array([l[0] for l in links], dtype=np.int64)
         rx = np.array([l[1] for l in links], dtype=np.int64)
         desired = self.desired(tx, rx)
         u, m, term = self.interference(tx, rx)
+        # (t, j): link t transmits from link j's receiver (equal ids)
+        t, j = _within_x(tx, rx, 0)
 
-        def phase(active: np.ndarray):
-            on = np.zeros(n, dtype=bool)
-            on[active] = True
-            heard = on[u]
-            # Same floats as a loop: each receiver's live terms, in link order, from 0.0.
-            itf = np.bincount(m[heard], term[heard], minlength=n)
-            sending = np.zeros(len(self._x), dtype=bool)
-            sending[tx[active]] = True
-            return self.sinrs_and_rates(desired[active], itf[active],
-                                        sending[rx[active]])
-        return phase
+        def rows(on: np.ndarray):
+            k = len(on)
+            # Same floats as a loop: each (phase, receiver)'s live terms, in
+            # table order, from 0.0.
+            r, e = np.nonzero(on[:, u])
+            itf = np.bincount(r * n + m[e], term[e], minlength=k * n).reshape(k, n)
+            relay = np.zeros((k, n), dtype=bool)
+            r, c = np.nonzero(on[:, t])
+            relay[r, j[c]] = True
+            sinrs, rates = self.sinrs_and_rates(desired, itf, relay)
+            return sinrs, np.where(on, rates, 0.0)
+        return rows
 
 
 def _within_x(a: np.ndarray, b: np.ndarray, reach: float):

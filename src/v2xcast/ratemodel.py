@@ -112,11 +112,13 @@ class RateModel:
     rest from the primitives, the V2I ones reading service windows from the
     window_bounds arrays. Among them,
     grant_bits(vids, starts, counts) gives the bits of many V2I grants at
-    once, for the audit. A model may answer the hot queries (download,
-    grant_bits, peers, admits, phases) faster, but with the same values the
-    derived versions give; PhysicalRateModel, for one, computes download
-    once per (lane, start - entry, end - entry) and grant_bits once per
-    distinct (lane, start - entry, count), in one pass per lane.
+    once, and phase_rows(links) the phases of a pairing many at a time,
+    one phases call per row, both for the audit. A model may answer the
+    hot queries (download, grant_bits, peers, admits, phases) faster, but
+    with the same values the derived versions give; PhysicalRateModel, for
+    one, computes download once per (lane, start - entry, end - entry) and
+    grant_bits once per distinct (lane, start - entry, count), in one pass
+    per lane.
     """
 
     rate_mode = "midpoint"
@@ -266,6 +268,23 @@ class RateModel:
             return (np.array(sinrs, dtype=float),
                     np.array(self.link_rates(now, sinrs), dtype=float))
         return phase
+
+    def phase_rows(self, links: list[Link]):
+        """The phases of a pairing by rows: a function of a boolean mask,
+        one row per phase and one column per position of `links`, True
+        where the link is on the air, that gives the SINRs and rates of
+        every (phase, link) as float arrays shaped like the mask. A rate
+        off the air is 0 and a SINR there is NaN. Each row is one call of
+        the phase function of phases(links)."""
+        phase = self.phases(links)
+
+        def rows(on: np.ndarray):
+            sinrs, rates = np.full(on.shape, np.nan), np.zeros(on.shape)
+            for r, row in enumerate(on):
+                active = np.flatnonzero(row)
+                sinrs[r, active], rates[r, active] = phase(active)
+            return sinrs, rates
+        return rows
 
 
 class PhysicalRateModel(RateModel):

@@ -26,8 +26,11 @@ rate modes with strict causality off and on, and at 400 vehicles on seeds
 The first line is the hash over every run. One line per run group follows
 (stock, strict, ladder, shares, retries, rsu, pairing, literal: the eight
 parts above, in that order), so a mismatch points at the group that moved.
+REFERENCE holds the nine lines the current code prints; --check compares
+against them and exits 1, naming every group whose line moved. A change
+meant to move the output updates REFERENCE with it.
 
-    PYTHONPATH=src python tests/identity.py [--jobs J]
+    PYTHONPATH=src python tests/identity.py [--jobs J] [--check]
 
 Point PYTHONPATH at another checkout's src/ to hash that code instead.
 Not collected by pytest.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
 from collections import Counter
 from multiprocessing import Pool
 
@@ -58,6 +62,18 @@ RSU_SEEDS = (1, 2)
 PAIRING_SCHEMES = ("proposed", "random")
 PAIRING_SEEDS = (1,)
 LITERAL_SEEDS = range(1, 41)
+
+REFERENCE = """\
+cd7104c221f5471bb59d99144961081ec7df3c0c23dad5d6ec6e6a4ed321e8d1  2030 runs
+6577c860724ef8b667b7b4b8043424100211d317dfc05232a93010444c1f16ee  1000 runs  stock
+2e616083762a2d75ebcdde1563909bd330ea6cadf1e48ab568bc53058b77ea70  600 runs  strict
+ae5c1f0cda521d441332e0c7ed62f0c616d01705b1c818c2e8a2302140a9b283  12 runs  ladder
+cb3a74e4de7f604b233880a0ab9a2911fbc587529dcac380b34bba8e410ba27e  120 runs  shares
+700cc1ca0ab8c5b9ae58c304b71002e43ffcce77d5bd8844a0cd92d7143a6f2c  120 runs  retries
+fb1ccd1b37edcb93af45981ca0fb212b2123e1c02d1a0ca30f1adf2288723cd4  12 runs  rsu
+912b71dd6a255f8c7f4cf0a252c8fe744f9635e90c579956743ca723af431b74  4 runs  pairing
+24c3af00ac1ce2753a177d1080b864eeaf60f2833771f680ca08452e90392ea9  162 runs  literal
+"""
 
 
 def runs():
@@ -110,6 +126,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes; the hash does not depend on it")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless the lines match REFERENCE")
     args = parser.parse_args()
     groups, todo = zip(*runs())
     h = hashlib.sha256()
@@ -118,10 +136,17 @@ def main() -> None:
         for group, text in zip(groups, pool.imap(run_text, todo, chunksize=8)):
             h.update(text)
             group_hash[group].update(text)
-    print(f"{h.hexdigest()}  {len(todo)} runs")
     counts = Counter(groups)
-    for group, gh in group_hash.items():
-        print(f"{gh.hexdigest()}  {counts[group]} runs  {group}")
+    lines = [f"{h.hexdigest()}  {len(todo)} runs"] + [
+        f"{gh.hexdigest()}  {counts[group]} runs  {group}"
+        for group, gh in group_hash.items()]
+    print("\n".join(lines))
+    if args.check:
+        moved = [line.split()[-1] for line in lines[1:]
+                 if line not in REFERENCE.splitlines()]
+        if moved or lines[0] not in REFERENCE.splitlines():
+            sys.exit(f"identity moved: {', '.join(moved) or 'the run list'}")
+        print("identity: all nine lines match REFERENCE")
 
 
 if __name__ == "__main__":

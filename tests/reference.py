@@ -3,7 +3,7 @@
 The rate models and the audit compute these with numpy over whole
 populations; the tests hold them to the pure-Python formulas here.
 Noncoop's nearest-vehicle stretches have their plain bisection reference
-here too.
+here too, and the audit's V2V replay its walk one phase at a time.
 
 The road runs along +x. Lane l is centered at y = (l - 0.5) * lane_width and
 the RSU sits at y = -rsu_lateral_offset, so the perpendicular RSU distance of
@@ -21,6 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from v2xcast.audit import REL_GUARD, V2VBudget
 from v2xcast.params import RadioParams, ScenarioConfig
 from v2xcast.radio import antenna_gain, mainlobe_gain
 from v2xcast.vehicles import VehicleState
@@ -117,6 +120,72 @@ def nearest_stretches_by_bisection(model) -> list[tuple[int, int, int]]:
             stack.append((j, takeover))
     lasts = [first - 1 for _, first in stack[1:]] + [model.horizon - 1]
     return [(vid, first, last) for (vid, first), last in zip(stack, lasts)]
+
+
+def replay_pairing_by_phase(pairing, model, strict: bool):
+    """The reference for audit._replay_pairing: the same (delivered, weak)
+    replay, one phase at a time. Each phase takes the active set's SINRs
+    and rates from `model`'s phases (budget_phases on a V2VBudget), checks
+    them against the threshold, and moves every link from x to x + n * g,
+    with a relay hop capped at its feeder's f + n * g_f under strict
+    causality. Each link's traced slot count is read by position."""
+    floor = model.sinr_threshold * (1.0 - REL_GUARD)
+    dt = model.slot_duration
+    links = [(l.tx, l.rx) for l in pairing.links]
+    span = np.array([l.slots for l in pairing.links], dtype=np.int64)
+    into = {rx: m for m, (_, rx) in reversed(list(enumerate(links)))}
+    hops = [(m, into[tx]) for m, (tx, _) in enumerate(links) if tx in into] \
+        if strict else []
+    hop, feeder = np.array(hops, dtype=np.int64).reshape(-1, 2).T
+    phase = (budget_phases(model, links) if isinstance(model, V2VBudget)
+             else model.phases(links))
+    delivered = np.zeros(len(links))
+    elapsed = 0
+    active = np.flatnonzero(span > elapsed)
+    while active.size:
+        sinrs, rates = phase(active)
+        weak = sinrs < floor
+        if weak.any():
+            k = int(weak.argmax())
+            return (dict(zip(links, delivered.tolist())),
+                    (links[active[k]], float(sinrs[k]), elapsed))
+        left = span[active]
+        nxt = int(left.min())
+        n = nxt - elapsed
+        grain = np.zeros(len(links))
+        grain[active] = rates * dt
+        moved = delivered + grain * n
+        if hop.size:
+            cap = delivered[feeder] + n * grain[feeder]
+            cut = (span[hop] > elapsed) & (cap < moved[hop])
+            moved[hop[cut]] = cap[cut]
+        delivered = moved
+        elapsed = nxt
+        active = active[left > elapsed]
+    return dict(zip(links, delivered.tolist())), None
+
+
+def budget_phases(budget: V2VBudget, links):
+    """A V2VBudget's phases of one pairing, one active set at a time: a
+    function of the active link positions giving their SINRs and rates,
+    summed with np.bincount from the budget's term table. A receiver relays
+    while its node transmits on an active link."""
+    n = len(links)
+    tx = np.array([l[0] for l in links], dtype=np.int64)
+    rx = np.array([l[1] for l in links], dtype=np.int64)
+    desired = budget.desired(tx, rx)
+    u, m, term = budget.interference(tx, rx)
+
+    def phase(active: np.ndarray):
+        on = np.zeros(n, dtype=bool)
+        on[active] = True
+        heard = on[u]
+        itf = np.bincount(m[heard], term[heard], minlength=n)
+        sending = np.zeros(len(budget._x), dtype=bool)
+        sending[tx[active]] = True
+        return budget.sinrs_and_rates(desired[active], itf[active],
+                                      sending[rx[active]])
+    return phase
 
 
 def alignment_angle(tx: Point2D, boresight_target: Point2D, probe: Point2D) -> float:

@@ -103,10 +103,10 @@ def test_a_link_traced_at_zero_slots_never_goes_on_the_air(strict):
        seed=st.integers(1, 10_000), data=st.data())
 def test_budget_matches_scalar_radio_as_links_finish(lanes, arrival, count,
                                                      v2v_range, seed, data):
-    """A random concurrent set with relay chains and stray links: the
-    budget's SINR of every link still on the air matches
-    reference.v2v_sinr of that set, at the start and after each batch of
-    finishes."""
+    """A random concurrent set with relay chains and stray links: asked
+    one row at a time, the budget's SINR of every link still on the air
+    matches reference.v2v_sinr of that set, at the start and after each
+    batch of finishes, and every link off the air has rate 0."""
     config = default_config(lane_count=lanes, arrival_rate=arrival,
                             vehicle_count=count)
     config = dataclasses.replace(config, radio=default_radio(v2v_range=v2v_range))
@@ -133,11 +133,15 @@ def test_budget_matches_scalar_radio_as_links_finish(lanes, arrival, count,
             links.append((tx, rx))
     links = data.draw(st.permutations(links))
 
-    phase = V2VBudget(config, vehicles).phases(links)
+    rows = V2VBudget(config, vehicles).phase_rows(links)
     active = list(range(len(links)))
     finished: list[int] = []
     while active:
-        sinrs, rates = phase(np.array(active, dtype=np.int64))
+        on = np.zeros((1, len(links)), dtype=bool)
+        on[0, active] = True
+        sinrs, rates = rows(on)
+        assert not rates[~on].any()
+        sinrs, rates = sinrs[0, active], rates[0, active]
         cset = ConcurrentSet(tuple(DirectionalLink(links[m][0], links[m][1],
                                                    pos[links[m][0]], pos[links[m][1]])
                                    for m in active))
@@ -151,10 +155,11 @@ def test_budget_matches_scalar_radio_as_links_finish(lanes, arrival, count,
 
 
 def test_phase_source_depends_only_on_the_active_set():
-    """On a real 400-vehicle pairing, one phase source asked about active
-    sets that shrink, then grow back and repeat gives each set, bit for
-    bit, what a fresh source gives it, and within REL_GUARD what the rate
-    model gives it from scratch."""
+    """On a real 400-vehicle pairing, one row source asked about active
+    sets that shrink, then grow back and repeat, one row at a time, gives
+    each set, bit for bit, what a fresh source gives it, and what the same
+    sets stacked into one block give their rows, and within REL_GUARD what
+    the rate model gives it from scratch."""
     config = stock_config(**LADDER)
     vehicles = spawn_vehicles(config, 1)
     result = run_scheme("proposed", PhysicalRateModel(config, vehicles), 1)
@@ -163,15 +168,23 @@ def test_phase_source_depends_only_on_the_active_set():
     n = len(links)
     assert n > 100
     budget = V2VBudget(config, vehicles)
-    phase = budget.phases(links)
+    rows = budget.phase_rows(links)
     reference = RateModel.phases(PhysicalRateModel(config, vehicles), links)
     order = np.random.default_rng(1).permutation(n)
     shrinking = [np.sort(order[k:]) for k in (0, n // 4, n // 2, n - 3)]
-    for active in shrinking + [shrinking[1], shrinking[1], shrinking[-1]]:
-        sinrs, rates = phase(active)
-        fresh_sinrs, fresh_rates = budget.phases(links)(active)
+    sets = shrinking + [shrinking[1], shrinking[1], shrinking[-1]]
+    block = np.zeros((len(sets), n), dtype=bool)
+    for r, active in enumerate(sets):
+        block[r, active] = True
+    block_sinrs, block_rates = rows(block)
+    for r, active in enumerate(sets):
+        sinrs, rates = (a[0, active] for a in rows(block[r:r + 1]))
+        fresh_sinrs, fresh_rates = (a[0, active] for a in
+                                    budget.phase_rows(links)(block[r:r + 1]))
         assert sinrs.tolist() == fresh_sinrs.tolist()
         assert rates.tolist() == fresh_rates.tolist()
+        assert sinrs.tolist() == block_sinrs[r, active].tolist()
+        assert rates.tolist() == block_rates[r, active].tolist()
         want_sinrs, want_rates = reference(active)
         assert sinrs.tolist() == pytest.approx(want_sinrs.tolist(), rel=REL_GUARD)
         assert rates.tolist() == pytest.approx(want_rates.tolist(), rel=REL_GUARD)
@@ -210,6 +223,23 @@ def test_default_audit_does_not_call_link_sinrs(monkeypatch):
 
     monkeypatch.setattr(PhysicalRateModel, "link_sinrs", refuse)
     assert audit(result, config, vehicles).ok
+
+
+@pytest.mark.parametrize("scheme", ["serial-tdma", "noncoop"])
+def test_default_audit_builds_no_budget_without_a_pairing(monkeypatch, scheme):
+    """serial-tdma and noncoop form no pairing, so the default audit passes
+    them with every check named and never builds its V2VBudget."""
+    config = stock_config()
+    vehicles = spawn_vehicles(config, 1)
+    result = run_scheme(scheme, PhysicalRateModel(config, vehicles), 1)
+    assert not result.v2v.pairings
+
+    def refuse(self, config, vehicles):
+        raise AssertionError("V2VBudget built")
+
+    monkeypatch.setattr(V2VBudget, "__init__", refuse)
+    report = audit(result, config, vehicles)
+    assert str(report) == "\n".join(f"PASS {name}" for name in CHECKS)
 
 
 @pytest.mark.parametrize("mode", ["midpoint", "quadrature"])
