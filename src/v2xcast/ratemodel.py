@@ -18,12 +18,13 @@ it again. It keeps the blocks read most recently, up to twice the most
 blocks one model has read since those inputs last changed, and drops the
 least recently read past that. Each class keeps a memo of its own, so a
 subclass's models never read the blocks of a plain PhysicalRateModel, nor
-it theirs. download reads a per-lane prefix sum over a run of those blocks,
-where an error bound shows the answer equals RateModel.download's, and each
-model keeps that answer for its life, by (lane, start - entry, end -
-entry): an idle RSU starts a grant at its vehicle's window opening, the same
-offset for every vehicle of a lane. grant_bits sums each distinct (lane,
-offset, count) once, with the reference's own floats. The V2V SINR formula,
+it theirs. Beside a block a download starts in, the memo keeps a table of
+the first slot count at which the running sum from each of the block's
+offsets reaches the content, where an error bound shows it is
+RateModel.download's, and drops it with the block. Later models read their
+downloads off it: a lane's queued grants start at the same few offsets run
+after run. grant_bits sums each distinct (lane, offset, count) once, with
+the reference's own floats. The V2V SINR formula,
 the interference term and the scan for the interferers a receiver hears are
 each written once: link_sinrs sums every receiver afresh through them;
 admits keeps running sums of the same terms in the same order; and phases
@@ -50,13 +51,17 @@ SIMPSON = (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)  # 8 subintervals
 
 
 class _Memo:
-    """The V2I memo of one model class: rate blocks by (lane, block), least
-    recently read first, for the inputs `key` their rates depend on, and
-    the most blocks one model of the class has read for that key."""
+    """The V2I memo of one model class, for the inputs `key` that its
+    arrays depend on: rate blocks by (lane, block), least recently read
+    first; the first-crossing tables of some of those blocks, which depend
+    on the content too (see PhysicalRateModel._tabulate), each dropped
+    with its block; and the most blocks one model of the class has read
+    for that key."""
 
     def __init__(self, key: tuple):
         self.key = key
         self.blocks: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self.tables: dict[tuple[int, int], np.ndarray] = {}
         self.most = 0
 
 
@@ -116,9 +121,9 @@ class RateModel:
     one phases call per row, both for the audit. A model may answer the
     hot queries (download, grant_bits, peers, admits, phases) faster, but
     with the same values the derived versions give; PhysicalRateModel, for
-    one, computes download once per (lane, start - entry, end - entry) and
-    grant_bits once per distinct (lane, start - entry, count), in one pass
-    per lane.
+    one, reads download off a table per (lane, block of start - entry)
+    carried with its rate memo, and computes grant_bits once per distinct
+    (lane, start - entry, count), in one pass per lane.
     """
 
     rate_mode = "midpoint"
@@ -148,7 +153,7 @@ class RateModel:
     def entry_order(self) -> list[int]:
         """The ids by (entry slot, id), the order the schedulers serve in.
         Computed on each read, which each scheduler makes once per run, and
-        not kept: a PhysicalRateModel has 29 instance attributes after its
+        not kept: a PhysicalRateModel has 27 instance attributes after its
         first V2V query, and at 30 CPython 3.11 reads every attribute more
         slowly (serial-tdma's schedule at 1,600 vehicles took about 4%
         longer)."""
@@ -310,9 +315,6 @@ class PhysicalRateModel(RateModel):
             memo = _carries[type(self)] = _Memo(key)
         self._memo = memo
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
-        self._prefixes: dict[int, tuple[int, np.ndarray]] = {}  # see _prefix
-        # download's answers by (lane, start - entry, end - entry).
-        self._downloads: dict[tuple[int, int, int], tuple[int, bool]] = {}
 
         g = mainlobe_gain(radio)
         self._noise = radio.noise_floor_w
@@ -379,7 +381,7 @@ class PhysicalRateModel(RateModel):
         self._blocks[key] = rates
         memo.most = max(memo.most, len(self._blocks))
         while len(memo.blocks) > 2 * memo.most:
-            memo.blocks.popitem(last=False)
+            memo.tables.pop(memo.blocks.popitem(last=False)[0], None)
         return rates
 
     def _compute_block(self, lane: int, b: int) -> np.ndarray:
@@ -423,76 +425,73 @@ class PhysicalRateModel(RateModel):
         rates.setflags(write=False)
         return rates[lo:lo + count]
 
-    def _prefix(self, lane: int, k0: int, k1: int) -> tuple[int, np.ndarray]:
-        """The lane's prefix table P and its first offset o, covering the
-        offsets [k0, k1]: P[i] is the running sum, from 0.0 in offset order,
-        of the memo's rates at offsets [o, o + i). It grows past its end by
-        continuing the accumulate from its last value, the floats a cumsum
-        over the whole run gives, and is rebuilt from k0's block when it
-        does not hold k0."""
-        o, table = self._prefixes.get(lane, (0, np.zeros(1)))
-        end = o + len(table) - 1  # first offset not covered
-        if not o <= k0 < end:
-            o = end = k0 - k0 % BLOCK
-            table = np.zeros(1)
-        if k1 >= end:
-            rates = [self._block(lane, b) for b in range(end // BLOCK, k1 // BLOCK + 1)]
-            table = np.concatenate(
-                (table[:-1], np.cumsum(np.concatenate([table[-1:], *rates]))))
-            self._prefixes[lane] = o, table
-        return o, table
-
     def download(self, vid: int, start: int, end: int) -> tuple[int, bool]:
-        """RateModel.download's answer, computed once per model for each
-        (lane, start - entry, end - entry): the reference reads only the
-        rates of those offsets, which depend on nothing else, and the
-        model's content size and slot duration (_download)."""
-        lane, entry = self._lane_entry[vid]
-        key = lane, start - entry, end - entry
-        got = self._downloads.get(key)
-        if got is None:
-            got = self._downloads[key] = self._download(vid, start, end)
-        return got
-
-    def _download(self, vid: int, start: int, end: int) -> tuple[int, bool]:
-        """RateModel.download's answer, read off the lane's prefix table.
-
-        Over the same scan length cap (its end rates read from the memo, the
-        floats v2i_rates returns), a searchsorted on the table guesses the
-        slot count j, and the guess stands only where the certificate below
-        shows that RateModel.download's running sum gives the same answer;
-        else that reference decides. With u = 2**-53, N the table's rate
-        count and T its last value, each table entry is a recursive sum of
-        at most N non-negative rates, within gamma_N * T of the exact sum
-        (gamma_N = N u / (1 - N u), Higham, Accuracy and Stability of
-        Numerical Algorithms, 4.2); so is the reference's running sum of j
-        <= N of them. The difference of two entries, and each product by
-        the slot duration dt, round by a further u. The table's bits of j
-        slots, fl(D_j dt), and the reference's therefore differ by at most
-        (3 gamma_N + 5u) T dt to first order, and Delta = 4 (N + 2) u
-        (T dt + need) bounds that with room for the second-order terms and
-        the rounding of need +- Delta. If fl(D_j dt) >= need + Delta and
-        fl(D_(j-1) dt) < need - Delta, the reference's sum, non-decreasing
-        in j, first reaches need at j; if fl(D_cap dt) < need - Delta, it
-        never does within cap. A table whose last value is not finite, and
-        a guess inside Delta of need, go to the reference."""
+        """RateModel.download's answer, read off the table of the block that
+        holds s = start - entry (_tabulate) and the scan length cap of the
+        reference, from the memo's rates at s and end - entry. An entry j
+        says that the reference's running sum from s stays below the
+        content for every count below |j|, and for j > 0 that it reaches
+        the content at j; so a cap below |j| gives (cap, False), and else
+        a positive j gives (j, True). A table that does not reach the scan
+        is built again to reach it; an entry of 0 goes to the reference."""
         lane, entry = self._lane_entry[vid]
         s, e = start - entry, end - entry
-        cap = self._scan_length(self._block(lane, s // BLOCK)[s % BLOCK],
+        b, i = divmod(s, BLOCK)
+        cap = self._scan_length(self._block(lane, b)[i],
                                 self._block(lane, e // BLOCK)[e % BLOCK], e - s + 1)
-        o, table = self._prefix(lane, s, s + cap - 1)
-        top, dt, need = float(table[-1]), self.slot_duration, self.content_size
-        if math.isfinite(top):
-            i = s - o
-            base = float(table[i])
-            j = int(table[i + 1:i + cap + 1].searchsorted(base + need / dt)) + 1
-            delta = 4 * (len(table) + 1) * 2.0 ** -53 * (top * dt + need)
-            if j > cap and (float(table[i + cap]) - base) * dt < need - delta:
-                return cap, False
-            if j <= cap and (float(table[i + j]) - base) * dt >= need + delta \
-                    and (float(table[i + j - 1]) - base) * dt < need - delta:
-                return j, True
+        table = self._memo.tables.get((lane, b))
+        j = 0 if table is None else int(table[i])
+        if table is None or -cap <= j < 0:
+            j = int(self._tabulate(lane, b, cap)[i])
+        if cap < abs(j):
+            return cap, False
+        if j > 0:
+            return j, True
         return RateModel.download(self, vid, start, end)
+
+    def _tabulate(self, lane: int, b: int, cap: int) -> np.ndarray:
+        """The first-crossing table of block b of `lane`, for scans of up to
+        `cap` slots from each of its offsets: one entry per offset, read as
+        download's docstring says. It is carried in the memo beside block b
+        when every block it was computed from is the memo's own.
+
+        P is the running sum, from 0.0 in offset order, of the rates of the
+        blocks from b on that hold cap slots past the block's last offset.
+        One searchsorted on P guesses each offset's slot count j, and the
+        guess stands only where the certificate below shows that
+        RateModel.download's running sum gives the same answer. With u =
+        2**-53, N the table's rate count and T its last value, each entry of
+        P is a recursive sum of at most N non-negative rates, within gamma_N
+        * T of the exact sum (gamma_N = N u / (1 - N u), Higham, Accuracy
+        and Stability of Numerical Algorithms, 4.2); so is the reference's
+        running sum of j <= N of them. The difference of two entries, and
+        each product by the slot duration dt, round by a further u. P's
+        bits of j slots, fl(D_j dt), and the reference's therefore differ by
+        at most (3 gamma_N + 5u) T dt to first order, and Delta = 4 (N + 2)
+        u (T dt + need) bounds that with room for the second-order terms and
+        the rounding of need +- Delta. If fl(D_j dt) >= need + Delta and
+        fl(D_(j-1) dt) < need - Delta, the reference's sum, non-decreasing
+        in j, first reaches need at j; if the bits of the L slots P holds
+        from the offset are below need - Delta, it does not reach need
+        within L, the entry -(L + 1). Every other entry is 0, every entry
+        of a P whose last value is not finite among them. The dtype is the
+        narrowest that holds -(N + 1)."""
+        count = -(-(BLOCK - 1 + cap) // BLOCK)
+        blocks = [self._block(lane, c) for c in range(b, b + count)]
+        table = np.cumsum(np.concatenate([np.zeros(1), *blocks]))
+        n, dt, need = len(table) - 1, self.slot_duration, self.content_size
+        delta = 4 * (n + 2) * 2.0 ** -53 * (float(table[-1]) * dt + need)
+        base, at = table[:BLOCK], np.arange(BLOCK)
+        k = np.clip(table.searchsorted(base + need / dt), at + 1, n)
+        bits = (table[k] - base) * dt
+        reached = (bits >= need + delta) & ((table[k - 1] - base) * dt < need - delta)
+        short = (k == n) & (bits < need - delta)
+        j = np.where(reached, k - at, np.where(short, at - n - 1, 0))
+        j = j.astype(np.min_scalar_type(-n - 1))
+        memo = self._memo
+        if all(memo.blocks.get((lane, c)) is r for c, r in enumerate(blocks, b)):
+            memo.tables[lane, b] = j
+        return j
 
     def grant_bits(self, vids, starts, counts) -> np.ndarray:
         """RateModel.grant_bits, in one pass per lane. A rate depends only

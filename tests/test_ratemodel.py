@@ -437,8 +437,9 @@ def test_prefix_download_equals_the_reference(mode, lanes, gaps, exponent, spans
     """PhysicalRateModel.download against RateModel.download on one model:
     random lanes, entries, content sizes, starts, and ends up to the end of
     the window (noncoop's stretches end before it). Each answer is the
-    reference's, read off the prefix table, never from the fallback; the
-    queries in drawn order grow and rebuild the tables."""
+    reference's, read off a first-crossing table, never from the fallback;
+    the queries in drawn order build the tables, and build again those
+    that do not reach a later, longer scan."""
     config = default_config(vehicle_count=len(lanes), content_size=10.0 ** exponent,
                             horizon=10 ** 7)
     entries = np.cumsum(gaps[:len(lanes)]).tolist()
@@ -537,9 +538,9 @@ def test_grant_bits_of_repeated_grants_equal_the_reference(mode, lanes, gaps, da
 def test_models_keep_under_30_attributes():
     """A serial-tdma model and an audit model, which make no V2V query, and
     a proposed model, whose V2V queries add the neighbour lists, keep fewer
-    than 30 instance attributes: at 30, CPython 3.11 reads every attribute
-    more slowly, and serial-tdma's schedule at 1,600 vehicles took about 4%
-    longer."""
+    than 30 instance attributes (26, 26 and 27): at 30, CPython 3.11 reads
+    every attribute more slowly, and serial-tdma's schedule at 1,600
+    vehicles took about 4% longer."""
     audit = importlib.import_module("v2xcast.audit")
     config = stock_config()
     vehicles = spawn_vehicles(config, 1)
@@ -574,69 +575,163 @@ def test_model_arrays_are_indexed_by_id(seed):
 def test_download_memo_answers_the_reference(mode, stock_seed, data):
     """download on drawn (vehicle, start, end) queries, repeated keys and
     vehicles of one lane at one offset among them, on a drawn_population
-    or a stock seed: each answer is RateModel.download's on the
-    same model and a fresh model's, and the model keeps one answer per
-    (lane, start - entry, end - entry). Starts run from before the road
-    entry to past the window, where download is called directly."""
+    or a stock seed: each answer is RateModel.download's, read off the
+    table the class's memo holds for the block of start - entry, never
+    from the reference; no table outlives its block; and a model of a
+    fresh memo, asked the same queries in reverse order, so that other
+    scans build its tables, gives the same answers. Starts run from before
+    the road entry to past the window, where download is called directly."""
     if stock_seed is None:
         config, vehicles = drawn_population(data, 400)
     else:
         config = stock_config()
         vehicles = spawn_vehicles(config, stock_seed)
-    model = PhysicalRateModel(config, vehicles, rate_mode=mode)
-    first, last = model.window_bounds()
-    # Each lane's window in offsets from entry, from one vehicle of it.
-    window = {v.lane: (int(first[v.id]) - v.entry_slot, int(last[v.id] - first[v.id]))
-              for v in reversed(vehicles) if first[v.id] <= last[v.id]}
-    at = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1.25]), st.floats(-1.0, 1.3))
-    shapes = data.draw(st.lists(st.tuples(at, st.floats(0.0, 1.0)),
-                                min_size=1, max_size=4), label="shapes")
-    queries = data.draw(st.lists(st.tuples(
-        st.sampled_from([v for v in vehicles if v.lane in window]),
-        st.sampled_from(shapes)), min_size=1, max_size=12), label="queries")
-    keys = set()
-    for v, (a, b) in queries:
-        offset, span = window[v.lane]
-        start = v.entry_slot + offset + int(a * span)
-        end = start + int(b * span)
-        got = model.download(v.id, start, end)
-        assert got == RateModel.download(model, v.id, start, end)
-        assert got == PhysicalRateModel(config, vehicles, rate_mode=mode).download(
-            v.id, start, end)
-        keys.add((v.lane, start - v.entry_slot, end - v.entry_slot))
-    assert model._downloads.keys() == keys
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratemodel, "_carries", {})
+        model = PhysicalRateModel(config, vehicles, rate_mode=mode)
+        memo = ratemodel._carries[PhysicalRateModel]
+        first, last = model.window_bounds()
+        # Each lane's window in offsets from entry, from one vehicle of it.
+        window = {v.lane: (int(first[v.id]) - v.entry_slot,
+                           int(last[v.id] - first[v.id]))
+                  for v in reversed(vehicles) if first[v.id] <= last[v.id]}
+        at = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1.25]), st.floats(-1.0, 1.3))
+        shapes = data.draw(st.lists(st.tuples(at, st.floats(0.0, 1.0)),
+                                    min_size=1, max_size=4), label="shapes")
+        queries = data.draw(st.lists(st.tuples(
+            st.sampled_from([v for v in vehicles if v.lane in window]),
+            st.sampled_from(shapes)), min_size=1, max_size=12), label="queries")
+        answers = []
+        for v, (a, b) in queries:
+            offset, span = window[v.lane]
+            start = v.entry_slot + offset + int(a * span)
+            end = start + int(b * span)
+            got, fell_back = _download_with_spy(model, v.id, start, end)
+            assert got == RateModel.download(model, v.id, start, end)
+            assert not fell_back
+            assert (v.lane, (start - v.entry_slot) // BLOCK) in memo.tables
+            assert memo.tables.keys() <= memo.blocks.keys()
+            answers.append((v.id, start, end, got))
+        mp.setattr(ratemodel, "_carries", {})
+        fresh = PhysicalRateModel(config, vehicles, rate_mode=mode)
+        for vid, start, end, got in reversed(answers):
+            assert fresh.download(vid, start, end) == got
 
 
-def test_serial_tdma_computes_each_download_once():
-    """serial-tdma on the 1,600-vehicle benchmark config, seed 1: the
-    model computes each (lane, start - entry, end - entry) download once,
-    though most grants repeat a key: an idle RSU starts a grant at its
-    vehicle's window opening, the same offset for every vehicle of a
-    lane."""
-    config = load_config(Path(__file__).parent.parent / "perfbench" / "configs"
-                         / "rsu-1600.cfg")
-    computed, calls = Counter(), Counter()
-    download, uncached = PhysicalRateModel.download, PhysicalRateModel._download
+def _rsu_1600():
+    return load_config(Path(__file__).parent.parent / "perfbench" / "configs"
+                       / "rsu-1600.cfg")
 
-    def key(model, vid, start, end):
-        lane, entry = model._lane_entry[vid]
-        return id(model), lane, start - entry, end - entry
 
-    def counting(model, *args):
-        calls[key(model, *args)] += 1
+def _counting_tables(mp):
+    """Patch `mp` to count PhysicalRateModel._tabulate calls by (class,
+    lane, block) and RateModel.download calls; returns both counters."""
+    tabulated, reference = Counter(), Counter()
+    tabulate, download = PhysicalRateModel._tabulate, RateModel.download
+
+    def counting(model, lane, b, cap):
+        tabulated[type(model), lane, b] += 1
+        return tabulate(model, lane, b, cap)
+
+    def fallback(model, *args):
+        reference[type(model)] += 1
         return download(model, *args)
 
-    def computing(model, *args):
-        computed[key(model, *args)] += 1
-        return uncached(model, *args)
+    mp.setattr(PhysicalRateModel, "_tabulate", counting)
+    mp.setattr(RateModel, "download", fallback)
+    return tabulated, reference
 
+
+def test_serial_tdma_tabulates_each_block_once():
+    """serial-tdma on the 1,600-vehicle benchmark config, seeds 1 and 2, on
+    one memo: no download goes to the reference, and each (lane, block) a
+    download starts in is tabulated once, in far fewer tables than
+    downloads. An idle RSU starts a grant at its vehicle's window opening,
+    and a queued one where the last grant ended, offsets that recur run
+    after run; so the second run reads most of its tables from the
+    first."""
+    config = _rsu_1600()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PhysicalRateModel, "download", counting)
-        mp.setattr(PhysicalRateModel, "_download", computing)
+        mp.setattr(ratemodel, "_carries", {})
+        tabulated, reference = _counting_tables(mp)
         result, _, _ = run_scenario(config, 1, "serial-tdma")
-    assert len(result.selection.grants) == sum(calls.values()) == 1600
-    assert computed.keys() == calls.keys()
-    assert max(computed.values()) == 1 and len(computed) < 1000
+        once = len(tabulated)
+        second, _, _ = run_scenario(config, 2, "serial-tdma")
+    assert len(result.selection.grants) == len(second.selection.grants) == 1600
+    assert not reference
+    assert max(tabulated.values()) == 1 and len(tabulated) < 60
+    assert len(tabulated) - once < once / 2
+
+
+@pytest.mark.parametrize("content_gbit, widest", [(10, np.int16), (100, np.int32)])
+def test_serial_tdma_reads_large_contents_off_the_tables(content_gbit, widest):
+    """serial-tdma on the stock config at 10 and 100 Gbit, seeds 1-3: no
+    download goes to the reference, whose running sum over a whole scan
+    would then run per call. A table reaches as far as the scans that read
+    it, and its dtype holds that reach: int16 holds the 10 Gbit scans of
+    up to 7,791 slots, and the 100 Gbit ones, of up to 77,889, need int32.
+    After each run, no table outlives its block."""
+    config = stock_config(content_gbit=content_gbit)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratemodel, "_carries", {})
+        tabulated, reference = _counting_tables(mp)
+        for seed in (1, 2, 3):
+            result, _, _ = run_scenario(config, seed, "serial-tdma")
+            memo = ratemodel._carries[PhysicalRateModel]
+            assert memo.tables.keys() <= memo.blocks.keys()
+            assert result.selection.grants
+    assert tabulated and not reference
+    assert max(t.dtype.itemsize for t in memo.tables.values()) \
+        == np.dtype(widest).itemsize
+
+
+def test_v2i_memo_drops_each_table_with_its_block(monkeypatch):
+    """A model downloads from a vehicle's window opening, which leaves a
+    table beside that block; two models that each read five other blocks
+    then push its blocks out of the memo, and the table goes with them,
+    unreachable, while every table left sits beside its block."""
+    monkeypatch.setattr(ratemodel, "_carries", {})
+    config = default_config(vehicle_count=6)
+    vehicles = spawn_vehicles(config, seed=4)
+    v = vehicles[0]
+    model = PhysicalRateModel(config, vehicles)
+    w0, w1 = reference_window(model, v.id)
+    assert model.download(v.id, w0, w1)[1]
+    memo = ratemodel._carries[PhysicalRateModel]
+    key = v.lane, (w0 - v.entry_slot) // BLOCK
+    table = weakref.ref(memo.tables[key])
+    for c in range(2):
+        other = PhysicalRateModel(config, vehicles)
+        for b in range(5 * c, 5 * c + 5):
+            _block_of(other, v, b)
+        assert memo.tables.keys() <= memo.blocks.keys()
+    assert key not in memo.blocks and table() is None
+
+
+def test_a_table_too_short_for_a_scan_is_built_again(monkeypatch):
+    """A download of 11 slots from a block's last offset, some 1,500 slots
+    into the window, tabulates the block for scans of 11 slots: from that
+    offset the table holds 2,049, short of where the content arrives, so
+    its entry says only that the content has not arrived within them. A
+    download from the same offset to the window's end scans further, and
+    the table is built again to reach it. Both answers are
+    RateModel.download's, and neither comes from it."""
+    monkeypatch.setattr(ratemodel, "_carries", {})
+    config = default_config(vehicle_count=6)
+    vehicles = spawn_vehicles(config, seed=4)
+    v = vehicles[0]
+    model = PhysicalRateModel(config, vehicles)
+    memo = ratemodel._carries[PhysicalRateModel]
+    w0, w1 = reference_window(model, v.id)
+    b = (w0 - v.entry_slot) // BLOCK + 1
+    start = v.entry_slot + (b + 1) * BLOCK - 1
+    got, fell_back = _download_with_spy(model, v.id, start, start + 10)
+    assert got == RateModel.download(model, v.id, start, start + 10) == (11, False)
+    short = memo.tables[v.lane, b]
+    assert short[-1] == -(BLOCK + 2) and not fell_back
+    got, fell_back = _download_with_spy(model, v.id, start, w1)
+    assert got == RateModel.download(model, v.id, start, w1) and got[1]
+    assert not fell_back and memo.tables[v.lane, b][-1] == got[0] > BLOCK + 1
 
 
 class _ConstantMemo(PhysicalRateModel):
@@ -682,19 +777,42 @@ def test_download_falls_back_when_the_crossing_is_inside_delta():
 
 @pytest.mark.parametrize("spike", [math.inf, math.nan])
 def test_download_falls_back_on_a_table_that_is_not_finite(spike):
-    """A rate that is not finite past the scanned slots, but in the block
-    the table reads, leaves the table's last value not finite: the
-    reference decides, and its answer stands."""
+    """A rate that is not finite past the scanned slots, but in a block
+    the table reads, leaves the running sum's last value not finite, so
+    every entry of the table is 0: the reference decides, and its answer
+    stands."""
     dt = default_config().road.slot_duration
     start = 3 * BLOCK + 100
     content = 99.5 * _ConstantMemo.RATE * dt
     model = _constant_memo_model(content, {4 * BLOCK - 1: spike})
     got, fell_back = _download_with_spy(model, 1, start, start + 500)
-    assert fell_back and not math.isfinite(model._prefixes[1][1][-1])
+    assert fell_back and not model._tabulate(1, 3, 102).any()
     assert got == RateModel.download(model, 1, start, start + 500) == (100, True)
     got, fell_back = _download_with_spy(_constant_memo_model(content), 1,
                                         start, start + 500)
     assert not fell_back and got == (100, True)
+
+
+def test_tables_are_not_carried_between_differently_spiked_models(monkeypatch):
+    """Two _ConstantMemo models of one config, one with 50 slots of rate 0
+    inside the scan, each asked first in turn. Their rates are not blocks
+    of the class's memo, so it carries no table from one to the other:
+    each answer is RateModel.download's on its own model."""
+    monkeypatch.setattr(ratemodel, "_carries", {})
+    dt = default_config().road.slot_duration
+    start = 3 * BLOCK + 100
+    content = 99.5 * _ConstantMemo.RATE * dt
+    gap = {k: 0.0 for k in range(start + 10, start + 60)}
+    for spiked_first in (False, True):
+        plain, spiked = (_constant_memo_model(content),
+                         _constant_memo_model(content, gap))
+        models = [spiked, plain] if spiked_first else [plain, spiked]
+        got = {id(m): m.download(1, start, start + 500) for m in models}
+        assert got[id(plain)] == RateModel.download(plain, 1, start, start + 500) \
+            == (100, True)
+        assert got[id(spiked)] == RateModel.download(spiked, 1, start, start + 500) \
+            == (102, False)
+    assert not ratemodel._carries[_ConstantMemo].tables
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -857,18 +975,21 @@ def test_table_model_rates_land_exactly_on_slot_counts():
 
 
 def test_runs_do_not_depend_on_the_order_of_configs():
-    """The V2I memo is carried between models, and the audit's V2I table
-    between audits, so a carry key that missed an input of the V2I rate
-    would make a run depend on the runs before it. Stock seeds 1-3, every
-    scheme, both rate modes, audited: each run's canonical text and audit
-    report are the same run in order, in reverse, and interleaved with
-    runs of other configs. Every vehicle enters coverage at the same
-    offsets, so a faster road reads other memo blocks than the stock one;
-    the RSU set back by 1 m, or a weaker RSU transmitter, reads the same
-    blocks at other rates."""
+    """The V2I memo is carried between models, with the first-crossing
+    tables of download, and the audit's V2I table between audits, so a
+    carry key that missed an input of the V2I rate or of the content would
+    make a run depend on the runs before it. Stock seeds 1-3, every scheme,
+    fcfs and serial-tdma with their queued downloads among them, both rate
+    modes, audited: each run's canonical text and audit report are the
+    same run in order, in reverse, and interleaved with runs of other
+    configs in the same rate mode. Every vehicle enters coverage at the
+    same offsets, so a faster road reads other memo blocks than the stock
+    one; the RSU set back by 1 m, or a weaker RSU transmitter, reads the
+    same blocks at other rates; and 2 Gbit of content crosses those same
+    rates at other slot counts."""
     stock = stock_config()
     others = [stock_config(speed_mps=25), stock_config(rsu_lateral_m=1),
-              stock_config(pt_dbm=27)]
+              stock_config(pt_dbm=27), stock_config(content_gbit=2)]
     matrix = [(seed, scheme, mode) for mode in ("midpoint", "quadrature")
               for seed in (1, 2, 3) for scheme in SCHEMES]
 
