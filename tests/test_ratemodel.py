@@ -618,11 +618,6 @@ def test_download_memo_answers_the_reference(mode, stock_seed, data):
             assert fresh.download(vid, start, end) == got
 
 
-def _rsu_1600():
-    return load_config(Path(__file__).parent.parent / "perfbench" / "configs"
-                       / "rsu-1600.cfg")
-
-
 def _counting_tables(mp):
     """Patch `mp` to count PhysicalRateModel._tabulate calls by (class,
     lane, block) and RateModel.download calls; returns both counters."""
@@ -650,7 +645,8 @@ def test_serial_tdma_tabulates_each_block_once():
     and a queued one where the last grant ended, offsets that recur run
     after run; so the second run reads most of its tables from the
     first."""
-    config = _rsu_1600()
+    config = load_config(Path(__file__).parent.parent / "perfbench" / "configs"
+                         / "rsu-1600.cfg")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ratemodel, "_carries", {})
         tabulated, reference = _counting_tables(mp)
@@ -709,7 +705,7 @@ def test_v2i_memo_drops_each_table_with_its_block(monkeypatch):
 
 
 def test_a_table_too_short_for_a_scan_is_built_again(monkeypatch):
-    """A download of 11 slots from a block's last offset, some 1,500 slots
+    """A download of 11 slots from a block's last offset, some 3,400 slots
     into the window, tabulates the block for scans of 11 slots: from that
     offset the table holds 2,049, short of where the content arrives, so
     its entry says only that the content has not arrived within them. A
